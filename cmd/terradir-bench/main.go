@@ -41,7 +41,6 @@ func main() {
 		shards   = flag.String("shards", "1", "openloop: comma-separated per-server shard counts to sweep")
 		rates    = flag.String("rate", "20000", "openloop: comma-separated offered arrival rates (lookups/sec)")
 		duration = flag.Duration("duration", 5*time.Second, "openloop: measured duration per run")
-		ingest   = flag.Int("ingest-batch", 0, "openloop: max envelopes a shard loop drains per wakeup (0 = default 64; 1 = strict one-per-wakeup)")
 	)
 	flag.Parse()
 
@@ -56,7 +55,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "terradir-bench: -rate: %v\n", err)
 			os.Exit(1)
 		}
-		openLoopMain(*target, *dist, *alpha, *servers, *clients, *ingest, shardList, rateList, *duration, *seed)
+		openLoopMain(*target, *dist, *alpha, *servers, *clients, shardList, rateList, *duration, *seed)
 		return
 	}
 

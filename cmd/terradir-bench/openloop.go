@@ -24,16 +24,15 @@ import (
 
 // openLoopConfig parameterizes one fixed-arrival-rate run.
 type openLoopConfig struct {
-	Target      string  // "direct" (in-process LocalCluster) or "gw" (TCP peers behind a gateway)
-	Dist        string  // "unif" or "zipf"
-	Alpha       float64 // Zipf exponent (ignored for unif)
-	Servers     int
-	Shards      int
-	IngestBatch int     // envelopes a shard loop drains per wakeup (0 = node default)
-	Rate        float64 // offered lookups/sec across the whole cluster
-	Duration    time.Duration
-	Clients     int // worker goroutines sharing the arrival schedule
-	Seed        uint64
+	Target   string  // "direct" (in-process LocalCluster) or "gw" (TCP peers behind a gateway)
+	Dist     string  // "unif" or "zipf"
+	Alpha    float64 // Zipf exponent (ignored for unif)
+	Servers  int
+	Shards   int
+	Rate     float64 // offered lookups/sec across the whole cluster
+	Duration time.Duration
+	Clients  int // worker goroutines sharing the arrival schedule
+	Seed     uint64
 }
 
 // openLoopResult is the machine-readable outcome of one open-loop run.
@@ -43,7 +42,6 @@ type openLoopResult struct {
 	Alpha        float64 `json:"alpha,omitempty"`
 	Servers      int     `json:"servers"`
 	Shards       int     `json:"shards"`
-	IngestBatch  int     `json:"ingest_batch,omitempty"`
 	OfferedRate  float64 `json:"offered_rate_lps"`
 	AchievedRate float64 `json:"achieved_rate_lps"`
 	Arrivals     int     `json:"arrivals"`
@@ -274,7 +272,6 @@ func runOpenLoop(cfg openLoopConfig) (openLoopResult, error) {
 		Alpha:        cfg.Alpha,
 		Servers:      cfg.Servers,
 		Shards:       cfg.Shards,
-		IngestBatch:  cfg.IngestBatch,
 		OfferedRate:  cfg.Rate,
 		AchievedRate: float64(total) / elapsed.Seconds(),
 		Arrivals:     total,
@@ -301,7 +298,6 @@ func runOpenLoop(cfg openLoopConfig) (openLoopResult, error) {
 func newDirectTarget(tree *namespace.Tree, cfg openLoopConfig) (*overlay.LocalCluster, error) {
 	opts := overlay.LocalClusterOptions{Servers: cfg.Servers, Seed: cfg.Seed}
 	opts.Node.Shards = cfg.Shards
-	opts.Node.IngestBatch = cfg.IngestBatch
 	return overlay.NewLocalCluster(tree, opts)
 }
 
@@ -347,7 +343,7 @@ func newGatewayTarget(tree *namespace.Tree, cfg openLoopConfig) (*gateway.Gatewa
 			trs[i].SetAddr(core.ServerID(j), addrs[core.ServerID(j)])
 		}
 		nd, err := overlay.NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf,
-			overlay.Options{Seed: cfg.Seed + uint64(i), Shards: cfg.Shards, IngestBatch: cfg.IngestBatch})
+			overlay.Options{Seed: cfg.Seed + uint64(i), Shards: cfg.Shards})
 		if err != nil {
 			stop()
 			return nil, nil, nil, err
@@ -412,21 +408,20 @@ func newGatewayTarget(tree *namespace.Tree, cfg openLoopConfig) (*gateway.Gatewa
 
 // openLoopMain is the -openloop entry point: run the configured sweep and
 // print one JSON object per line (shard count × rate).
-func openLoopMain(target, dist string, alpha float64, servers, clients, ingestBatch int, shardList []int, rates []float64, dur time.Duration, seed uint64) {
+func openLoopMain(target, dist string, alpha float64, servers, clients int, shardList []int, rates []float64, dur time.Duration, seed uint64) {
 	enc := json.NewEncoder(os.Stdout)
 	for _, shards := range shardList {
 		for _, rate := range rates {
 			cfg := openLoopConfig{
-				Target:      target,
-				Dist:        dist,
-				Alpha:       alpha,
-				Servers:     servers,
-				Shards:      shards,
-				IngestBatch: ingestBatch,
-				Rate:        rate,
-				Duration:    dur,
-				Clients:     clients,
-				Seed:        seed,
+				Target:   target,
+				Dist:     dist,
+				Alpha:    alpha,
+				Servers:  servers,
+				Shards:   shards,
+				Rate:     rate,
+				Duration: dur,
+				Clients:  clients,
+				Seed:     seed,
 			}
 			r, err := runOpenLoop(cfg)
 			if err != nil {

@@ -45,7 +45,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "deployment seed (must match across peers)")
 		svcDelay = flag.Duration("service-delay", 0, "artificial per-query processing cost")
 		shards   = flag.Int("shards", 1, "event-loop shards per peer (namespace-subtree partitioned; >1 enables multi-core scale-up)")
-		ingest   = flag.Int("ingest-batch", 0, "max envelopes a shard loop drains per wakeup (0 = default 64; 1 = strict one-per-wakeup)")
 
 		queueDepth   = flag.Int("queue-depth", 0, "per-peer outbound queue depth (0 = default)")
 		dialTimeout  = flag.Duration("dial-timeout", 0, "peer dial timeout (0 = default)")
@@ -134,7 +133,6 @@ func main() {
 		Seed:         *seed + uint64(*id)*7919,
 		ServiceDelay: *svcDelay,
 		Shards:       *shards,
-		IngestBatch:  *ingest,
 		TraceSample:  sample,
 	}
 	if !*noMembership && (*servers > 1 || *join != "") {

@@ -83,7 +83,7 @@ func BenchmarkDigestShortcut(b *testing.B) {
 	src := rng.New(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.digestShortcut(NodeID(src.Intn(tree.Len())), 8)
+		p.digestShortcut(NodeID(src.Intn(tree.Len())), 8, p.src, uint64(i)*7)
 	}
 }
 

@@ -135,13 +135,12 @@ func (p *Peer) AdoptOwnership(node NodeID, ownerOf func(NodeID) ServerID) bool {
 		lastUsed: p.env.Now(),
 		ref:      true,
 	}
-	p.hosted[node] = hn
-	p.hostedList = append(p.hostedList, hn)
+	p.addHosted(hn)
 	p.ownedCount++
-	if p.resident.cold != nil {
+	if p.cold != nil {
 		// A cold replica of this node supersedes nothing durable: the fresh
 		// adopted entry is journaled, so drop the disk-only marker.
-		p.resident.cold.clear(node)
+		p.cold.clear(node)
 	}
 	p.initNeighbors(hn, ownerOf)
 	p.digestDirty = true

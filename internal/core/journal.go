@@ -132,8 +132,7 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 				return false
 			}
 			hn = &hostedNode{id: rec.Node}
-			p.hosted[rec.Node] = hn
-			p.hostedList = append(p.hostedList, hn)
+			p.addHosted(hn)
 			p.initNeighbors(hn, ownerOf)
 		}
 		if hn.owned && !owned {
@@ -157,30 +156,24 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 		hn.lastUsed = p.env.Now()
 		hn.ref = true
 		p.markDirty(hn)
-		if p.resident.cold != nil {
-			p.resident.cold.clear(rec.Node) // materialized: no longer disk-only
+		if p.cold != nil {
+			p.cold.clear(rec.Node) // materialized: no longer disk-only
 		}
 		p.digestDirty = true
 		return true
 	case MutDelete:
 		hn, ok := p.hosted[rec.Node]
 		if !ok || hn.owned {
-			if !ok && p.IsCold(rec.Node) && !p.resident.cold.hasOwned(rec.Node) {
+			if !ok && p.IsCold(rec.Node) && !p.cold.hasOwned(rec.Node) {
 				// The record exists only on disk; the delete wins over the
 				// indexed state.
-				p.resident.cold.clear(rec.Node)
+				p.cold.clear(rec.Node)
 				p.digestDirty = true
 				return true
 			}
 			return false
 		}
-		delete(p.hosted, rec.Node)
-		for i, h := range p.hostedList {
-			if h == hn {
-				p.hostedList = append(p.hostedList[:i], p.hostedList[i+1:]...)
-				break
-			}
-		}
+		p.dropHosted(hn)
 		for _, nb := range hn.neighborIDs {
 			if e, ok := p.neighborMaps[nb]; ok {
 				e.refs--
@@ -189,7 +182,7 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 				}
 			}
 		}
-		if p.resident.cold != nil {
+		if p.cold != nil {
 			p.resident.bytes -= int64(hn.size)
 		}
 		p.digestDirty = true

@@ -98,6 +98,17 @@ func (c *lruCache) Delete(node NodeID) {
 	c.free = append(c.free, slot)
 }
 
+// frozen returns an iteration-only deep copy — slots and recency links, no
+// index — for a routing snapshot's candidate scan.
+func (c *lruCache) frozen() *lruCache {
+	f := &lruCache{slots: make([]lruSlot, len(c.slots)), head: c.head, tail: c.tail}
+	for i := range c.slots {
+		f.slots[i] = c.slots[i]
+		f.slots[i].m = c.slots[i].m.Clone()
+	}
+	return f
+}
+
 // Each invokes fn for every cached entry (most recent first). fn must not
 // mutate the cache.
 func (c *lruCache) Each(fn func(node NodeID, m *NodeMap)) {

@@ -142,23 +142,19 @@ type advertRecord struct {
 // It is not safe for concurrent use; drive it from a single goroutine or the
 // simulator loop.
 type Peer struct {
-	ID   ServerID
-	cfg  Config
-	tree *namespace.Tree
-	env  Env
-	src  *rng.Source
+	ID  ServerID
+	env Env
+	src *rng.Source
 
-	hosted     map[NodeID]*hostedNode
-	hostedList []*hostedNode // deterministic iteration order
+	// routeView is the state routing decisions read (routing.go): config,
+	// tree, hostedList, neighbor maps, cache, foreign digests, cold set,
+	// OracleHosts, ownerHint. PublishSnapshot freezes a copy of it.
+	routeView
+	hosted     map[NodeID]*hostedNode // resident hosted nodes; hostedList orders them
 	ownedCount int
-
-	neighborMaps map[NodeID]*neighborMapEntry
-	cache        *lruCache
 
 	digest      *bloom.Filter // own inverse-mapping digest
 	digestDirty bool
-	digests     map[ServerID]*digestEntry
-	digestList  []*digestEntry
 	digestClock int // round-robin eviction cursor
 	scanClock   int // rotating shortcut-scan window cursor
 
@@ -187,26 +183,12 @@ type Peer struct {
 	// is shared (the top of the tree); nil accepts everything.
 	hostFilter func(NodeID) bool
 
-	// ownerHint, when set, supplies a destination's authoritative owner as a
-	// routing escape: consulted when candidate selection finds no usable map,
-	// or when a query has burned half its hop budget without resolving — the
-	// sign it is cycling between stale maps. A shard peer sees only its
-	// partition's hosted context, so the tree-walk progress guarantee of the
-	// unsharded design does not hold across shard boundaries; the hint (the
-	// overlay's ownership table) restores bounded termination.
-	ownerHint func(NodeID) ServerID
-
 	// sharedDigest, when set, is advertised in place of the peer's own
 	// digest. The sharded overlay installs a combined server-wide filter
 	// here: advertising a shard's partial digest under the shared ServerID
 	// would read as Bloom false negatives at remote peers and make their
 	// keepFor filtering prune valid hosts.
 	sharedDigest *bloom.Filter
-
-	// OracleHosts, when set together with cfg.DigestsEnabled, replaces Bloom
-	// digest tests with perfect knowledge of which servers host a node
-	// (§4.4's "optimal behavior, as if given by an oracle" yardstick).
-	OracleHosts func(NodeID) []ServerID
 
 	Hooks Hooks
 	Stats Stats
@@ -254,20 +236,25 @@ func NewPeer(id ServerID, tree *namespace.Tree, cfg Config, env Env, src *rng.So
 	if !cfg.CachingEnabled {
 		cacheCap = 0
 	}
-	return &Peer{
-		ID:             id,
-		cfg:            cfg,
-		tree:           tree,
-		env:            env,
-		src:            src,
+	p := &Peer{
+		ID:  id,
+		env: env,
+		src: src,
+		routeView: routeView{
+			self:         id,
+			cfg:          cfg,
+			tree:         tree,
+			neighborMaps: make(map[NodeID]*neighborMapEntry),
+			cache:        newLRUCache(cacheCap),
+			digests:      make(map[ServerID]*digestEntry),
+		},
 		hosted:         make(map[NodeID]*hostedNode),
-		neighborMaps:   make(map[NodeID]*neighborMapEntry),
-		cache:          newLRUCache(cacheCap),
-		digests:        make(map[ServerID]*digestEntry),
 		knownLoads:     make(map[ServerID]loadInfo),
 		lastSessionEnd: math.Inf(-1),
 		resident:       residencyState{mutGen: 1},
-	}, nil
+	}
+	p.residentNode = func(node NodeID) *hostedNode { return p.hosted[node] }
+	return p, nil
 }
 
 // Config returns the peer's configuration.
@@ -282,8 +269,9 @@ func (p *Peer) SetLearnFilter(accept func(NodeID) bool) { p.learnFilter = accept
 func (p *Peer) SetHostFilter(accept func(NodeID) bool) { p.hostFilter = accept }
 
 // SetOwnerHint installs the authoritative-owner routing escape (see the
-// ownerHint field). The function must be safe to call from this peer's
-// handler context at any time. Call before message handling starts.
+// ownerHint field). The function must be safe for concurrent use: published
+// routing snapshots carry it and call it off-loop. Call before message
+// handling starts.
 func (p *Peer) SetOwnerHint(owner func(NodeID) ServerID) { p.ownerHint = owner }
 
 // Accepts reports whether this peer may create new cache entries for node.
@@ -338,10 +326,30 @@ func (p *Peer) AddOwned(node NodeID, meta Meta) {
 		selfMap: SingleServerMap(p.ID),
 		ref:     true,
 	}
-	p.hosted[node] = hn
-	p.hostedList = append(p.hostedList, hn)
+	p.addHosted(hn)
 	p.ownedCount++
 	p.markDirty(hn)
+}
+
+// addHosted makes hn resident: indexed by id and appended to the hosting
+// order.
+func (p *Peer) addHosted(hn *hostedNode) {
+	p.hosted[hn.id] = hn
+	p.hostedList = append(p.hostedList, hn)
+	p.hostedIDs = append(p.hostedIDs, hn.id)
+}
+
+// dropHosted removes hn from the resident set, preserving the hosting order
+// of the rest.
+func (p *Peer) dropHosted(hn *hostedNode) {
+	delete(p.hosted, hn.id)
+	for i, h := range p.hostedList {
+		if h == hn {
+			p.hostedList = append(p.hostedList[:i], p.hostedList[i+1:]...)
+			p.hostedIDs = append(p.hostedIDs[:i], p.hostedIDs[i+1:]...)
+			return
+		}
+	}
 }
 
 // FinishSetup wires the routing context for every owned node: neighbor maps
@@ -374,8 +382,8 @@ func (p *Peer) initNeighbors(hn *hostedNode, ownerOf func(NodeID) ServerID) {
 
 // OwnedCount returns the number of nodes this peer owns (resident and cold).
 func (p *Peer) OwnedCount() int {
-	if p.resident.cold != nil {
-		return p.ownedCount + p.resident.cold.ownedCount
+	if p.cold != nil {
+		return p.ownedCount + p.cold.ownedCount
 	}
 	return p.ownedCount
 }
@@ -384,8 +392,8 @@ func (p *Peer) OwnedCount() int {
 // cold).
 func (p *Peer) ReplicaCount() int {
 	n := len(p.hostedList) - p.ownedCount
-	if p.resident.cold != nil {
-		n += p.resident.cold.count - p.resident.cold.ownedCount
+	if p.cold != nil {
+		n += p.cold.count - p.cold.ownedCount
 	}
 	return n
 }
@@ -395,12 +403,7 @@ func (p *Peer) CacheLen() int { return p.cache.Len() }
 
 // Hosts reports whether the peer currently hosts (owns or replicates) node,
 // resident or cold.
-func (p *Peer) Hosts(node NodeID) bool {
-	if _, ok := p.hosted[node]; ok {
-		return true
-	}
-	return p.IsCold(node)
-}
+func (p *Peer) Hosts(node NodeID) bool { return p.hosts(node) }
 
 // HostsReplica reports whether the peer holds a replica (not ownership) of
 // node.
@@ -510,40 +513,6 @@ func (p *Peer) storeDigest(server ServerID, f *bloom.Filter) {
 	e := &digestEntry{server: server, filter: f, updated: now}
 	p.digests[server] = e
 	p.digestList = append(p.digestList, e)
-}
-
-// digestSays tests whether `server` plausibly hosts `node`: true when no
-// information contradicts it (unknown digests are permissive — pruning is
-// conservative, §3.6.2). With an oracle installed, the answer is exact.
-func (p *Peer) digestSays(server ServerID, node NodeID) bool {
-	if !p.cfg.DigestsEnabled {
-		return true
-	}
-	if server == p.ID {
-		return p.Hosts(node)
-	}
-	if p.OracleHosts != nil {
-		for _, s := range p.OracleHosts(node) {
-			if s == server {
-				return true
-			}
-		}
-		return false
-	}
-	e, ok := p.digests[server]
-	if !ok {
-		return true
-	}
-	return e.filter.Test(NodeKey(node))
-}
-
-// keepFor returns the digest-based map filtering predicate for node (§3.7
-// map filtering), or nil when digests are disabled.
-func (p *Peer) keepFor(node NodeID) func(ServerID) bool {
-	if !p.cfg.DigestsEnabled {
-		return nil
-	}
-	return func(s ServerID) bool { return p.digestSays(s, node) }
 }
 
 // recordLoad notes a gossiped load observation. When the bounded table is
@@ -808,13 +777,7 @@ func (p *Peer) evictReplica(node NodeID) bool {
 	if !ok || hn.owned {
 		return false
 	}
-	delete(p.hosted, node)
-	for i, h := range p.hostedList {
-		if h == hn {
-			p.hostedList = append(p.hostedList[:i], p.hostedList[i+1:]...)
-			break
-		}
-	}
+	p.dropHosted(hn)
 	for _, nb := range hn.neighborIDs {
 		if e, ok := p.neighborMaps[nb]; ok {
 			e.refs--
@@ -823,7 +786,7 @@ func (p *Peer) evictReplica(node NodeID) bool {
 			}
 		}
 	}
-	if p.resident.cold != nil {
+	if p.cold != nil {
 		p.resident.bytes -= int64(hn.size)
 	}
 	p.digestDirty = true

@@ -357,12 +357,11 @@ func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 		p.cache.Delete(nb.Node)
 	}
 	p.cache.Delete(pl.Node)
-	p.hosted[pl.Node] = hn
-	p.hostedList = append(p.hostedList, hn)
-	if p.resident.cold != nil {
+	p.addHosted(hn)
+	if p.cold != nil {
 		// A cold copy of this node may still sit in the on-disk index; the
 		// fresh (dirty, journaled) entry supersedes it.
-		p.resident.cold.clear(pl.Node)
+		p.cold.clear(pl.Node)
 	}
 	p.digestDirty = true
 	p.journalUpsert(hn)

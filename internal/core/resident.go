@@ -50,7 +50,7 @@ func newColdSet(n int) *coldSet {
 }
 
 func (cs *coldSet) has(id NodeID) bool {
-	if id < 0 || int(id) >= cs.n {
+	if cs == nil || id < 0 || int(id) >= cs.n {
 		return false
 	}
 	return cs.words[id>>6].Load()>>(uint(id)&63)&1 != 0
@@ -116,10 +116,9 @@ func (cs *coldSet) ids() []NodeID {
 	return out
 }
 
-// residencyState is the peer's hot-cache bookkeeping (all loop-owned except
-// the cold bitmaps).
+// residencyState is the peer's hot-cache bookkeeping, all loop-owned (the
+// cold bitmaps themselves are routing-read state: routeView.cold).
 type residencyState struct {
-	cold       *coldSet
 	maxEntries int
 	maxBytes   int64
 	bytes      int64 // approximate resident footprint
@@ -142,7 +141,7 @@ func (p *Peer) SetResidency(maxEntries int, maxBytes int64, onEvict func(NodeID)
 	p.resident.maxEntries = maxEntries
 	p.resident.maxBytes = maxBytes
 	p.resident.onEvict = onEvict
-	p.resident.cold = newColdSet(p.tree.Len())
+	p.cold = newColdSet(p.tree.Len())
 	for _, hn := range p.hostedList {
 		// Nothing resident is in any index generation yet.
 		hn.dirtyGen = p.resident.mutGen
@@ -152,7 +151,7 @@ func (p *Peer) SetResidency(maxEntries int, maxBytes int64, onEvict func(NodeID)
 }
 
 // ResidencyEnabled reports whether the hosted map is residency-bounded.
-func (p *Peer) ResidencyEnabled() bool { return p.resident.cold != nil }
+func (p *Peer) ResidencyEnabled() bool { return p.cold != nil }
 
 // ResidentCount returns the number of hosted entries currently in memory.
 func (p *Peer) ResidentCount() int { return len(p.hostedList) }
@@ -162,24 +161,22 @@ func (p *Peer) ResidentBytes() int64 { return p.resident.bytes }
 
 // ColdCount returns the number of hosted nodes currently on disk only.
 func (p *Peer) ColdCount() int {
-	if p.resident.cold == nil {
+	if p.cold == nil {
 		return 0
 	}
-	return p.resident.cold.count
+	return p.cold.count
 }
 
 // IsCold reports whether node is hosted by this peer but not resident. Safe
 // from any goroutine.
-func (p *Peer) IsCold(node NodeID) bool {
-	return p.resident.cold != nil && p.resident.cold.has(node)
-}
+func (p *Peer) IsCold(node NodeID) bool { return p.cold.has(node) }
 
 // ColdIDs returns the cold node ids in ascending order. Loop context.
 func (p *Peer) ColdIDs() []NodeID {
-	if p.resident.cold == nil {
+	if p.cold == nil {
 		return nil
 	}
-	return p.resident.cold.ids()
+	return p.cold.ids()
 }
 
 // MarkCold declares node hosted-on-disk without materializing it — the
@@ -190,7 +187,7 @@ func (p *Peer) ColdIDs() []NodeID {
 // it is nominally dirty. The owned flag comes from the index record and
 // overrides the placeholder's. Loop context.
 func (p *Peer) MarkCold(node NodeID, owned bool) {
-	if p.resident.cold == nil {
+	if p.cold == nil {
 		return
 	}
 	if _, ok := p.hosted[node]; ok {
@@ -201,7 +198,7 @@ func (p *Peer) MarkCold(node NodeID, owned bool) {
 			}
 		}
 	}
-	p.resident.cold.set(node, owned)
+	p.cold.set(node, owned)
 	p.digestDirty = true
 }
 
@@ -209,10 +206,10 @@ func (p *Peer) MarkCold(node NodeID, owned bool) {
 // be gone (deleted by a WAL-tail mutation after the indexed snapshot). Loop
 // context.
 func (p *Peer) ClearCold(node NodeID) {
-	if p.resident.cold == nil {
+	if p.cold == nil {
 		return
 	}
-	if p.resident.cold.clear(node) {
+	if p.cold.clear(node) {
 		p.digestDirty = true
 	}
 }
@@ -221,7 +218,7 @@ func (p *Peer) ClearCold(node NodeID) {
 // newer than the last indexed snapshot) and refreshes its size accounting.
 func (p *Peer) markDirty(hn *hostedNode) {
 	hn.dirtyGen = p.resident.mutGen
-	if p.resident.cold != nil {
+	if p.cold != nil {
 		sz := int32(hostedSize(hn))
 		p.resident.bytes += int64(sz - hn.size)
 		hn.size = sz
@@ -257,10 +254,10 @@ func (p *Peer) CompleteCleanEpoch(g uint64) {
 // advertised while cold). Loop context; enforces the residency cap after
 // installing. It reports whether the record was installed.
 func (p *Peer) InstallFromIndex(rec *HostedMutation, ownerOf func(NodeID) ServerID) bool {
-	if rec.Kind != MutUpsert || p.resident.cold == nil {
+	if rec.Kind != MutUpsert || p.cold == nil {
 		return false
 	}
-	wasCold := p.resident.cold.has(rec.Node)
+	wasCold := p.cold.has(rec.Node)
 	dirtyBefore := p.digestDirty
 	if !p.ImportHosted(rec, ownerOf) {
 		return false
@@ -283,7 +280,7 @@ func (p *Peer) InstallFromIndex(rec *HostedMutation, ownerOf func(NodeID) Server
 // entry remains (everything dirty or referenced — retried after the next
 // clean epoch). Loop context.
 func (p *Peer) EnforceResidency() {
-	if p.resident.cold == nil || p.resident.stuck {
+	if p.cold == nil || p.resident.stuck {
 		return
 	}
 	for p.overCap() {
@@ -338,9 +335,9 @@ func (p *Peer) evictOneCold() bool {
 func (p *Peer) demoteToCold(i int) {
 	hn := p.hostedList[i]
 	last := len(p.hostedList) - 1
-	p.hostedList[i] = p.hostedList[last]
+	p.hostedList[i], p.hostedIDs[i] = p.hostedList[last], p.hostedIDs[last]
 	p.hostedList[last] = nil
-	p.hostedList = p.hostedList[:last]
+	p.hostedList, p.hostedIDs = p.hostedList[:last], p.hostedIDs[:last]
 	delete(p.hosted, hn.id)
 	for _, nb := range hn.neighborIDs {
 		if e, ok := p.neighborMaps[nb]; ok {
@@ -353,7 +350,7 @@ func (p *Peer) demoteToCold(i int) {
 	if hn.owned {
 		p.ownedCount--
 	}
-	p.resident.cold.set(hn.id, hn.owned)
+	p.cold.set(hn.id, hn.owned)
 	p.resident.bytes -= int64(hn.size)
 	if p.resident.onEvict != nil {
 		p.resident.onEvict(hn.id)

@@ -237,7 +237,7 @@ func TestImportHostedClearsCold(t *testing.T) {
 		t.Fatal("MutDelete removed a cold owned node")
 	}
 	// Demote a replica (strip ownership first) and delete it cold.
-	p.resident.cold.set(ids[1], false) // rewrite bit as replica
+	p.cold.set(ids[1], false) // rewrite bit as replica
 	if !p.ImportHosted(&HostedMutation{Kind: MutDelete, Node: ids[1]}, nil) {
 		t.Fatal("MutDelete did not clear the cold replica")
 	}
@@ -246,12 +246,8 @@ func TestImportHostedClearsCold(t *testing.T) {
 	}
 	// A WAL-tail upsert of a cold node materializes it and clears the bit.
 	p.MarkCold(ids[2], false)
-	delete(p.hosted, ids[2]) // simulate restart: cold, not resident
-	for i, hn := range p.hostedList {
-		if hn.id == ids[2] {
-			p.hostedList = append(p.hostedList[:i], p.hostedList[i+1:]...)
-			break
-		}
+	if hn := p.hosted[ids[2]]; hn != nil { // simulate restart: cold, not resident
+		p.dropHosted(hn)
 	}
 	rec := &HostedMutation{Kind: MutUpsert, Node: ids[2], Owned: false, Map: SingleServerMap(0)}
 	if !p.ImportHosted(rec, func(NodeID) ServerID { return 0 }) {

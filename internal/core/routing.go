@@ -1,218 +1,258 @@
 package core
 
 import (
+	"math"
+
 	"terradir/internal/namespace"
+	"terradir/internal/rng"
 	"terradir/internal/telemetry"
 )
 
-// HandleQuery processes one lookup at service completion: resolve locally if
-// this peer hosts the destination, otherwise forward to a host of the
-// closest known node (neighbor context, cache, or digest shortcut — §2.2,
-// §3.6.1). It is invoked by the driver when the query leaves the server's
-// request queue.
-func (p *Peer) HandleQuery(q *QueryMsg) {
-	p.Stats.Processed++
-	p.absorbPiggy(&q.Piggy)
-	p.absorbPath(q.Path)
+// This file holds the one routing decision (§2.2, §2.4, §3.6.1): resolve
+// locally if this server hosts the destination, otherwise forward to a host
+// of the closest known node — neighbor context, cache, or digest shortcut —
+// or fail. It is written once, over a read-only routeView, and run by two
+// executors: Peer.HandleQuery on the event loop (below), which owns every
+// mutation, and RouteSnapshot.HandleQueryFast off-loop on a frozen copy
+// (snapshot.go). The decision mutates nothing; it returns a routeDecision
+// naming the outcome and the effects it implies, and the executor applies
+// them to its own state. Message construction (emit) is shared the same way.
 
-	// Weight accounting: processing happens on behalf of the node whose map
-	// the sender selected us from (§3.2); fall back to the node we resolve
-	// or route with below.
-	if q.OnBehalf != namespace.Invalid {
-		if hn, ok := p.hosted[q.OnBehalf]; ok {
-			p.touchNode(hn)
-		}
-	}
+// routeView is the routing-read state of one server: everything a routing
+// decision reads. The live Peer embeds the mutable original; a RouteSnapshot
+// holds a frozen copy (see PublishSnapshot for which parts are cloned).
+type routeView struct {
+	self ServerID
+	cfg  Config
+	tree *namespace.Tree
 
-	if hn, ok := p.hosted[q.Dest]; ok {
-		p.touchNode(hn)
-		q.Spans = p.traceSpan(q, hn.id, telemetry.HopResolve)
-		p.sendResult(q, hn)
-		p.afterQuery()
-		return
-	}
+	// residentNode returns the resident hosted node for an id, or nil.
+	// hostedList is the same set in hosting order (deterministic iteration)
+	// and hostedIDs its ids, index for index: the closest-hosted scan walks
+	// the dense id array, not the nodes. A frozen view shares the live nodes:
+	// through it only a node's immutable id and its atomic fastTouch may be
+	// read.
+	residentNode func(NodeID) *hostedNode
+	hostedList   []*hostedNode
+	hostedIDs    []NodeID
 
-	if q.Hops >= p.cfg.MaxHops {
-		p.sendFail(q, FailTTL)
-		p.afterQuery()
-		return
-	}
+	neighborMaps map[NodeID]*neighborMapEntry
+	cache        *lruCache
 
-	var target ServerID = NoServer
-	var onBehalf NodeID = namespace.Invalid
-	var newDist int
-	var closestHosted *hostedNode
-	var skip map[NodeID]bool
-	reason := telemetry.HopNone
-	shortcutTried := false
-	// Candidate selection loop: take the closest known node; if its map is
-	// unusable after digest filtering (§3.7 map filtering is strict — stale
-	// entries are pruned, never re-selected), discard it and fall back to
-	// the next-best candidate. Bounded: each iteration removes a candidate.
-	for attempt := 0; attempt < 6; attempt++ {
-		cand, candMap, candDist, closest := p.bestCandidate(q.Dest, skip)
-		if closest != nil {
-			closestHosted = closest
-		}
-		// Digest shortcut discovery (§3.6.1): a hit on a node even closer to
-		// the destination than our best candidate redirects the forward.
-		if !shortcutTried && p.cfg.DigestsEnabled {
-			shortcutTried = true
-			limit := candDist
-			if candMap == nil {
-				limit = int(^uint(0) >> 1) // no candidate: any hit helps
-			}
-			if s, node, d := p.digestShortcut(q.Dest, limit); s != NoServer {
-				target, onBehalf, newDist = s, node, d
-				reason = telemetry.HopReplica
-				p.Stats.DigestShortcuts++
-				if p.tel != nil {
-					p.tel.digestShortcuts.Inc()
-					p.tel.cacheMisses.Inc()
-				}
-				break
-			}
-		}
-		if candMap == nil {
-			break
-		}
-		viaCache := p.cache.Peek(cand) == candMap
-		target = candMap.Pick(p.src, p.ID, p.keepFor(cand))
-		if target != NoServer {
-			onBehalf, newDist = cand, candDist
-			if viaCache {
-				p.cache.Get(cand) // touch: used in routing (§2.4)
-				p.Stats.CacheHits++
-				reason = telemetry.HopCache
-				if p.tel != nil {
-					p.tel.cacheHits.Inc()
-				}
-			} else {
-				p.Stats.ContextHops++
-				reason = telemetry.HopChild
-				if closestHosted != nil && p.tree.Parent(closestHosted.id) == cand {
-					reason = telemetry.HopParent
-				}
-				if p.tel != nil {
-					p.tel.cacheMisses.Inc()
-				}
-			}
-			break
-		}
-		// Unusable candidate: prune digest-refuted entries permanently and
-		// skip it for the remainder of this decision.
-		if keep := p.keepFor(cand); keep != nil {
-			candMap.Prune(keep)
-		}
-		if viaCache && candMap.Len() == 0 {
-			p.cache.Delete(cand)
-		}
-		if skip == nil {
-			skip = make(map[NodeID]bool, 4)
-		}
-		skip[cand] = true
-	}
-	// Authoritative escape: with a sharded server's partition-local view,
-	// candidate selection can stall (no usable map) or cycle between stale
-	// maps without ever converging. Fall back to the overlay's ownership
-	// table — forward straight to the destination's owner — when there is no
-	// candidate or the query has burned half its hop budget.
-	if p.ownerHint != nil && (target == NoServer || int(q.Hops) >= p.cfg.MaxHops/2) {
-		if o := p.ownerHint(q.Dest); o != NoServer && o != p.ID {
-			target, onBehalf, newDist = o, q.Dest, 0
-			reason = telemetry.HopOwner
-		}
-	}
-	if target == NoServer {
-		p.sendFail(q, FailNoRoute)
-		p.afterQuery()
-		return
-	}
+	digests    map[ServerID]*digestEntry
+	digestList []*digestEntry
 
-	if q.Hops > 0 {
-		if p.Hooks.OnForwardStep != nil {
-			p.Hooks.OnForwardStep(int(q.PrevDist), newDist)
-		}
-		if p.tel != nil {
-			if newDist < int(q.PrevDist) {
-				p.tel.progress.Inc()
-			} else {
-				p.tel.detours.Inc()
-			}
-		}
-	}
+	// cold, when non-nil, is the peer's cold-set bitmap (resident.go): nodes
+	// hosted on disk only. Written by the loop, read atomically from anywhere;
+	// it is the one structure a frozen view shares mutably.
+	cold *coldSet
 
-	// Charge the routing work to the hosted node whose context represents
-	// this step if the sender's OnBehalf was stale.
-	if q.OnBehalf == namespace.Invalid || !p.Hosts(q.OnBehalf) {
-		if closestHosted != nil {
-			p.touchNode(closestHosted)
-		}
-	}
+	// OracleHosts, when set together with cfg.DigestsEnabled, replaces Bloom
+	// digest tests with perfect knowledge of which servers host a node
+	// (§4.4's "optimal behavior, as if given by an oracle" yardstick).
+	OracleHosts func(NodeID) []ServerID
 
-	fwd := &QueryMsg{
-		QueryID:    q.QueryID,
-		Dest:       q.Dest,
-		Source:     q.Source,
-		OnBehalf:   onBehalf,
-		Hops:       q.Hops + 1,
-		Started:    q.Started,
-		PrevDist:   int32(newDist),
-		Path:       p.extendPath(q.Path, closestHosted),
-		TraceID:    q.TraceID,
-		SpanBudget: q.SpanBudget,
-		Spans:      p.traceSpan(q, onBehalf, reason),
-		Piggy:      p.piggyback(),
-	}
-	p.Stats.Forwarded++
-	if p.tel != nil {
-		p.tel.forwarded.Inc()
-	}
-	p.env.Send(target, fwd)
-	p.afterQuery()
+	// ownerHint, when set, supplies a destination's authoritative owner as a
+	// routing escape: consulted when candidate selection finds no usable map,
+	// or when a query has burned half its hop budget without resolving — the
+	// sign it is cycling between stale maps. A shard peer sees only its
+	// partition's hosted context, so the tree-walk progress guarantee of the
+	// unsharded design does not hold across shard boundaries; the hint (the
+	// overlay's ownership table) restores bounded termination.
+	ownerHint func(NodeID) ServerID
 }
 
-// bestCandidate returns the closest node to dest this peer knows a map for
+// routeKind classifies a decision. The values mirror FastOutcome so the fast
+// executor reports the kind as its outcome.
+type routeKind uint8
+
+const (
+	// routeUnusable: the best candidate's map has no usable entry after
+	// digest filtering. Only the loop can act on that (prune and retry).
+	routeUnusable = routeKind(FastFallback)
+	routeResolve  = routeKind(FastResolved)
+	routeForward  = routeKind(FastForwarded)
+	routeFail     = routeKind(FastFailed)
+)
+
+// maxRouteAttempts bounds the loop's prune-and-retry over unusable
+// candidates; past it the decision stops considering candidates.
+const maxRouteAttempts = 6
+
+// routeDecision is the outcome of one decision plus the effects it implies.
+type routeDecision struct {
+	kind   routeKind
+	reason telemetry.HopReason // forwarding mechanism or outcome, as traced
+	fail   FailReason          // routeFail
+
+	// node is the namespace node the hop acts for: the destination (resolve,
+	// fail), the node whose map chose target (forward), or the unusable
+	// candidate, whose map is candMap.
+	node    NodeID
+	target  ServerID // routeForward: next hop
+	newDist int      // routeForward: namespace distance from node to dest
+	candMap *NodeMap
+
+	// viaCache: node was a cached candidate. On a forward the loop refreshes
+	// its recency (§2.4: entries are touched when used in routing); the fast
+	// path skips that — the order refreshes on the next loop-side use.
+	viaCache bool
+	// scanned: the digest-scan cursor was consumed.
+	scanned bool
+
+	// onBehalf is the sender's OnBehalf node when resident here; dest the
+	// resolved destination; closest the hosted node nearest the destination,
+	// which supplies a forward's path entry. See charged for weight accounting.
+	onBehalf, dest, closest *hostedNode
+}
+
+// decide settles the outcomes that need no routing: resolve when the
+// destination is resident, fail when the hop budget is spent. final reports
+// whether d is complete; otherwise the executor continues with route.
+func (v *routeView) decide(q *QueryMsg) (d routeDecision, final bool) {
+	d.node, d.target = q.Dest, NoServer
+	if q.OnBehalf != namespace.Invalid {
+		d.onBehalf = v.residentNode(q.OnBehalf)
+	}
+	if hn := v.residentNode(q.Dest); hn != nil {
+		d.kind, d.reason, d.dest = routeResolve, telemetry.HopResolve, hn
+		return d, true
+	}
+	if q.Hops >= v.cfg.MaxHops {
+		d.kind, d.reason, d.fail = routeFail, telemetry.HopFail, FailTTL
+		return d, true
+	}
+	return d, false
+}
+
+// charged returns the hosted node this hop's work is charged to (§3.2): the
+// node the sender selected this server on behalf of when it is resident here,
+// else — the sender's OnBehalf was stale — on a forward the hosted node whose
+// context represents the step. Nil when there is none.
+func (d *routeDecision) charged() *hostedNode {
+	if d.onBehalf == nil && d.kind == routeForward {
+		return d.closest
+	}
+	return d.onBehalf
+}
+
+// route completes the non-final decision base with the forwarding decision.
+// src supplies every random choice, in a fixed order: digest shortcut, then
+// map pick. cursor positions the rotating digest-scan window (the loop's
+// scanClock; the query ID off the loop, where a shared cursor would be a data
+// race). hint, when non-empty, is an advisory host map for the destination
+// from outside the view (the overlay's result cache). skip excludes
+// candidates already found unusable and attempt counts them: the shortcut
+// search runs on the first attempt only, and from maxRouteAttempts on no
+// candidate is considered.
+func (v *routeView) route(q *QueryMsg, base routeDecision, src *rng.Source, cursor uint64, hint NodeMap, skip map[NodeID]bool, attempt int) routeDecision {
+	d := base
+	cand, candMap, candDist, viaCache, closest := v.bestCandidate(q.Dest, skip)
+	if attempt >= maxRouteAttempts {
+		candMap = nil
+	}
+	d.kind, d.closest = routeForward, closest
+	wandering := q.Hops >= v.cfg.MaxHops/2
+	if wandering && v.toOwner(q.Dest, &d) {
+		return d
+	}
+	if hint.Len() > 0 {
+		if t := hint.Pick(src, v.self, v.keepFor(q.Dest)); t != NoServer {
+			// Direct hop to a remembered host of the destination — the same
+			// decision a cache hit would make, at distance zero.
+			d.target, d.node, d.newDist, d.reason = t, q.Dest, 0, telemetry.HopCache
+			return d
+		}
+	}
+	// Digest shortcut discovery (§3.6.1): a hit on a node even closer to the
+	// destination than the best candidate redirects the forward.
+	if attempt == 0 && v.cfg.DigestsEnabled && (v.OracleHosts != nil || len(v.digestList) > 0) {
+		d.scanned = true
+		limit := candDist
+		if candMap == nil {
+			limit = math.MaxInt // no candidate: any hit helps
+		}
+		if s, node, dist := v.digestShortcut(q.Dest, limit, src, cursor); s != NoServer {
+			d.target, d.node, d.newDist, d.reason = s, node, dist, telemetry.HopReplica
+			return d
+		}
+	}
+	if candMap == nil {
+		if wandering || !v.toOwner(q.Dest, &d) {
+			d.kind, d.reason, d.fail = routeFail, telemetry.HopFail, FailNoRoute
+		}
+		return d
+	}
+	d.node, d.newDist, d.viaCache = cand, candDist, viaCache
+	if d.target = candMap.Pick(src, v.self, v.keepFor(cand)); d.target == NoServer {
+		d.kind, d.candMap = routeUnusable, candMap
+		return d
+	}
+	switch {
+	case viaCache:
+		d.reason = telemetry.HopCache
+	case closest != nil && v.tree.Parent(closest.id) == cand:
+		d.reason = telemetry.HopParent
+	default:
+		d.reason = telemetry.HopChild
+	}
+	return d
+}
+
+// toOwner applies the authoritative escape (see ownerHint): forward straight
+// to the destination's owner. It reports whether the view names one.
+func (v *routeView) toOwner(dest NodeID, d *routeDecision) bool {
+	if v.ownerHint == nil {
+		return false
+	}
+	o := v.ownerHint(dest)
+	if o == NoServer || o == v.self {
+		return false
+	}
+	d.target, d.node, d.newDist, d.reason = o, dest, 0, telemetry.HopOwner
+	return true
+}
+
+// bestCandidate returns the closest node to dest this server knows a map for
 // (§2.2's minimizing procedure): the ideal next-hop neighbors of hosted
-// nodes and all cached nodes, excluding any in `skip` (candidates already
-// found unusable for the current decision). It also returns the hosted node
-// closest to dest (the context representative for path propagation). A nil
-// map means no usable candidate.
-func (p *Peer) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeID, m *NodeMap, dist int, closestHosted *hostedNode) {
+// nodes and all cached nodes, excluding any in skip. It also returns the
+// hosted node closest to dest (the context representative for path
+// propagation). A nil map means no usable candidate.
+func (v *routeView) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeID, m *NodeMap, dist int, viaCache bool, closest *hostedNode) {
 	cand = namespace.Invalid
-	bestDist := int(^uint(0) >> 1)
-	hostedDist := int(^uint(0) >> 1)
-	for _, hn := range p.hostedList {
-		d := p.tree.Distance(hn.id, dest)
+	dist = math.MaxInt
+	hostedDist := math.MaxInt
+	for i, id := range v.hostedIDs {
+		d := v.tree.Distance(id, dest)
 		if d < hostedDist {
 			hostedDist = d
-			closestHosted = hn
+			closest = v.hostedList[i]
 		}
-		if d-1 >= bestDist {
+		if d-1 >= dist {
 			continue
 		}
-		nh := p.tree.NextHopToward(hn.id, dest)
+		nh := v.tree.NextHopToward(id, dest)
 		if nh == namespace.Invalid || skip[nh] {
 			continue
 		}
-		e, ok := p.neighborMaps[nh]
+		e, ok := v.neighborMaps[nh]
 		if !ok || e.m.Len() == 0 {
 			continue
 		}
-		cand, m, bestDist = nh, &e.m, d-1
+		cand, m, dist = nh, &e.m, d-1
 	}
 	// Cached nodes (§2.4): pointers without context; strictly-better only,
 	// so context hops win ties (guaranteed progress beats a stale pointer).
-	p.cache.Each(func(node NodeID, cm *NodeMap) {
-		if cm.Len() == 0 || skip[node] {
-			return
+	for s := v.cache.head; s != lruNil; s = v.cache.slots[s].next {
+		e := &v.cache.slots[s]
+		if e.m.Len() == 0 || skip[e.node] {
+			continue
 		}
-		d := p.tree.Distance(node, dest)
-		if d < bestDist {
-			cand, m, bestDist = node, cm, d
+		if d := v.tree.Distance(e.node, dest); d < dist {
+			cand, m, dist, viaCache = e.node, &e.m, d, true
 		}
-	})
-	return cand, m, bestDist, closestHosted
+	}
+	return cand, m, dist, viaCache, closest
 }
 
 // digestShortcut scans the destination's ancestor chain (deepest first — the
@@ -221,65 +261,47 @@ func (p *Peer) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeID, m 
 // node and its distance. Nodes off the destination's root path are dominated
 // by their LCA-depth ancestor on the path, so the path scan captures the
 // profitable shortcuts (§3.6.1, Fig. 2) at O(depth × digests) cost.
-func (p *Peer) digestShortcut(dest NodeID, limit int) (ServerID, NodeID, int) {
-	if p.OracleHosts == nil && len(p.digestList) == 0 {
-		return NoServer, namespace.Invalid, 0
-	}
-	p.scanClock += 7 // advance the rotating window each hop (odd stride)
-	destDepth := p.tree.Depth(dest)
+func (v *routeView) digestShortcut(dest NodeID, limit int, src *rng.Source, cursor uint64) (ServerID, NodeID, int) {
+	destDepth := v.tree.Depth(dest)
 	minDepth := destDepth - limit + 1
-	if lvl := p.cfg.DigestShortcutLevels; lvl > 0 && destDepth-lvl+1 > minDepth {
+	if lvl := v.cfg.DigestShortcutLevels; lvl > 0 && destDepth-lvl+1 > minDepth {
 		minDepth = destDepth - lvl + 1 // cost cap, see Config.DigestShortcutLevels
 	}
 	if minDepth < 0 {
 		minDepth = 0
 	}
+	// Scan a rotating window of the digest table (coverage spreads over
+	// consecutive hops; see Config.DigestScanPerHop).
+	total := len(v.digestList)
+	scan, start := total, 0
+	if v.cfg.DigestScanPerHop > 0 && v.cfg.DigestScanPerHop < total {
+		scan, start = v.cfg.DigestScanPerHop, int(cursor%uint64(total))
+	}
 	node := dest
 	for k := destDepth; k >= minDepth; k-- {
 		if k < destDepth {
-			node = p.tree.Parent(node)
+			node = v.tree.Parent(node)
 		}
-		if p.OracleHosts != nil {
-			hosts := p.OracleHosts(node)
-			n := 0
-			var chosen ServerID = NoServer
-			for _, s := range hosts {
-				if s == p.ID {
-					continue
-				}
-				n++
-				if p.src.Intn(n) == 0 {
-					chosen = s
-				}
-			}
-			if chosen != NoServer {
-				return chosen, node, destDepth - k
-			}
-			continue
-		}
-		key := NodeKey(node)
 		n := 0
 		var chosen ServerID = NoServer
-		// Scan a rotating window of the digest table (coverage spreads over
-		// consecutive hops; see Config.DigestScanPerHop).
-		total := len(p.digestList)
-		scan := total
-		if p.cfg.DigestScanPerHop > 0 && p.cfg.DigestScanPerHop < total {
-			scan = p.cfg.DigestScanPerHop
-		}
-		start := 0
-		if scan < total {
-			start = p.scanClock % total
-		}
-		for i := 0; i < scan; i++ {
-			e := p.digestList[(start+i)%total]
-			if e.server == p.ID {
-				continue
+		consider := func(s ServerID) {
+			if s == v.self {
+				return
 			}
-			if e.filter.Test(key) {
-				n++
-				if p.src.Intn(n) == 0 {
-					chosen = e.server
+			n++
+			if src.Intn(n) == 0 { // reservoir sample: uniform among the hits
+				chosen = s
+			}
+		}
+		if v.OracleHosts != nil {
+			for _, s := range v.OracleHosts(node) {
+				consider(s)
+			}
+		} else {
+			key := NodeKey(node)
+			for i := 0; i < scan; i++ {
+				if e := v.digestList[(start+i)%total]; e.filter.Test(key) {
+					consider(e.server)
 				}
 			}
 		}
@@ -290,31 +312,298 @@ func (p *Peer) digestShortcut(dest NodeID, limit int) (ServerID, NodeID, int) {
 	return NoServer, namespace.Invalid, 0
 }
 
-// extendPath appends this peer's path entry — its closest hosted node and
-// that node's map — implementing path propagation (§2.4). With path
-// propagation disabled only the first entry (the source's) is recorded, so
-// endpoint caching still works. The path is bounded by MaxPathEntries
-// (oldest entries beyond the source are dropped first).
+// hosts reports whether this server hosts node, resident or cold.
+func (v *routeView) hosts(node NodeID) bool {
+	return v.residentNode(node) != nil || v.cold.has(node)
+}
+
+// digestSays tests whether `server` plausibly hosts `node`: true when no
+// information contradicts it (unknown digests are permissive — pruning is
+// conservative, §3.6.2). With an oracle installed, the answer is exact.
+func (v *routeView) digestSays(server ServerID, node NodeID) bool {
+	if !v.cfg.DigestsEnabled {
+		return true
+	}
+	if server == v.self {
+		return v.hosts(node)
+	}
+	if v.OracleHosts != nil {
+		for _, s := range v.OracleHosts(node) {
+			if s == server {
+				return true
+			}
+		}
+		return false
+	}
+	e, ok := v.digests[server]
+	if !ok {
+		return true
+	}
+	return e.filter.Test(NodeKey(node))
+}
+
+// keepFor returns the digest-based map filtering predicate for node (§3.7
+// map filtering), or nil when digests are disabled.
+func (v *routeView) keepFor(node NodeID) func(ServerID) bool {
+	if !v.cfg.DigestsEnabled {
+		return nil
+	}
+	return func(s ServerID) bool { return v.digestSays(s, node) }
+}
+
+// routeCounter names a Stats counter a decision bumps. The loop keeps them in
+// Peer.Stats; the fast path in an atomic mirror indexed by this type.
+type routeCounter uint8
+
+const (
+	ctrProcessed routeCounter = iota
+	ctrResolved
+	ctrForwarded
+	ctrFailedTTL
+	ctrFailedNoRoute
+	ctrDigestShortcuts
+	ctrCacheHits
+	ctrContextHops
+	ctrResultsSent
+	ctrControlSent
+	numRouteCounters
+)
+
+// routeLedger is where an executor counts its decisions.
+type routeLedger interface{ bump(routeCounter) }
+
+func (s *Stats) bump(c routeCounter) { *s.routeCounter(c)++ }
+
+func (s *Stats) routeCounter(c routeCounter) *int64 {
+	return [numRouteCounters]*int64{
+		ctrProcessed: &s.Processed, ctrResolved: &s.Resolved, ctrForwarded: &s.Forwarded,
+		ctrFailedTTL: &s.FailedTTL, ctrFailedNoRoute: &s.FailedNoRoute,
+		ctrDigestShortcuts: &s.DigestShortcuts, ctrCacheHits: &s.CacheHits, ctrContextHops: &s.ContextHops,
+		ctrResultsSent: &s.ResultsSent, ctrControlSent: &s.ControlSent,
+	}[c]
+}
+
+// tally counts a final decision: the Stats counters in the executor's ledger,
+// the registry counters (shared atomics) directly.
+func (d *routeDecision) tally(q *QueryMsg, led routeLedger, tel *peerTelemetry) {
+	led.bump(ctrProcessed)
+	if q.TraceID != 0 {
+		led.bump(ctrControlSent) // the out-of-band span report
+	}
+	switch {
+	case d.kind == routeResolve:
+		led.bump(ctrResolved)
+		led.bump(ctrResultsSent)
+	case d.kind == routeFail && d.fail == FailTTL:
+		led.bump(ctrFailedTTL)
+		led.bump(ctrResultsSent)
+	case d.kind == routeFail:
+		led.bump(ctrFailedNoRoute)
+		led.bump(ctrResultsSent)
+	case d.reason == telemetry.HopCache:
+		led.bump(ctrForwarded)
+		led.bump(ctrCacheHits)
+	case d.reason == telemetry.HopReplica:
+		led.bump(ctrForwarded)
+		led.bump(ctrDigestShortcuts)
+	case d.reason == telemetry.HopOwner:
+		led.bump(ctrForwarded)
+	default: // neighbor context: HopChild, HopParent
+		led.bump(ctrForwarded)
+		led.bump(ctrContextHops)
+	}
+	if tel == nil {
+		return
+	}
+	if q.TraceID != 0 {
+		tel.spanReports.Inc()
+	}
+	switch d.kind {
+	case routeResolve:
+		tel.resolved.Inc()
+	case routeFail:
+		tel.failed.Inc()
+	case routeForward:
+		tel.forwarded.Inc()
+		switch d.reason {
+		case telemetry.HopCache:
+			tel.cacheHits.Inc()
+		case telemetry.HopReplica:
+			tel.digestShortcuts.Inc()
+			tel.cacheMisses.Inc()
+		case telemetry.HopChild, telemetry.HopParent:
+			tel.cacheMisses.Inc()
+		}
+		if q.Hops > 0 {
+			if d.newDist < int(q.PrevDist) {
+				tel.progress.Inc()
+			} else {
+				tel.detours.Inc()
+			}
+		}
+	}
+}
+
+// messageSource supplies what message construction cannot read off a view:
+// the rider, and the metadata and bounded host map a hosted node is answered
+// and path-recorded with. The live peer computes them (a fresh rider, drawn
+// from its RNG stream); a snapshot returns the copies frozen at publication.
+type messageSource interface {
+	piggyback() Piggyback
+	outgoingMap(NodeID) NodeMap
+	answer(*hostedNode) (Meta, NodeMap)
+}
+
+// emit builds and sends the messages a final decision implies: for a traced
+// query this hop's span — appended to the in-band chain while under budget,
+// and always reported out-of-band to the initiating server, which is what
+// survives a query lost mid-route — then the forwarded query, the result, or
+// the failure. now closes the span's service time. Riders are drawn span
+// first, message second.
 //
 // Ownership transfer: a received message's path belongs to its handler (the
 // sender built a fresh slice and never retains it; absorbPath only copies
-// values out), so the slice is extended in place rather than deep-cloned.
-func (p *Peer) extendPath(path []PathEntry, rep *hostedNode) []PathEntry {
-	if rep == nil {
-		return path
+// values out), so the path is extended in place rather than deep-cloned.
+func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messageSource, send func(ServerID, Message)) {
+	spans := q.Spans
+	if q.TraceID != 0 {
+		sp := telemetry.Span{Seq: int32(q.Hops), Server: int32(v.self), Node: int32(d.node), Reason: d.reason}
+		if q.ServedAt > 0 {
+			if q.Enqueued > 0 && q.ServedAt >= q.Enqueued {
+				sp.QueueWaitMicros = int64((q.ServedAt - q.Enqueued) * 1e6)
+			}
+			if now > q.ServedAt {
+				sp.ServiceMicros = int64((now - q.ServedAt) * 1e6)
+			}
+		}
+		if q.SpanBudget <= 0 || int32(len(spans)) < q.SpanBudget {
+			spans = append(spans, sp)
+		}
+		send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: from.piggyback()})
 	}
-	if !p.cfg.PathPropagation && len(path) > 0 {
-		return path
+	if d.kind == routeForward {
+		path := q.Path
+		if v.pathRoom(&path, d.closest) {
+			path = append(path, PathEntry{Node: d.closest.id, Map: from.outgoingMap(d.closest.id)})
+		}
+		send(d.target, &QueryMsg{
+			QueryID:    q.QueryID,
+			Dest:       q.Dest,
+			Source:     q.Source,
+			OnBehalf:   d.node,
+			Hops:       q.Hops + 1,
+			Started:    q.Started,
+			PrevDist:   int32(d.newDist),
+			Path:       path,
+			TraceID:    q.TraceID,
+			SpanBudget: q.SpanBudget,
+			Spans:      spans,
+			Piggy:      from.piggyback(),
+		})
+		return
 	}
-	out := path
-	if len(out) >= p.cfg.MaxPathEntries && len(out) > 1 {
+	// A result answers the lookup with name, metadata and a mapping for the
+	// node (§2.1 lookup semantics), plus the completed path so the source
+	// caches it; a failure returns the path as it arrived.
+	res := &ResultMsg{
+		QueryID: q.QueryID,
+		Dest:    q.Dest,
+		OK:      d.kind == routeResolve,
+		Reason:  d.fail,
+		Hops:    q.Hops,
+		Started: q.Started,
+		Path:    q.Path,
+		TraceID: q.TraceID,
+		Spans:   spans,
+	}
+	if res.OK {
+		res.Meta, res.Map = from.answer(d.dest)
+		if v.pathRoom(&res.Path, d.dest) {
+			res.Path = append(res.Path, PathEntry{Node: q.Dest, Map: res.Map})
+		}
+	}
+	res.Piggy = from.piggyback()
+	send(q.Source, res)
+}
+
+// pathRoom prepares *path for this server's entry — its hosted node rep and
+// that node's map — implementing path propagation (§2.4), and reports whether
+// the entry is to be appended. With path propagation disabled only the first
+// entry (the source's) is recorded, so endpoint caching still works. The path
+// is bounded by MaxPathEntries (oldest entries beyond the source are dropped
+// first).
+func (v *routeView) pathRoom(path *[]PathEntry, rep *hostedNode) bool {
+	out := *path
+	if rep == nil || (!v.cfg.PathPropagation && len(out) > 0) {
+		return false
+	}
+	if len(out) >= v.cfg.MaxPathEntries && len(out) > 1 {
 		copy(out[1:], out[2:]) // keep the source entry, drop the oldest middle
 		out = out[:len(out)-1]
+		*path = out
 	}
-	if len(out) < p.cfg.MaxPathEntries || p.cfg.MaxPathEntries == 0 {
-		out = append(out, PathEntry{Node: rep.id, Map: p.outgoingMap(rep.id)})
+	return len(out) < v.cfg.MaxPathEntries || v.cfg.MaxPathEntries == 0
+}
+
+// HandleQuery processes one lookup at service completion. It is invoked by
+// the driver when the query leaves the server's request queue, and is the
+// loop-side executor of the routing decision: it absorbs what the query
+// carried, decides, applies the decision's effects to the live state, and
+// sends with a fresh rider.
+func (p *Peer) HandleQuery(q *QueryMsg) {
+	p.absorbPiggy(&q.Piggy)
+	p.absorbPath(q.Path)
+
+	d, final := p.decide(q)
+	if !final {
+		base := d
+		var skip map[NodeID]bool
+		for attempt := 0; ; attempt++ {
+			d = p.route(q, base, p.src, uint64(p.scanClock+7), NodeMap{}, skip, attempt)
+			if d.scanned {
+				p.scanClock += 7 // advance the rotating window each hop (odd stride)
+			}
+			if d.kind != routeUnusable {
+				break
+			}
+			// Unusable candidate (§3.7 map filtering is strict — stale entries
+			// are pruned, never re-selected): prune digest-refuted entries
+			// permanently and skip it for the remainder of this decision.
+			// Bounded: route gives up on candidates at maxRouteAttempts.
+			if keep := p.keepFor(d.node); keep != nil {
+				d.candMap.Prune(keep)
+			}
+			if d.viaCache && d.candMap.Len() == 0 {
+				p.cache.Delete(d.node)
+			}
+			if skip == nil {
+				skip = make(map[NodeID]bool, 4)
+			}
+			skip[d.node] = true
+		}
 	}
-	return out
+
+	if hn := d.charged(); hn != nil {
+		p.touchNode(hn)
+	}
+	if d.dest != nil {
+		p.touchNode(d.dest)
+	}
+	if d.kind == routeForward {
+		if d.viaCache {
+			p.cache.Get(d.node)
+		}
+		if q.Hops > 0 && p.Hooks.OnForwardStep != nil {
+			p.Hooks.OnForwardStep(int(q.PrevDist), d.newDist)
+		}
+	}
+	d.tally(q, &p.Stats, p.tel)
+	p.emit(q, &d, p.env.Now(), p, p.env.Send)
+	p.afterQuery()
+}
+
+func (p *Peer) answer(hn *hostedNode) (Meta, NodeMap) {
+	return hn.meta.Clone(), p.outgoingMap(hn.id)
 }
 
 // absorbPath caches every entry of the propagated path (§2.4: "the path so
@@ -323,56 +612,6 @@ func (p *Peer) absorbPath(path []PathEntry) {
 	for i := range path {
 		p.learnMap(path[i].Node, &path[i].Map)
 	}
-}
-
-// sendResult answers a lookup: name, metadata, and a mapping for the node
-// (§2.1 lookup semantics), plus the completed path so the source caches it.
-func (p *Peer) sendResult(q *QueryMsg, hn *hostedNode) {
-	path := p.extendPath(q.Path, hn)
-	res := &ResultMsg{
-		QueryID: q.QueryID,
-		Dest:    q.Dest,
-		OK:      true,
-		Hops:    q.Hops,
-		Started: q.Started,
-		Meta:    hn.meta.Clone(),
-		Map:     p.outgoingMap(hn.id),
-		Path:    path,
-		TraceID: q.TraceID,
-		Spans:   q.Spans,
-		Piggy:   p.piggyback(),
-	}
-	p.Stats.Resolved++
-	p.Stats.ResultsSent++
-	if p.tel != nil {
-		p.tel.resolved.Inc()
-	}
-	p.env.Send(q.Source, res)
-}
-
-func (p *Peer) sendFail(q *QueryMsg, reason FailReason) {
-	if reason == FailTTL {
-		p.Stats.FailedTTL++
-	} else {
-		p.Stats.FailedNoRoute++
-	}
-	if p.tel != nil {
-		p.tel.failed.Inc()
-	}
-	res := &ResultMsg{
-		QueryID: q.QueryID,
-		Dest:    q.Dest,
-		OK:      false,
-		Reason:  reason,
-		Hops:    q.Hops,
-		Started: q.Started,
-		Path:    q.Path, // ownership transfer, see extendPath
-		TraceID: q.TraceID,
-		Spans:   p.traceSpan(q, q.Dest, telemetry.HopFail),
-		Piggy:   p.piggyback(),
-	}
-	p.Stats.ResultsSent++
-	p.env.Send(q.Source, res)
 }
 
 // HandleResult ingests a lookup answer arriving back at the initiating

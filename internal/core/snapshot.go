@@ -4,11 +4,12 @@ package core
 // lock-free lookup fast path. The peer (single-writer, driven by its event
 // loop) periodically publishes an immutable RouteSnapshot of its routing-read
 // state; any number of reader goroutines then resolve, fail, or forward
-// queries directly on the snapshot without entering the loop. Everything the
-// fast path cannot do immutably — rider absorption, path caching, map
-// pruning, the per-query replication trigger — is either diverted back to the
-// loop (FastAbsorb) or declined entirely (FastFallback), keeping the core
-// single-writer by design.
+// queries directly on the snapshot without entering the loop. The decision
+// itself is routing.go's, shared with the loop; this file is its second
+// executor. Everything the fast path cannot do immutably — rider absorption,
+// path caching, map pruning, the per-query replication trigger — is either
+// diverted back to the loop (FastAbsorb) or declined entirely (FastFallback),
+// keeping the core single-writer by design.
 //
 // Concurrency contract:
 //   - A published snapshot is never mutated. Maps and filters inside it are
@@ -27,10 +28,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"terradir/internal/bloom"
-	"terradir/internal/namespace"
 	"terradir/internal/rng"
-	"terradir/internal/telemetry"
 )
 
 // FastOutcome classifies what the snapshot fast path did with a query.
@@ -51,62 +49,26 @@ const (
 // fastStats mirrors the Peer.Stats fields the fast path would otherwise
 // update. The loop owns Stats; these atomics are the off-loop ledger, folded
 // together by StatsView.
-type fastStats struct {
-	processed       atomic.Int64
-	resolved        atomic.Int64
-	forwarded       atomic.Int64
-	failedTTL       atomic.Int64
-	failedNoRoute   atomic.Int64
-	digestShortcuts atomic.Int64
-	cacheHits       atomic.Int64
-	contextHops     atomic.Int64
-	resultsSent     atomic.Int64
-	controlSent     atomic.Int64
-}
+type fastStats [numRouteCounters]atomic.Int64
 
-// snapHosted is the frozen routing view of one hosted node. outgoing is the
+func (f *fastStats) bump(c routeCounter) { f[c].Add(1) }
+
+// snapHosted is the frozen answer for one hosted node. outgoing is the
 // bounded map the loop would build with outgoingMap; like digests, it is
 // immutable once published and shared by pointer with outgoing messages
 // (receivers treat incoming maps as read-only — see NodeMap.Merge).
 type snapHosted struct {
-	id       NodeID
+	node     *hostedNode // the live node: id and fastTouch only
 	meta     Meta
 	outgoing NodeMap
-	touch    *atomic.Int64 // points at the live hostedNode's fastTouch
-}
-
-type snapCached struct {
-	node NodeID
-	m    NodeMap
-}
-
-type snapDigest struct {
-	server ServerID
-	filter *bloom.Filter
 }
 
 // RouteSnapshot is an immutable copy of a peer's routing-read state. Safe for
 // unsynchronized use from any goroutine.
 type RouteSnapshot struct {
-	self ServerID
-	cfg  Config
-	tree *namespace.Tree
-
-	hosted     map[NodeID]*snapHosted
-	hostedList []*snapHosted
-	neighbors  map[NodeID]*NodeMap // frozen clones
-	cached     []snapCached        // most recently used first (at publish time)
-
-	digests   []snapDigest
-	digestIdx map[ServerID]*bloom.Filter
-
+	view   routeView
+	hosted map[NodeID]*snapHosted
 	piggy  Piggyback // prebuilt immutable rider attached to every send
-	oracle func(NodeID) []ServerID
-
-	// cold, when non-nil, is the peer's live cold-set bitmap (resident.go).
-	// It is the one mutable structure a snapshot references: reads are
-	// atomic, and a cold destination always falls back to the loop.
-	cold *coldSet
 
 	stats *fastStats
 	tel   *peerTelemetry
@@ -126,46 +88,41 @@ func (p *Peer) PublishSnapshot() {
 		p.snap.Store(nil)
 		return
 	}
-	s := &RouteSnapshot{
-		self:   p.ID,
-		cfg:    p.cfg,
-		tree:   p.tree,
-		oracle: p.OracleHosts,
-		cold:   p.resident.cold,
-		stats:  &p.fast,
-		tel:    p.tel,
-	}
+	// Scalars, tree, cold bitmap, oracle and owner hint carry over as they
+	// are; every container the loop mutates is replaced by a frozen copy.
+	s := &RouteSnapshot{view: p.routeView, stats: &p.fast, tel: p.tel}
 	s.piggy = p.piggyback() // loop context; also rebuilds a dirty digest
+	v := &s.view
+	v.hostedList = append([]*hostedNode(nil), p.hostedList...)
+	v.hostedIDs = append([]NodeID(nil), p.hostedIDs...)
 	s.hosted = make(map[NodeID]*snapHosted, len(p.hostedList))
-	s.hostedList = make([]*snapHosted, 0, len(p.hostedList))
 	for _, hn := range p.hostedList {
-		sh := &snapHosted{
-			id:       hn.id,
-			meta:     hn.meta.Clone(),
-			outgoing: p.outgoingMap(hn.id),
-			touch:    &hn.fastTouch,
-		}
-		s.hosted[hn.id] = sh
-		s.hostedList = append(s.hostedList, sh)
+		s.hosted[hn.id] = &snapHosted{node: hn, meta: hn.meta.Clone(), outgoing: p.outgoingMap(hn.id)}
 	}
-	s.neighbors = make(map[NodeID]*NodeMap, len(p.neighborMaps))
+	v.residentNode = func(node NodeID) *hostedNode {
+		if sh := s.hosted[node]; sh != nil {
+			return sh.node
+		}
+		return nil
+	}
+	v.neighborMaps = make(map[NodeID]*neighborMapEntry, len(p.neighborMaps))
+	// One block, not one object per entry: neighbor maps outnumber hosted
+	// nodes about three to one, and publication cost is mostly allocation.
+	neighbors := make([]neighborMapEntry, 0, len(p.neighborMaps))
 	for nd, e := range p.neighborMaps {
-		c := e.m.Clone()
-		s.neighbors[nd] = &c
+		neighbors = append(neighbors, neighborMapEntry{m: e.m.Clone()})
+		v.neighborMaps[nd] = &neighbors[len(neighbors)-1]
 	}
-	if n := p.cache.Len(); n > 0 {
-		s.cached = make([]snapCached, 0, n)
-		p.cache.Each(func(node NodeID, m *NodeMap) {
-			s.cached = append(s.cached, snapCached{node: node, m: m.Clone()})
-		})
-	}
-	if len(p.digestList) > 0 {
-		s.digests = make([]snapDigest, 0, len(p.digestList))
-		s.digestIdx = make(map[ServerID]*bloom.Filter, len(p.digestList))
-		for _, e := range p.digestList {
-			s.digests = append(s.digests, snapDigest{server: e.server, filter: e.filter})
-			s.digestIdx[e.server] = e.filter
-		}
+	v.cache = p.cache.frozen()
+	// Digest entries are refreshed in place by the loop: copy them (the
+	// filters themselves are immutable and shared).
+	entries := make([]digestEntry, len(p.digestList))
+	v.digestList = make([]*digestEntry, len(entries))
+	v.digests = make(map[ServerID]*digestEntry, len(entries))
+	for i, e := range p.digestList {
+		entries[i] = *e
+		v.digestList[i] = &entries[i]
+		v.digests[e.server] = &entries[i]
 	}
 	p.snap.Store(s)
 }
@@ -189,16 +146,9 @@ func (p *Peer) FastAbsorb(pb Piggyback, path []PathEntry) {
 // same contract as overlay.Snapshot.
 func (p *Peer) StatsView() Stats {
 	s := p.Stats
-	s.Processed += p.fast.processed.Load()
-	s.Resolved += p.fast.resolved.Load()
-	s.Forwarded += p.fast.forwarded.Load()
-	s.FailedTTL += p.fast.failedTTL.Load()
-	s.FailedNoRoute += p.fast.failedNoRoute.Load()
-	s.DigestShortcuts += p.fast.digestShortcuts.Load()
-	s.CacheHits += p.fast.cacheHits.Load()
-	s.ContextHops += p.fast.contextHops.Load()
-	s.ResultsSent += p.fast.resultsSent.Load()
-	s.ControlSent += p.fast.controlSent.Load()
+	for c := range p.fast {
+		*s.routeCounter(routeCounter(c)) += p.fast[c].Load()
+	}
 	return s
 }
 
@@ -222,19 +172,21 @@ func (p *Peer) foldFastTouches() {
 	}
 }
 
-// HandleQueryFast attempts to serve q entirely on the snapshot. send
-// transmits outgoing messages (safe for concurrent use); absorb, when
-// non-nil, receives the query's rider and a private copy of its path for
-// loop-side ingestion — it is invoked exactly once for any outcome other
-// than FastFallback, before q.Path is mutated. On FastFallback nothing has
-// been sent or absorbed and the caller must run q through the loop.
+// HandleQueryFast attempts to serve q entirely on the snapshot: the off-loop
+// executor of the routing decision. send transmits outgoing messages (safe
+// for concurrent use); absorb, when non-nil, receives the query's rider and a
+// private copy of its path for loop-side ingestion — it is invoked exactly
+// once for any outcome other than FastFallback, before q.Path is mutated. On
+// FastFallback nothing has been sent or absorbed and the caller must run q
+// through the loop.
 //
 // hint, when non-empty, is an advisory host map for q.Dest from outside the
 // snapshot (the overlay's result cache); a usable hint forwards directly to a
 // host, bridging the gap until the loop absorbs the same result. An unusable
 // hint is simply ignored. Passed by value to keep it off the heap.
 func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, hint NodeMap, send func(ServerID, Message), absorb func(Piggyback, []PathEntry)) FastOutcome {
-	if s.cold != nil && s.cold.has(q.Dest) {
+	v := &s.view
+	if v.cold.has(q.Dest) {
 		// Hosted here, but on disk: the loop parks the query and a loader
 		// goroutine materializes the entry — never blocking this path.
 		// Checked before the resident map: a snapshot published before the
@@ -242,402 +194,40 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, hint NodeMap, 
 		// eviction.
 		return FastFallback
 	}
-	if hn := s.hosted[q.Dest]; hn != nil {
-		s.commit(q, absorb)
-		if ob := s.hosted[q.OnBehalf]; ob != nil {
-			ob.touch.Add(1)
-		}
-		hn.touch.Add(1)
-		q.Spans = s.traceSpanFast(q, hn.id, telemetry.HopResolve, send)
-		s.sendResultFast(q, hn, send)
-		return FastResolved
-	}
-
-	if q.Hops >= s.cfg.MaxHops {
-		s.commit(q, absorb)
-		if ob := s.hosted[q.OnBehalf]; ob != nil {
-			ob.touch.Add(1)
-		}
-		s.sendFailFast(q, FailTTL, send)
-		return FastFailed
-	}
-
-	// Forward decision: single-pass mirror of the loop's candidate selection.
-	// The loop retries with pruning when a candidate's map is unusable; the
-	// fast path has no mutation budget, so that case falls back instead.
-	var src rng.Source
-	src.Seed(q.QueryID ^ uint64(uint32(s.self))<<32 ^ fastSeq.Add(0x9e3779b97f4a7c15))
-
-	var target ServerID = NoServer
-	var onBehalf NodeID = namespace.Invalid
-	var newDist int
-	reason := telemetry.HopNone
-	var closestHosted *snapHosted
-	if hint.Len() > 0 {
-		if tgt := hint.Pick(&src, s.self, s.keepFor(q.Dest)); tgt != NoServer {
-			// Direct hop to a remembered host of the destination — the same
-			// decision a cache hit would make, at distance zero.
-			target, onBehalf, newDist = tgt, q.Dest, 0
-			reason = telemetry.HopCache
-			closestHosted = s.closestHostedTo(q.Dest)
-			s.stats.cacheHits.Add(1)
-			if s.tel != nil {
-				s.tel.cacheHits.Inc()
-			}
-		}
-	}
-	var cand NodeID
-	var candMap *NodeMap
-	var candDist int
-	viaCache := false
-	if target == NoServer {
-		cand, candMap, candDist, closestHosted, viaCache = s.bestCandidate(q.Dest)
-	}
-	if target == NoServer && s.cfg.DigestsEnabled {
-		limit := candDist
-		if candMap == nil {
-			limit = int(^uint(0) >> 1)
-		}
-		if sv, node, d := s.digestShortcut(q.Dest, limit, &src, q.QueryID); sv != NoServer {
-			target, onBehalf, newDist = sv, node, d
-			reason = telemetry.HopReplica
-			s.stats.digestShortcuts.Add(1)
-			if s.tel != nil {
-				s.tel.digestShortcuts.Inc()
-				s.tel.cacheMisses.Inc()
-			}
-		}
-	}
-	if target == NoServer {
-		if candMap == nil {
-			s.commit(q, absorb)
-			if ob := s.hosted[q.OnBehalf]; ob != nil {
-				ob.touch.Add(1)
-			}
-			s.sendFailFast(q, FailNoRoute, send)
-			return FastFailed
-		}
-		target = candMap.Pick(&src, s.self, s.keepFor(cand))
-		if target == NoServer {
-			// Unusable candidate: the loop prunes it and retries.
+	d, final := v.decide(q)
+	if !final {
+		var src rng.Source
+		src.Seed(q.QueryID ^ uint64(uint32(v.self))<<32 ^ fastSeq.Add(0x9e3779b97f4a7c15))
+		d = v.route(q, d, &src, q.QueryID*7, hint, nil, 0)
+		if d.kind == routeUnusable {
+			// The loop prunes the candidate and retries; the fast path has no
+			// mutation budget, so it declines.
 			return FastFallback
 		}
-		onBehalf, newDist = cand, candDist
-		if viaCache {
-			// The LRU recency touch the loop would apply is skipped — the
-			// cache order refreshes on the next loop-side use.
-			s.stats.cacheHits.Add(1)
-			reason = telemetry.HopCache
-			if s.tel != nil {
-				s.tel.cacheHits.Inc()
-			}
-		} else {
-			s.stats.contextHops.Add(1)
-			reason = telemetry.HopChild
-			if closestHosted != nil && s.tree.Parent(closestHosted.id) == cand {
-				reason = telemetry.HopParent
-			}
-			if s.tel != nil {
-				s.tel.cacheMisses.Inc()
-			}
+	}
+	if absorb != nil {
+		var path []PathEntry
+		if len(q.Path) > 0 {
+			path = append([]PathEntry(nil), q.Path...)
 		}
+		absorb(q.Piggy, path)
 	}
-
-	s.commit(q, absorb)
-	if q.Hops > 0 && s.tel != nil {
-		if newDist < int(q.PrevDist) {
-			s.tel.progress.Inc()
-		} else {
-			s.tel.detours.Inc()
-		}
+	if hn := d.charged(); hn != nil {
+		hn.fastTouch.Add(1)
 	}
-	if ob := s.hosted[q.OnBehalf]; ob != nil {
-		ob.touch.Add(1)
-	} else if closestHosted != nil {
-		closestHosted.touch.Add(1)
+	if d.dest != nil {
+		d.dest.fastTouch.Add(1)
 	}
-
-	fwd := &QueryMsg{
-		QueryID:    q.QueryID,
-		Dest:       q.Dest,
-		Source:     q.Source,
-		OnBehalf:   onBehalf,
-		Hops:       q.Hops + 1,
-		Started:    q.Started,
-		PrevDist:   int32(newDist),
-		Path:       s.extendPathFast(q.Path, closestHosted),
-		TraceID:    q.TraceID,
-		SpanBudget: q.SpanBudget,
-		Spans:      s.traceSpanFast(q, onBehalf, reason, send),
-		Piggy:      s.piggy,
-	}
-	s.stats.processed.Add(1)
-	s.stats.forwarded.Add(1)
-	if s.tel != nil {
-		s.tel.forwarded.Inc()
-	}
-	send(target, fwd)
-	return FastForwarded
+	d.tally(q, s.stats, s.tel)
+	v.emit(q, &d, now, s, send)
+	return FastOutcome(d.kind)
 }
 
-// commit hands the query's rider and a private copy of its path to the loop
-// for ingestion. Called once per non-fallback outcome, before any in-place
-// path mutation.
-func (s *RouteSnapshot) commit(q *QueryMsg, absorb func(Piggyback, []PathEntry)) {
-	if absorb == nil {
-		return
-	}
-	var path []PathEntry
-	if len(q.Path) > 0 {
-		path = append([]PathEntry(nil), q.Path...)
-	}
-	absorb(q.Piggy, path)
-}
+func (s *RouteSnapshot) piggyback() Piggyback { return s.piggy }
 
-// bestCandidate mirrors Peer.bestCandidate on the frozen state (no skip set:
-// the fast path never prunes, it falls back).
-func (s *RouteSnapshot) bestCandidate(dest NodeID) (cand NodeID, m *NodeMap, dist int, closestHosted *snapHosted, viaCache bool) {
-	cand = namespace.Invalid
-	bestDist := int(^uint(0) >> 1)
-	hostedDist := int(^uint(0) >> 1)
-	for _, hn := range s.hostedList {
-		d := s.tree.Distance(hn.id, dest)
-		if d < hostedDist {
-			hostedDist = d
-			closestHosted = hn
-		}
-		if d-1 >= bestDist {
-			continue
-		}
-		nh := s.tree.NextHopToward(hn.id, dest)
-		if nh == namespace.Invalid {
-			continue
-		}
-		nm, ok := s.neighbors[nh]
-		if !ok || nm.Len() == 0 {
-			continue
-		}
-		cand, m, bestDist = nh, nm, d-1
-	}
-	for i := range s.cached {
-		c := &s.cached[i]
-		if c.m.Len() == 0 {
-			continue
-		}
-		d := s.tree.Distance(c.node, dest)
-		if d < bestDist {
-			cand, m, bestDist, viaCache = c.node, &c.m, d, true
-		}
-	}
-	return cand, m, bestDist, closestHosted, viaCache
-}
+func (s *RouteSnapshot) outgoingMap(node NodeID) NodeMap { return s.hosted[node].outgoing }
 
-// closestHostedTo returns the hosted node nearest to dest (for path
-// propagation and weight touches on routes decided outside bestCandidate).
-func (s *RouteSnapshot) closestHostedTo(dest NodeID) *snapHosted {
-	var best *snapHosted
-	bestDist := int(^uint(0) >> 1)
-	for _, hn := range s.hostedList {
-		if d := s.tree.Distance(hn.id, dest); d < bestDist {
-			bestDist, best = d, hn
-		}
-	}
-	return best
-}
-
-// digestShortcut mirrors Peer.digestShortcut with the rotating scan window
-// derived from the query ID (the loop's shared scanClock cursor would be a
-// data race).
-func (s *RouteSnapshot) digestShortcut(dest NodeID, limit int, src *rng.Source, qid uint64) (ServerID, NodeID, int) {
-	if s.oracle == nil && len(s.digests) == 0 {
-		return NoServer, namespace.Invalid, 0
-	}
-	destDepth := s.tree.Depth(dest)
-	minDepth := destDepth - limit + 1
-	if lvl := s.cfg.DigestShortcutLevels; lvl > 0 && destDepth-lvl+1 > minDepth {
-		minDepth = destDepth - lvl + 1
-	}
-	if minDepth < 0 {
-		minDepth = 0
-	}
-	node := dest
-	for k := destDepth; k >= minDepth; k-- {
-		if k < destDepth {
-			node = s.tree.Parent(node)
-		}
-		if s.oracle != nil {
-			n := 0
-			var chosen ServerID = NoServer
-			for _, sv := range s.oracle(node) {
-				if sv == s.self {
-					continue
-				}
-				n++
-				if src.Intn(n) == 0 {
-					chosen = sv
-				}
-			}
-			if chosen != NoServer {
-				return chosen, node, destDepth - k
-			}
-			continue
-		}
-		key := NodeKey(node)
-		n := 0
-		var chosen ServerID = NoServer
-		total := len(s.digests)
-		scan := total
-		if s.cfg.DigestScanPerHop > 0 && s.cfg.DigestScanPerHop < total {
-			scan = s.cfg.DigestScanPerHop
-		}
-		start := 0
-		if scan < total {
-			start = int((qid * 7) % uint64(total))
-		}
-		for i := 0; i < scan; i++ {
-			e := &s.digests[(start+i)%total]
-			if e.server == s.self {
-				continue
-			}
-			if e.filter.Test(key) {
-				n++
-				if src.Intn(n) == 0 {
-					chosen = e.server
-				}
-			}
-		}
-		if chosen != NoServer {
-			return chosen, node, destDepth - k
-		}
-	}
-	return NoServer, namespace.Invalid, 0
-}
-
-// digestSays mirrors Peer.digestSays on the frozen digest table.
-func (s *RouteSnapshot) digestSays(server ServerID, node NodeID) bool {
-	if !s.cfg.DigestsEnabled {
-		return true
-	}
-	if server == s.self {
-		_, ok := s.hosted[node]
-		return ok
-	}
-	if s.oracle != nil {
-		for _, sv := range s.oracle(node) {
-			if sv == server {
-				return true
-			}
-		}
-		return false
-	}
-	f, ok := s.digestIdx[server]
-	if !ok {
-		return true
-	}
-	return f.Test(NodeKey(node))
-}
-
-func (s *RouteSnapshot) keepFor(node NodeID) func(ServerID) bool {
-	if !s.cfg.DigestsEnabled {
-		return nil
-	}
-	return func(sv ServerID) bool { return s.digestSays(sv, node) }
-}
-
-// extendPathFast mirrors Peer.extendPath, substituting the precomputed
-// frozen outgoing map. The path slice is mutated in place under the same
-// ownership-transfer convention (the caller owns q after commit).
-func (s *RouteSnapshot) extendPathFast(path []PathEntry, rep *snapHosted) []PathEntry {
-	if rep == nil {
-		return path
-	}
-	if !s.cfg.PathPropagation && len(path) > 0 {
-		return path
-	}
-	out := path
-	if len(out) >= s.cfg.MaxPathEntries && len(out) > 1 {
-		copy(out[1:], out[2:])
-		out = out[:len(out)-1]
-	}
-	if len(out) < s.cfg.MaxPathEntries || s.cfg.MaxPathEntries == 0 {
-		out = append(out, PathEntry{Node: rep.id, Map: rep.outgoing})
-	}
-	return out
-}
-
-func (s *RouteSnapshot) sendResultFast(q *QueryMsg, hn *snapHosted, send func(ServerID, Message)) {
-	res := &ResultMsg{
-		QueryID: q.QueryID,
-		Dest:    q.Dest,
-		OK:      true,
-		Hops:    q.Hops,
-		Started: q.Started,
-		Meta:    hn.meta.Clone(),
-		Map:     hn.outgoing,
-		Path:    s.extendPathFast(q.Path, hn),
-		TraceID: q.TraceID,
-		Spans:   q.Spans,
-		Piggy:   s.piggy,
-	}
-	s.stats.processed.Add(1)
-	s.stats.resolved.Add(1)
-	s.stats.resultsSent.Add(1)
-	if s.tel != nil {
-		s.tel.resolved.Inc()
-	}
-	send(q.Source, res)
-}
-
-func (s *RouteSnapshot) sendFailFast(q *QueryMsg, reason FailReason, send func(ServerID, Message)) {
-	if reason == FailTTL {
-		s.stats.failedTTL.Add(1)
-	} else {
-		s.stats.failedNoRoute.Add(1)
-	}
-	if s.tel != nil {
-		s.tel.failed.Inc()
-	}
-	res := &ResultMsg{
-		QueryID: q.QueryID,
-		Dest:    q.Dest,
-		OK:      false,
-		Reason:  reason,
-		Hops:    q.Hops,
-		Started: q.Started,
-		Path:    q.Path, // ownership transfer, see extendPath
-		TraceID: q.TraceID,
-		Spans:   s.traceSpanFast(q, q.Dest, telemetry.HopFail, send),
-		Piggy:   s.piggy,
-	}
-	s.stats.processed.Add(1)
-	s.stats.resultsSent.Add(1)
-	send(q.Source, res)
-}
-
-// traceSpanFast mirrors Peer.traceSpan. ServiceMicros stays zero: the fast
-// path serves at delivery time, so there is no queue-to-service gap to
-// measure beyond QueueWaitMicros.
-func (s *RouteSnapshot) traceSpanFast(q *QueryMsg, node NodeID, reason telemetry.HopReason, send func(ServerID, Message)) []telemetry.Span {
-	if q.TraceID == 0 {
-		return q.Spans
-	}
-	sp := telemetry.Span{
-		Seq:    int32(q.Hops),
-		Server: int32(s.self),
-		Node:   int32(node),
-		Reason: reason,
-	}
-	if q.ServedAt > 0 && q.Enqueued > 0 && q.ServedAt >= q.Enqueued {
-		sp.QueueWaitMicros = int64((q.ServedAt - q.Enqueued) * 1e6)
-	}
-	spans := q.Spans
-	if q.SpanBudget <= 0 || int32(len(spans)) < q.SpanBudget {
-		spans = append(spans, sp)
-	}
-	if s.tel != nil {
-		s.tel.spanReports.Inc()
-	}
-	s.stats.controlSent.Add(1)
-	send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: s.piggy})
-	return spans
+func (s *RouteSnapshot) answer(hn *hostedNode) (Meta, NodeMap) {
+	sh := s.hosted[hn.id]
+	return sh.meta.Clone(), sh.outgoing
 }

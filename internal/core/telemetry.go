@@ -77,37 +77,3 @@ func (p *Peer) trackWatermark(above bool) {
 	}
 	p.tel.aboveHigh = above
 }
-
-// traceSpan emits this hop's span for a traced query: appended to the
-// in-band chain while under budget, and always reported out-of-band to the
-// initiating server (self-sends are delivered locally by the Env). Returns
-// the chain to attach to the outgoing message. node is the namespace node
-// the hop acted for; reason classifies the routing mechanism or outcome.
-func (p *Peer) traceSpan(q *QueryMsg, node NodeID, reason telemetry.HopReason) []telemetry.Span {
-	if q.TraceID == 0 {
-		return q.Spans
-	}
-	sp := telemetry.Span{
-		Seq:    int32(q.Hops),
-		Server: int32(p.ID),
-		Node:   int32(node),
-		Reason: reason,
-	}
-	if q.ServedAt > 0 {
-		if q.Enqueued > 0 && q.ServedAt >= q.Enqueued {
-			sp.QueueWaitMicros = int64((q.ServedAt - q.Enqueued) * 1e6)
-		}
-		if now := p.env.Now(); now > q.ServedAt {
-			sp.ServiceMicros = int64((now - q.ServedAt) * 1e6)
-		}
-	}
-	spans := q.Spans
-	if q.SpanBudget <= 0 || int32(len(spans)) < q.SpanBudget {
-		spans = append(spans, sp)
-	}
-	if p.tel != nil {
-		p.tel.spanReports.Inc()
-	}
-	p.sendControl(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: p.piggyback()})
-	return spans
-}

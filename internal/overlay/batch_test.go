@@ -222,7 +222,7 @@ func TestQueueWaitMeasuredFromEnqueue(t *testing.T) {
 	// queries pile up, and require the recorded wait to cover the blockage.
 	cluster, err := NewLocalCluster(testTree(), LocalClusterOptions{
 		Servers: 1,
-		Node:    Options{DisableFastPath: true, IngestBatch: 64},
+		Node:    Options{ServiceDelay: time.Millisecond}, // a service delay keeps queries on the loop
 	})
 	if err != nil {
 		t.Fatal(err)

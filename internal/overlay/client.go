@@ -57,15 +57,11 @@ func (n *Node) fetchData(ctx context.Context, host core.ServerID, dest core.Node
 	}
 	req := &core.DataRequest{ReqID: reqID, Node: dest, From: n.id}
 	if host == n.id {
-		// Local fast path. DataOf only reads immutable stored bytes, but
-		// route through the owning shard's view for consistency.
-		cleanup()
-		if data, ok := n.shardFor(dest).peer.DataOf(dest); ok {
-			return data, nil
-		}
-		return nil, errNoData
-	}
-	if err := n.transport.Send(n.id, host, req); err != nil {
+		// Our own copy is read by the shard loop that owns it, like any other
+		// host's: the loop is the only reader of hosted state, and a cold node
+		// parks there and loads instead of answering "no data".
+		n.Deliver(req)
+	} else if err := n.transport.Send(n.id, host, req); err != nil {
 		cleanup()
 		return nil, err
 	}

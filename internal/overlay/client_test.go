@@ -3,6 +3,8 @@ package overlay
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ func TestFetchDataReplicaMiss(t *testing.T) {
 	}
 }
 
-func TestFetchDataLocalFastPath(t *testing.T) {
+func TestFetchDataFromSelf(t *testing.T) {
 	c := startLocal(t, 4, nil)
 	target := core.NodeID(10)
 	owner := c.OwnerOf(target)
@@ -37,6 +39,113 @@ func TestFetchDataLocalFastPath(t *testing.T) {
 	if _, err := c.Node(int(owner)).fetchData(ctx, owner, target); !errors.Is(err, errNoData) {
 		t.Fatalf("local miss: %v, want errNoData", err)
 	}
+}
+
+// TestGetSelfHostedRace runs Get for nodes the calling server hosts itself
+// while that server's loops rewrite the hosted map underneath: data writes,
+// replica installs and evictions, and — on a residency-capped node — cold
+// loads and demotions. The data step must go through the owning shard's loop
+// (run with -race: reading hosted state on the caller's goroutine is a
+// concurrent map read and write), and a cold node must load, not answer
+// "no data".
+func TestGetSelfHostedRace(t *testing.T) {
+	get := func(t *testing.T, n *Node, dest core.NodeID, want string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, data, err := n.Get(ctx, dest)
+		if err != nil || string(data) != want {
+			t.Errorf("Get(%d) = %q, %v; want %q", dest, data, err, want)
+		}
+	}
+
+	t.Run("installs", func(t *testing.T) {
+		c := startLocal(t, 2, nil)
+		n, other := c.Node(0), c.Node(1)
+		var mine, theirs []core.NodeID
+		for nd := core.NodeID(0); int(nd) < testTree().Len(); nd++ {
+			if c.OwnerOf(nd) == 0 {
+				mine = append(mine, nd)
+			} else {
+				theirs = append(theirs, nd)
+			}
+		}
+		n.Inspect(func(p *core.Peer) {
+			for _, nd := range mine {
+				p.SetData(nd, []byte("v"))
+			}
+		})
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				nd := theirs[i%len(theirs)]
+				var pl core.ReplicaPayload
+				other.Inspect(func(p *core.Peer) {
+					if b, ok := p.BuildReplicaPayload(nd); ok {
+						pl = b
+					}
+				})
+				n.Inspect(func(p *core.Peer) {
+					if p.AcceptsHosted(nd) {
+						p.InstallReplica(&pl, 1)
+					}
+					p.SetData(mine[i%len(mine)], []byte("v"))
+				})
+			}
+		}()
+		for i := 0; i < 300; i++ {
+			get(t, n, mine[i%len(mine)], "v")
+		}
+		close(stop)
+		wg.Wait()
+	})
+
+	t.Run("cold", func(t *testing.T) {
+		const capEntries = 20
+		n, tr := startColdNode(t, t.TempDir(), capEntries)
+		defer func() {
+			n.Stop()
+			tr.Close()
+		}()
+		tree := n.tree
+		n.Inspect(func(p *core.Peer) {
+			for nd := core.NodeID(0); int(nd) < tree.Len(); nd++ {
+				p.SetData(nd, []byte("v")) // false on the shards that do not own nd
+			}
+		})
+		drainToCap(t, n, capEntries)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n.writeSnapshot() // completes clean epochs, so loads keep evicting
+			}
+		}()
+		src := rand.New(rand.NewSource(5))
+		for i := 0; i < 300; i++ {
+			get(t, n, core.NodeID(src.Intn(tree.Len())), "v")
+		}
+		close(stop)
+		wg.Wait()
+		if n.idxMisses.Value() == 0 {
+			t.Fatal("no cold misses observed; Get never exercised the load path")
+		}
+	})
 }
 
 func TestFetchDataTimeoutOnDeadHost(t *testing.T) {

@@ -39,10 +39,6 @@ type Options struct {
 	// snapshot fast path: delayed service models loop occupancy, which is
 	// exactly what the fast path bypasses.
 	ServiceDelay time.Duration
-	// DisableFastPath forces every query through the event loop even when the
-	// lock-free snapshot fast path would apply (benchmark baselines, tests
-	// that need strict loop serialization).
-	DisableFastPath bool
 	// LoadWindow is the busy-fraction measurement window Ω. Default 500 ms.
 	LoadWindow time.Duration
 	// DataTimeout bounds data-retrieval round trips (Get) when the caller's
@@ -77,11 +73,6 @@ type Options struct {
 	// ring successor instead of taking a full warmup stream. See
 	// PersistOptions and DESIGN.md §13.
 	Persist *PersistOptions
-	// IngestBatch caps how many envelopes a shard event loop drains per
-	// wakeup, amortizing snapshot-publish checks, digest/advert bookkeeping
-	// and the WAL group commit across the batch (DESIGN.md §15). Default 64;
-	// 1 restores strict one-envelope-per-wakeup servicing.
-	IngestBatch int
 }
 
 func (o *Options) fill(id core.ServerID) {
@@ -111,12 +102,6 @@ func (o *Options) fill(id core.ServerID) {
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = 1
-	}
-	if o.IngestBatch <= 0 {
-		o.IngestBatch = 64
-	}
-	if o.IngestBatch > 1024 {
-		o.IngestBatch = 1024
 	}
 }
 
@@ -401,7 +386,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	n.queueWaitHist = n.reg.Histogram("terradir_queue_wait_seconds",
 		"Time queries spent in the request queue before service.", latencyLayout, server...)
 	n.batchDepthHist = n.reg.Histogram("terradir_shard_batch_depth",
-		"Envelopes drained per shard event-loop wakeup (Options.IngestBatch caps it).",
+		"Envelopes drained per shard event-loop wakeup (at most ingestBatch).",
 		telemetry.HistogramOpts{Min: 1, Max: 4096, BucketsPerDecade: 8}, server...)
 	n.serviceHist = n.reg.Histogram("terradir_service_seconds",
 		"Per-query service time (protocol handling plus configured delay).", latencyLayout, server...)
@@ -489,9 +474,6 @@ func (n *Node) InspectShards(fn func(idx int, p *core.Peer)) bool {
 // terradir_inbox_query_drops_total.
 func (n *Node) InboxDropped() int64 { return n.dropped.Load() }
 
-// Dropped is a deprecated alias for InboxDropped.
-func (n *Node) Dropped() int64 { return n.InboxDropped() }
-
 // SetTransport wires the node's outgoing path. Must be called before Start.
 func (n *Node) SetTransport(t Transport) { n.transport = t }
 
@@ -502,7 +484,7 @@ func (n *Node) Start() {
 		panic("overlay: Start before SetTransport")
 	}
 	n.registerTransportMetrics()
-	n.fastEnabled = n.opts.ServiceDelay == 0 && !n.opts.DisableFastPath
+	n.fastEnabled = n.opts.ServiceDelay == 0
 	shared := len(n.shards) > 1 && n.opts.Config.DigestsEnabled
 	if shared {
 		// Install the combined server-wide digest before any shard advertises
@@ -699,12 +681,6 @@ func (n *Node) handleControl(s *shard, env envelope) {
 // queue it for the shard's loop (no snapshot yet, hooks active, or the route
 // needs a mutation only the loop may perform).
 func (n *Node) tryFastServe(s *shard, q *core.QueryMsg) bool {
-	if len(n.shards) > 1 && int(q.Hops) >= n.opts.Config.MaxHops/2 {
-		// A wandering query needs the loop path's authoritative owner escape
-		// (core.Peer.SetOwnerHint); the snapshot would keep it cycling.
-		n.fastFallbacks.Inc()
-		return false
-	}
 	if s.learnPub.Load() != s.learnSeq.Load() {
 		// Learnings are still in flight to the snapshot; serve through the
 		// loop, which drains them first (read-your-writes).

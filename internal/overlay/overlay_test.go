@@ -306,7 +306,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		n.Deliver(&core.QueryMsg{QueryID: uint64(i) + 1000, Dest: 3, Source: 1})
 	}
-	if n.Dropped() == 0 {
+	if n.InboxDropped() == 0 {
 		t.Fatal("no drops despite queue bound 1")
 	}
 }

@@ -266,11 +266,17 @@ func (n *Node) runOnShards(learn bool, fn func(s *shard)) bool {
 	return true
 }
 
+// ingestBatch caps how many envelopes a shard loop drains per wakeup. A
+// constant, not a knob: against strict one-per-wakeup servicing the 64-deep
+// batch was within noise at shards=1 and cut shards=4 oversubscription p99
+// 98 ms → 7.4 ms (BENCH_lookup.json ingest_batch), so there is one good value.
+const ingestBatch = 64
+
 // shard.loop is the shard's single-writer event loop: the same
 // control-priority, snapshot-publication and learn-gating discipline as the
 // classic per-node loop, applied to this shard's peer alone.
 //
-// Each wakeup drains a BATCH of up to Options.IngestBatch already-queued
+// Each wakeup drains a BATCH of up to ingestBatch already-queued
 // envelopes (or queries) instead of exactly one: the per-wakeup costs —
 // advert-expiry sweep and digest bookkeeping (peer.BatchTick), the snapshot
 // publish check, and the WAL group-commit flush — are then paid once per
@@ -284,7 +290,6 @@ func (s *shard) loop() {
 	defer close(s.done)
 	maintain := time.NewTicker(time.Duration(n.opts.Config.MaintainInterval * float64(time.Second)))
 	defer maintain.Stop()
-	k := n.opts.IngestBatch
 	dirty := false
 	var learnExec uint64
 	var lastPublish time.Time
@@ -313,12 +318,12 @@ func (s *shard) loop() {
 		}
 		publish(false)
 	}
-	// drainControl services env plus up to k-1 more already-queued control
-	// envelopes, returning the batch depth.
+	// drainControl services env plus up to ingestBatch-1 more already-queued
+	// control envelopes, returning the batch depth.
 	drainControl := func(env envelope) int {
 		handle(env)
 		depth := 1
-		for depth < k {
+		for depth < ingestBatch {
 			select {
 			case env := <-s.control:
 				handle(env)
@@ -329,13 +334,14 @@ func (s *shard) loop() {
 		}
 		return depth
 	}
-	// drainQueries services q plus up to k-1 more already-queued queries,
-	// yielding early if control traffic arrives (control keeps priority).
+	// drainQueries services q plus up to ingestBatch-1 more already-queued
+	// queries, yielding early if control traffic arrives (control keeps
+	// priority).
 	drainQueries := func(q *core.QueryMsg) int {
 		n.serveQuery(s, q)
 		dirty = true
 		depth := 1
-		for depth < k && len(s.control) == 0 {
+		for depth < ingestBatch && len(s.control) == 0 {
 			select {
 			case q := <-s.queries:
 				n.serveQuery(s, q)

@@ -26,10 +26,11 @@ var (
 	}}
 )
 
-// FrameReader reads length-prefixed message frames (the ReadFrame format,
-// unchanged on the wire) through a large pooled buffer, replacing ReadFrame's
-// two read(2) calls and one allocation per frame with one read per buffer
-// refill and zero allocations in the steady state.
+// FrameReader reads length-prefixed message frames (the WriteFrame format)
+// through a large pooled buffer: one read per buffer refill and zero
+// allocations in the steady state, where a plain reader — ReadFrame, kept in
+// readframe_test.go as the reference — pays two read(2) calls and one
+// allocation per frame.
 //
 // The slice returned by Next aliases the reader's internal buffer and is
 // valid only until the following Next or Release call — that implicit
@@ -38,8 +39,8 @@ var (
 // frames instead of going to the garbage collector. Release returns the
 // pooled buffers; the reader is unusable afterwards.
 //
-// Error classification is byte-for-byte identical to ReadFrame's (proven by
-// FuzzFrameReader): io.EOF cleanly between frames, io.ErrUnexpectedEOF on a
+// Error classification is byte-for-byte identical to that reference's (proven
+// by FuzzFrameReader): io.EOF cleanly between frames, io.ErrUnexpectedEOF on a
 // torn header or body, ErrFrameSize on a hostile length prefix, and any
 // other underlying read error verbatim. Errors are sticky.
 type FrameReader struct {
@@ -88,8 +89,7 @@ func (fr *FrameReader) refill() {
 	}
 }
 
-// eofErr maps the sticky underlying error to ReadFrame's io.ReadFull
-// classification given how many bytes of the current unit (header or body)
+// eofErr maps the sticky underlying error to io.ReadFull's classification given how many bytes of the current unit (header or body)
 // were consumed when the stream ended: 0 bytes → the error as-is (io.EOF
 // between frames), partial → io.ErrUnexpectedEOF for EOF, other errors
 // verbatim.

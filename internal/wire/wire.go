@@ -671,23 +671,6 @@ func WriteFrame(w io.Writer, data []byte) error {
 	return err
 }
 
-// ReadFrame reads a length-prefixed message frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("%w: invalid frame length %d", ErrFrameSize, n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
 // ---------------------------------------------------------------------------
 // Hosted-state records (persistence tier)
 
