@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"terradir/internal/bloom"
 	"terradir/internal/namespace"
 	"terradir/internal/rng"
 )
@@ -110,5 +112,83 @@ func BenchmarkPiggyback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.piggyback()
+	}
+}
+
+// publishPeer builds a peer owning `hosted` nodes spread over the paper-size
+// namespace (32,767 nodes), with a full cache and 31 foreign digests: the
+// state a server of bench/'s in-process workloads publishes from.
+func publishPeer(b *testing.B, hosted int) (*Peer, *fakeEnv, []NodeID) {
+	b.Helper()
+	tree := namespace.NewBalanced(2, 15)
+	env := &fakeEnv{now: 1}
+	p, err := NewPeer(0, tree, DefaultConfig(), env, rng.New(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	stride := tree.Len() / hosted
+	owned := map[NodeID]bool{}
+	var ids []NodeID
+	for i := 0; i < hosted; i++ {
+		n := NodeID(i * stride)
+		owned[n] = true
+		ids = append(ids, n)
+		p.AddOwned(n, Meta{Version: 1})
+	}
+	p.FinishSetup(func(n NodeID) ServerID {
+		if owned[n] {
+			return 0
+		}
+		return ServerID(1 + int(n)%31)
+	})
+	src := rng.New(3)
+	for p.CacheLen() < p.cfg.CacheSlots {
+		m := SingleServerMap(ServerID(1 + src.Intn(31)))
+		p.learnMap(NodeID(src.Intn(tree.Len())), &m)
+	}
+	for s := ServerID(1); s <= 31; s++ {
+		f := bloom.New(uint64(p.cfg.DigestBitsPerNode*hosted), uint32(p.cfg.DigestHashes))
+		f.BumpVersion()
+		p.storeDigest(s, f)
+	}
+	return p, env, ids
+}
+
+// BenchmarkPublishSnapshot prices one handled message plus the publish that
+// follows it, by what the message changed: nothing the snapshot holds but the
+// rider (clean — the floor every publish pays), one neighbor map (one-dirty),
+// or the hosted set itself (membership-change: a replica installed or
+// evicted). Cost must follow the change, not the hosted count. idle is a
+// publish with no message before it: a no-op.
+func BenchmarkPublishSnapshot(b *testing.B) {
+	for _, hosted := range []int{512, 2048} {
+		p, env, ids := publishPeer(b, hosted)
+		p.PublishSnapshot()
+		rider := Piggyback{From: 1, Load: 0.3}
+		nb := p.tree.Children(ids[1])[0]
+		learned := []PathEntry{{Node: nb, Map: SingleServerMap(7)}}
+		replica := ReplicaPayload{Node: ids[1] + 1, Meta: Meta{Version: 1}, WeightHint: 1, SelfMap: SingleServerMap(3)}
+		run := func(name string, step func(i int)) {
+			b.Run(fmt.Sprintf("%s/%d", name, hosted), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					step(i)
+					p.PublishSnapshot()
+					env.sent = env.sent[:0]
+				}
+			})
+		}
+		run("idle", func(int) {})
+		run("clean", func(int) { p.FastAbsorb(rider, nil) })
+		run("one-dirty", func(i int) {
+			learned[0].Map.Servers[0] = ServerID(1 + i%31)
+			p.FastAbsorb(rider, learned)
+		})
+		run("membership-change", func(i int) {
+			p.FastAbsorb(rider, nil)
+			if !p.evictReplica(replica.Node) {
+				p.InstallReplica(&replica, 3)
+			}
+		})
 	}
 }

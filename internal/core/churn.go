@@ -21,19 +21,23 @@ func (p *Peer) PurgeServer(s ServerID, ownerOf func(NodeID) ServerID) int {
 		return 0
 	}
 	purged := 0
+	p.pub.stale = true // pending adverts, the rider's, may name s
+	// A death is rare and touches every map: all of them are marked for
+	// republication, changed or not.
 	for _, hn := range p.hostedList {
-		if hn.selfMap.Remove(s) {
+		if m := p.editSelfMap(hn); m.Remove(s) {
 			purged++
-			p.ensureSelf(&hn.selfMap)
+			p.ensureSelf(m)
 		}
 	}
 	for nb, e := range p.neighborMaps {
-		if e.m.Remove(s) {
+		m := p.editNeighborMap(e)
+		if m.Remove(s) {
 			purged++
 		}
-		if e.m.Len() == 0 && ownerOf != nil {
+		if m.Len() == 0 && ownerOf != nil {
 			if o := ownerOf(nb); o != NoServer {
-				e.m = SingleServerMap(o)
+				*m = SingleServerMap(o)
 			}
 		}
 	}
@@ -52,6 +56,7 @@ func (p *Peer) PurgeServer(s ServerID, ownerOf func(NodeID) ServerID) int {
 		p.cache.Delete(nd)
 	}
 	if e, ok := p.digests[s]; ok {
+		p.pub.digests = true
 		delete(p.digests, s)
 		for i, d := range p.digestList {
 			if d == e {
@@ -114,7 +119,7 @@ func (p *Peer) AdoptOwnership(node NodeID, ownerOf func(NodeID) ServerID) bool {
 		hn.owned = true
 		hn.adopted = true
 		p.ownedCount++
-		p.ensureSelf(&hn.selfMap)
+		p.ensureSelf(p.editSelfMap(hn))
 		p.markDirty(hn)
 		p.journalKind(MutAdopt, node)
 		p.Stats.OwnershipAdopts++

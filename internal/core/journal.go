@@ -149,8 +149,9 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 			hn.data = nil
 		}
 		hn.meta = rec.Meta.Clone()
-		hn.selfMap = rec.Map.Clone()
-		p.ensureSelf(&hn.selfMap)
+		m := p.editSelfMap(hn)
+		*m = rec.Map.Clone()
+		p.ensureSelf(m)
 		hn.weight = rec.Weight
 		hn.weightT = p.env.Now()
 		hn.lastUsed = p.env.Now()
@@ -174,14 +175,7 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 			return false
 		}
 		p.dropHosted(hn)
-		for _, nb := range hn.neighborIDs {
-			if e, ok := p.neighborMaps[nb]; ok {
-				e.refs--
-				if e.refs <= 0 {
-					delete(p.neighborMaps, nb)
-				}
-			}
-		}
+		p.releaseNeighbors(hn)
 		if p.cold != nil {
 			p.resident.bytes -= int64(hn.size)
 		}
@@ -224,8 +218,9 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 		if !ok {
 			return false
 		}
-		hn.selfMap = rec.Map.Clone()
-		p.ensureSelf(&hn.selfMap)
+		m := p.editSelfMap(hn)
+		*m = rec.Map.Clone()
+		p.ensureSelf(m)
 		p.markDirty(hn)
 		return true
 	}

@@ -108,6 +108,13 @@ type hostedNode struct {
 	// path; the loop folds it into weight/lastUsed (foldFastTouches).
 	fastTouch atomic.Int64
 
+	// Snapshot publication (snapshot.go): pub is the frozen copy of meta and
+	// the outgoing map that off-loop readers see; stale says it is out of date
+	// and links the node into the peer's republish list.
+	pub       atomic.Pointer[frozenHosted]
+	stale     bool
+	nextStale *hostedNode
+
 	// Residency bookkeeping (resident.go): CLOCK reference bit, dirty epoch
 	// stamp (0 = clean: durable state is in the current index generation),
 	// and the approximate resident size last accounted.
@@ -116,9 +123,17 @@ type hostedNode struct {
 	size     int32
 }
 
+// neighborMapEntry is the map kept for one neighbor of a hosted node. m is the
+// loop's live copy, to be written only through editNeighborMap; pub is the
+// frozen copy off-loop readers see, and stale/nextStale are its republish
+// bookkeeping, as for hostedNode.
 type neighborMapEntry struct {
 	m    NodeMap
 	refs int
+
+	pub       atomic.Pointer[NodeMap]
+	stale     bool
+	nextStale *neighborMapEntry
 }
 
 type digestEntry struct {
@@ -203,9 +218,11 @@ type Peer struct {
 	// is off (everything stays in memory) until SetResidency.
 	resident residencyState
 
-	// snap is the published copy-on-write routing snapshot (see snapshot.go);
-	// fast is the atomic counter ledger of queries served on it off-loop.
+	// snap is the published routing snapshot (see snapshot.go), pub the
+	// loop's record of what changed since it was published; fast is the atomic
+	// counter ledger of queries served on it off-loop.
 	snap atomic.Pointer[RouteSnapshot]
+	pub  pubState
 	fast fastStats
 
 	scratchPath []NodeID // reusable buffer
@@ -293,7 +310,7 @@ func (p *Peer) SetSessionBase(base uint64) { p.sessionBase = base }
 // SetSharedDigest installs (or, with nil, removes) the digest advertised in
 // place of the peer's own (see the sharedDigest field). Safe to call from
 // the peer's execution context at any time; the filter must be immutable.
-func (p *Peer) SetSharedDigest(f *bloom.Filter) { p.sharedDigest = f }
+func (p *Peer) SetSharedDigest(f *bloom.Filter) { p.sharedDigest, p.pub.stale = f, true }
 
 // HostedIDs returns a fresh slice of all hosted node ids (owned and
 // replicated, resident and cold), resident entries first in hosting order.
@@ -337,12 +354,15 @@ func (p *Peer) addHosted(hn *hostedNode) {
 	p.hosted[hn.id] = hn
 	p.hostedList = append(p.hostedList, hn)
 	p.hostedIDs = append(p.hostedIDs, hn.id)
+	p.pub.members = true
+	p.staleHosted(hn)
 }
 
 // dropHosted removes hn from the resident set, preserving the hosting order
 // of the rest.
 func (p *Peer) dropHosted(hn *hostedNode) {
 	delete(p.hosted, hn.id)
+	p.pub.members = true
 	for i, h := range p.hostedList {
 		if h == hn {
 			p.hostedList = append(p.hostedList[:i], p.hostedList[i+1:]...)
@@ -373,9 +393,28 @@ func (p *Peer) initNeighbors(hn *hostedNode, ownerOf func(NodeID) ServerID) {
 			e.refs++
 			continue
 		}
-		p.neighborMaps[nb] = &neighborMapEntry{
-			m:    SingleServerMap(ownerOf(nb)),
-			refs: 1,
+		p.addNeighbor(nb, SingleServerMap(ownerOf(nb)))
+	}
+}
+
+// addNeighbor starts the neighbor map for nb, referenced once.
+func (p *Peer) addNeighbor(nb NodeID, m NodeMap) {
+	e := &neighborMapEntry{m: m, refs: 1}
+	p.neighborMaps[nb] = e
+	p.pub.members = true
+	p.staleNeighbor(e)
+}
+
+// releaseNeighbors drops hn's references to its neighbor maps, deleting those
+// no other hosted node shares.
+func (p *Peer) releaseNeighbors(hn *hostedNode) {
+	for _, nb := range hn.neighborIDs {
+		if e, ok := p.neighborMaps[nb]; ok {
+			e.refs--
+			if e.refs <= 0 {
+				delete(p.neighborMaps, nb)
+				p.pub.members = true
+			}
 		}
 	}
 }
@@ -478,6 +517,7 @@ func (p *Peer) rebuildDigest() {
 	nf.BumpVersion()
 	p.digest = nf
 	p.digestDirty = false
+	p.pub.stale = true // the rider advertises the new filter
 }
 
 // Digest returns the peer's current inverse-mapping digest (not a copy).
@@ -494,9 +534,11 @@ func (p *Peer) storeDigest(server ServerID, f *bloom.Filter) {
 		if f.Version() > e.filter.Version() {
 			e.filter = f
 			e.updated = now
+			p.pub.digests = true
 		}
 		return
 	}
+	p.pub.digests = true
 	if len(p.digestList) >= p.cfg.MaxDigests {
 		// O(1) round-robin eviction: replace the slot under the clock hand.
 		// (Exact LRU would scan; digests refresh constantly via piggyback,
@@ -603,6 +645,9 @@ func (p *Peer) BatchTick() {
 
 // absorbPiggy ingests a received rider: load gossip, adverts, digests.
 func (p *Peer) absorbPiggy(pb *Piggyback) {
+	// Every handled message passes through here: the load the rider reports
+	// has moved, so the next publish rebuilds the snapshot's rider.
+	p.pub.stale = true
 	now := p.env.Now()
 	if pb.From != NoServer && pb.From != p.ID {
 		p.recordLoad(pb.From, pb.Load, now)
@@ -622,7 +667,7 @@ func (p *Peer) absorbAdvert(a *Advert) {
 	if len(a.Servers) == 0 {
 		return
 	}
-	target := p.mapFor(a.Node)
+	target := p.editMapFor(a.Node)
 	if target == nil {
 		if p.cfg.CachingEnabled && p.Accepts(a.Node) {
 			m := NodeMap{}
@@ -648,8 +693,8 @@ func (p *Peer) absorbAdvert(a *Advert) {
 }
 
 // mapFor returns the authoritative map this peer keeps for node: hosted
-// self-map, neighbor map, or cached map — nil if none. The returned pointer
-// may be mutated in place.
+// self-map, neighbor map, or cached map — nil if none. The map is for reading
+// only; editMapFor returns it for writing.
 func (p *Peer) mapFor(node NodeID) *NodeMap {
 	if hn, ok := p.hosted[node]; ok {
 		return &hn.selfMap
@@ -658,6 +703,18 @@ func (p *Peer) mapFor(node NodeID) *NodeMap {
 		return &e.m
 	}
 	return p.cache.Peek(node)
+}
+
+// editMapFor is mapFor for mutation in place: the map is marked for
+// republication.
+func (p *Peer) editMapFor(node NodeID) *NodeMap {
+	if hn, ok := p.hosted[node]; ok {
+		return p.editSelfMap(hn)
+	}
+	if e, ok := p.neighborMaps[node]; ok {
+		return p.editNeighborMap(e)
+	}
+	return p.cache.Edit(node)
 }
 
 // learnMap merges an incoming map for node into the peer's state (§3.7 map
@@ -678,12 +735,13 @@ func (p *Peer) learnMap(node NodeID, incoming *NodeMap) {
 	}
 	keep := p.keepFor(node)
 	if hn, ok := p.hosted[node]; ok {
-		hn.selfMap.Merge(incoming, p.cfg.MapSize, p.src, keep)
-		p.ensureSelf(&hn.selfMap)
+		m := p.editSelfMap(hn)
+		m.Merge(incoming, p.cfg.MapSize, p.src, keep)
+		p.ensureSelf(m)
 		return
 	}
 	if e, ok := p.neighborMaps[node]; ok {
-		e.m.Merge(incoming, p.cfg.MapSize, p.src, keep)
+		p.editNeighborMap(e).Merge(incoming, p.cfg.MapSize, p.src, keep)
 		return
 	}
 	if !p.cfg.CachingEnabled {
@@ -738,6 +796,7 @@ func (p *Peer) outgoingMap(node NodeID) NodeMap {
 // (§3.5). The driver (cluster or overlay) calls it every
 // cfg.MaintainInterval seconds.
 func (p *Peer) Maintain() {
+	p.pub.stale = true // the hysteresis bias decays: the rider's load moves
 	p.foldFastTouches()
 	now := p.env.Now()
 	if p.cfg.AdaptiveThigh {
@@ -778,14 +837,7 @@ func (p *Peer) evictReplica(node NodeID) bool {
 		return false
 	}
 	p.dropHosted(hn)
-	for _, nb := range hn.neighborIDs {
-		if e, ok := p.neighborMaps[nb]; ok {
-			e.refs--
-			if e.refs <= 0 {
-				delete(p.neighborMaps, nb)
-			}
-		}
-	}
+	p.releaseNeighbors(hn)
 	if p.cold != nil {
 		p.resident.bytes -= int64(hn.size)
 	}

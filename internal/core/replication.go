@@ -302,11 +302,12 @@ func (p *Peer) handleReplicateRequest(msg *ReplicateRequest) {
 func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 	if hn, ok := p.hosted[pl.Node]; ok {
 		// Already hosted: refresh soft state (newest meta wins, maps merge).
+		m := p.editSelfMap(hn) // marks hn, so the meta refresh republishes too
 		if pl.Meta.Version > hn.meta.Version {
 			hn.meta = pl.Meta.Clone()
 		}
-		hn.selfMap.Merge(&pl.SelfMap, p.cfg.MapSize, p.src, p.keepFor(pl.Node))
-		p.ensureSelf(&hn.selfMap)
+		m.Merge(&pl.SelfMap, p.cfg.MapSize, p.src, p.keepFor(pl.Node))
+		p.ensureSelf(m)
 		return false
 	}
 	max := p.maxReplicas()
@@ -349,9 +350,9 @@ func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 		if e, ok := p.neighborMaps[nb.Node]; ok {
 			e.refs++
 			inc := nb.Map
-			e.m.Merge(&inc, p.cfg.MapSize, p.src, p.keepFor(nb.Node))
+			p.editNeighborMap(e).Merge(&inc, p.cfg.MapSize, p.src, p.keepFor(nb.Node))
 		} else {
-			p.neighborMaps[nb.Node] = &neighborMapEntry{m: nb.Map.Clone(), refs: 1}
+			p.addNeighbor(nb.Node, nb.Map.Clone())
 		}
 		// A neighbor pointer supersedes any cache entry for the same node.
 		p.cache.Delete(nb.Node)
@@ -407,8 +408,9 @@ func (p *Peer) handleReplicateReply(msg *ReplicateReply) {
 	ls := p.effLoad()
 	for _, node := range msg.Accepted {
 		if hn, ok := p.hosted[node]; ok {
-			hn.selfMap.AddAdvertised(dest, p.cfg.MapSize)
-			p.ensureSelf(&hn.selfMap)
+			m := p.editSelfMap(hn)
+			m.AddAdvertised(dest, p.cfg.MapSize)
+			p.ensureSelf(m)
 			p.markDirty(hn)
 			if p.journal != nil {
 				p.journal(&HostedMutation{Kind: MutMap, Node: node, Map: hn.selfMap})

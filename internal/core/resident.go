@@ -142,6 +142,7 @@ func (p *Peer) SetResidency(maxEntries int, maxBytes int64, onEvict func(NodeID)
 	p.resident.maxBytes = maxBytes
 	p.resident.onEvict = onEvict
 	p.cold = newColdSet(p.tree.Len())
+	p.pub.stale = true // the view gains its cold set
 	for _, hn := range p.hostedList {
 		// Nothing resident is in any index generation yet.
 		hn.dirtyGen = p.resident.mutGen
@@ -216,7 +217,10 @@ func (p *Peer) ClearCold(node NodeID) {
 
 // markDirty stamps hn with the current mutation epoch (its durable state is
 // newer than the last indexed snapshot) and refreshes its size accounting.
+// Durable state includes everything a routing snapshot publishes of hn, so
+// the published copy goes stale with it.
 func (p *Peer) markDirty(hn *hostedNode) {
+	p.staleHosted(hn)
 	hn.dirtyGen = p.resident.mutGen
 	if p.cold != nil {
 		sz := int32(hostedSize(hn))
@@ -339,14 +343,8 @@ func (p *Peer) demoteToCold(i int) {
 	p.hostedList[last] = nil
 	p.hostedList, p.hostedIDs = p.hostedList[:last], p.hostedIDs[:last]
 	delete(p.hosted, hn.id)
-	for _, nb := range hn.neighborIDs {
-		if e, ok := p.neighborMaps[nb]; ok {
-			e.refs--
-			if e.refs <= 0 {
-				delete(p.neighborMaps, nb)
-			}
-		}
-	}
+	p.pub.members = true
+	p.releaseNeighbors(hn)
 	if hn.owned {
 		p.ownedCount--
 	}

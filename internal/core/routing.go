@@ -20,23 +20,27 @@ import (
 
 // routeView is the routing-read state of one server: everything a routing
 // decision reads. The live Peer embeds the mutable original; a RouteSnapshot
-// holds a frozen copy (see PublishSnapshot for which parts are cloned).
+// holds a frozen one (see PublishSnapshot for how it is kept current).
 type routeView struct {
 	self ServerID
 	cfg  Config
 	tree *namespace.Tree
 
+	// frozen marks a published view: its containers are private copies, but
+	// their hostedNode and neighborMapEntry values are the live ones, of which
+	// it may read only the immutable id, the atomic fastTouch and the frozen
+	// copy behind the atomic pub pointer.
+	frozen bool
+
 	// residentNode returns the resident hosted node for an id, or nil.
 	// hostedList is the same set in hosting order (deterministic iteration)
 	// and hostedIDs its ids, index for index: the closest-hosted scan walks
-	// the dense id array, not the nodes. A frozen view shares the live nodes:
-	// through it only a node's immutable id and its atomic fastTouch may be
-	// read.
+	// the dense id array, not the nodes.
 	residentNode func(NodeID) *hostedNode
 	hostedList   []*hostedNode
 	hostedIDs    []NodeID
 
-	neighborMaps map[NodeID]*neighborMapEntry
+	neighborMaps map[NodeID]*neighborMapEntry // read through neighborMap
 	cache        *lruCache
 
 	digests    map[ServerID]*digestEntry
@@ -235,11 +239,11 @@ func (v *routeView) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeI
 		if nh == namespace.Invalid || skip[nh] {
 			continue
 		}
-		e, ok := v.neighborMaps[nh]
-		if !ok || e.m.Len() == 0 {
+		nm := v.neighborMap(nh)
+		if nm == nil || nm.Len() == 0 {
 			continue
 		}
-		cand, m, dist = nh, &e.m, d-1
+		cand, m, dist = nh, nm, d-1
 	}
 	// Cached nodes (§2.4): pointers without context; strictly-better only,
 	// so context hops win ties (guaranteed progress beats a stale pointer).
@@ -253,6 +257,19 @@ func (v *routeView) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeI
 		}
 	}
 	return cand, m, dist, viaCache, closest
+}
+
+// neighborMap returns the map this view holds for neighbor nd, or nil: the
+// loop's own on the live view, the last published copy on a frozen one.
+func (v *routeView) neighborMap(nd NodeID) *NodeMap {
+	e := v.neighborMaps[nd]
+	if e == nil {
+		return nil
+	}
+	if v.frozen {
+		return e.pub.Load()
+	}
+	return &e.m
 }
 
 // digestShortcut scans the destination's ancestor chain (deepest first — the
@@ -571,7 +588,7 @@ func (p *Peer) HandleQuery(q *QueryMsg) {
 			// permanently and skip it for the remainder of this decision.
 			// Bounded: route gives up on candidates at maxRouteAttempts.
 			if keep := p.keepFor(d.node); keep != nil {
-				d.candMap.Prune(keep)
+				p.editCandidate(&d).Prune(keep)
 			}
 			if d.viaCache && d.candMap.Len() == 0 {
 				p.cache.Delete(d.node)
@@ -591,7 +608,7 @@ func (p *Peer) HandleQuery(q *QueryMsg) {
 	}
 	if d.kind == routeForward {
 		if d.viaCache {
-			p.cache.Get(d.node)
+			p.cache.Touch(d.node)
 		}
 		if q.Hops > 0 && p.Hooks.OnForwardStep != nil {
 			p.Hooks.OnForwardStep(int(q.PrevDist), d.newDist)
@@ -600,6 +617,15 @@ func (p *Peer) HandleQuery(q *QueryMsg) {
 	d.tally(q, &p.Stats, p.tel)
 	p.emit(q, &d, p.env.Now(), p, p.env.Send)
 	p.afterQuery()
+}
+
+// editCandidate returns an unusable decision's candidate map — d.candMap —
+// for pruning in place.
+func (p *Peer) editCandidate(d *routeDecision) *NodeMap {
+	if d.viaCache {
+		return p.cache.Edit(d.node)
+	}
+	return p.editNeighborMap(p.neighborMaps[d.node])
 }
 
 func (p *Peer) answer(hn *hostedNode) (Meta, NodeMap) {

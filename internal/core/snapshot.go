@@ -1,30 +1,56 @@
 package core
 
-// This file implements the copy-on-write routing snapshot behind the overlay's
-// lock-free lookup fast path. The peer (single-writer, driven by its event
-// loop) periodically publishes an immutable RouteSnapshot of its routing-read
-// state; any number of reader goroutines then resolve, fail, or forward
-// queries directly on the snapshot without entering the loop. The decision
-// itself is routing.go's, shared with the loop; this file is its second
-// executor. Everything the fast path cannot do immutably — rider absorption,
-// path caching, map pruning, the per-query replication trigger — is either
-// diverted back to the loop (FastAbsorb) or declined entirely (FastFallback),
-// keeping the core single-writer by design.
+// This file implements the routing snapshot behind the overlay's lock-free
+// lookup fast path. The peer (single-writer, driven by its event loop)
+// publishes a RouteSnapshot of its routing-read state; any number of reader
+// goroutines then resolve, fail, or forward queries directly on the snapshot
+// without entering the loop. The decision itself is routing.go's, shared with
+// the loop; this file is its second executor. Everything the fast path cannot
+// do immutably — rider absorption, path caching, map pruning, the per-query
+// replication trigger — is either diverted back to the loop (FastAbsorb) or
+// declined entirely (FastFallback), keeping the core single-writer by design.
 //
-// Concurrency contract:
-//   - A published snapshot is never mutated. Maps and filters inside it are
-//     frozen clones (or immutable originals, for Bloom digests), shared by
-//     pointer with outgoing messages under the same read-only convention the
-//     loop already uses for digests.
-//   - Weight/recency accounting ("touches") is accumulated in per-node atomic
-//     counters and folded into the real weights by the loop (foldFastTouches).
+// Publication is incremental: its cost follows what changed since the last
+// publish, not what is hosted. The loop keeps, beside each live hosted node,
+// neighbor map and cache slot, the frozen copy it last published, and marks an
+// entry stale where its meta or map is written. Those writes go through
+// editSelfMap, editNeighborMap, markDirty and the lruCache methods, which do
+// the marking, so a write cannot skip it; set membership changes through
+// addHosted/dropHosted/demoteToCold and addNeighbor/releaseNeighbors. A publish
+// re-freezes the stale entries only, rebuilds a lookup container only when its
+// key set changed, and shares the rest with the previous snapshot. With nothing
+// changed it is a no-op.
+//
+// Concurrency contract — what "snapshot" guarantees:
+//   - A frozen value (a frozenHosted, a neighbor's published NodeMap, a frozen
+//     cache or digest table, the rider) is never written after it is published.
+//     Maps and filters inside it are clones, or immutable originals for Bloom
+//     digests, shared by pointer with outgoing messages under the read-only
+//     convention the loop already uses for digests.
+//   - A snapshot is NOT a point-in-time image of the whole view. Its lookup
+//     containers (hosted set and order, neighbor key set) are those of the
+//     publish that built it, but they hold the live hostedNode and
+//     neighborMapEntry cells, whose frozen value sits behind an atomic pointer
+//     the loop swaps on every later publish. A reader holding an older
+//     snapshot therefore sees each entry at its latest published value: every
+//     entry is atomic in itself, entries may be of different publishes. Soft
+//     state tolerates this by construction — every map is possibly stale and
+//     incomplete (§3.7) and the decision reads each cell once.
+//   - Publish-before-learnPub: PublishSnapshot stores every refreshed cell and
+//     then the snapshot pointer, all sequentially consistent atomics, before
+//     it returns. A driver that advances its "published" mark after the call
+//     guarantees that a reader who observes the mark finds the learning in
+//     whatever snapshot it loads next.
+//   - Readers share nothing mutable with the loop but those cell pointers, the
+//     cold bitmap, and the per-node atomic touch counters, which the loop
+//     folds into the real weights (foldFastTouches).
 //   - Counters the loop records in Peer.Stats are mirrored by atomic
 //     fastStats; StatsView returns the combined view.
 //   - The rotating digest-scan window, which the loop drives with a shared
-//     cursor, is derived from the query ID instead, so concurrent readers
-//     share no state at all.
+//     cursor, is derived from the query ID instead.
 
 import (
+	"maps"
 	"math"
 	"sync/atomic"
 
@@ -53,22 +79,20 @@ type fastStats [numRouteCounters]atomic.Int64
 
 func (f *fastStats) bump(c routeCounter) { f[c].Add(1) }
 
-// snapHosted is the frozen answer for one hosted node. outgoing is the
+// frozenHosted is the published answer for one hosted node. outgoing is the
 // bounded map the loop would build with outgoingMap; like digests, it is
 // immutable once published and shared by pointer with outgoing messages
 // (receivers treat incoming maps as read-only — see NodeMap.Merge).
-type snapHosted struct {
-	node     *hostedNode // the live node: id and fastTouch only
+type frozenHosted struct {
 	meta     Meta
 	outgoing NodeMap
 }
 
-// RouteSnapshot is an immutable copy of a peer's routing-read state. Safe for
-// unsynchronized use from any goroutine.
+// RouteSnapshot is a published view of a peer's routing-read state (see the
+// contract above). Safe for unsynchronized use from any goroutine.
 type RouteSnapshot struct {
-	view   routeView
-	hosted map[NodeID]*snapHosted
-	piggy  Piggyback // prebuilt immutable rider attached to every send
+	view  routeView
+	piggy Piggyback // prebuilt immutable rider attached to every send
 
 	stats *fastStats
 	tel   *peerTelemetry
@@ -78,53 +102,160 @@ type RouteSnapshot struct {
 // the same query ID still draw distinct streams.
 var fastSeq atomic.Uint64
 
-// PublishSnapshot freezes the peer's current routing-read state into a new
-// RouteSnapshot. Loop context only (it reads and may tidy mutable state —
-// digest rebuild, advert expiry). Peers with an OnForwardStep hook publish
-// nil: the hook observes forwarding decisions and is not safe to call
-// concurrently, so such peers stay loop-only.
+// pubState is the loop's record of what changed since the last publish. Marks
+// are O(1), allocate nothing and draw no randomness: the simulator runs the
+// same mutation paths and must not notice them.
+type pubState struct {
+	// tracking is set by the first publish: until then nothing is recorded
+	// per entry, because that publish freezes everything anyway (and a peer
+	// that never publishes — the simulator's — must not accumulate lists).
+	tracking bool
+	// What changed. With none of these set (and the cache and own digest
+	// clean, which keep their own flags) a publish is a no-op.
+	stale   bool // an entry's meta or map, or something the rider reports
+	members bool // the hosted or neighbor key set
+	digests bool // the foreign digest table
+
+	hosted    *hostedNode       // stale hosted nodes, linked through nextStale
+	neighbors *neighborMapEntry // stale neighbor maps, likewise
+}
+
+// staleHosted records that hn's published copy is out of date.
+func (p *Peer) staleHosted(hn *hostedNode) {
+	p.pub.stale = true
+	if p.pub.tracking && !hn.stale {
+		hn.stale, hn.nextStale, p.pub.hosted = true, p.pub.hosted, hn
+	}
+}
+
+// staleNeighbor records that e's published copy is out of date.
+func (p *Peer) staleNeighbor(e *neighborMapEntry) {
+	p.pub.stale = true
+	if p.pub.tracking && !e.stale {
+		e.stale, e.nextStale, p.pub.neighbors = true, p.pub.neighbors, e
+	}
+}
+
+// editSelfMap returns hn's self-map for writing. Every write to a hosted
+// node's map after its construction goes through here (metadata writes
+// through markDirty), which is what keeps its published copy current.
+func (p *Peer) editSelfMap(hn *hostedNode) *NodeMap {
+	p.staleHosted(hn)
+	return &hn.selfMap
+}
+
+// editNeighborMap returns e's map for writing; see editSelfMap.
+func (p *Peer) editNeighborMap(e *neighborMapEntry) *NodeMap {
+	p.staleNeighbor(e)
+	return &e.m
+}
+
+func (p *Peer) freezeHosted(hn *hostedNode) {
+	out := hn.selfMap.Clone() // as outgoingMap builds it for a hosted node
+	p.ensureSelf(&out)
+	out.Truncate(p.cfg.MapSize)
+	hn.pub.Store(&frozenHosted{meta: hn.meta.Clone(), outgoing: out})
+	hn.stale = false
+}
+
+func (p *Peer) freezeNeighbor(e *neighborMapEntry) {
+	m := e.m.Clone()
+	e.pub.Store(&m)
+	e.stale = false
+}
+
+// PublishSnapshot brings the published RouteSnapshot up to date with the
+// peer's routing-read state, at a cost proportional to what changed since the
+// last call; with nothing changed it does nothing. Loop context only (it reads
+// and may tidy mutable state — digest rebuild, advert expiry). Peers with an
+// OnForwardStep hook publish nil: the hook observes forwarding decisions and
+// is not safe to call concurrently, so such peers stay loop-only.
 func (p *Peer) PublishSnapshot() {
 	if p.Hooks.OnForwardStep != nil {
 		p.snap.Store(nil)
+		p.pub.tracking = false
 		return
 	}
+	prev := p.snap.Load()
+	full := prev == nil || !p.pub.tracking
+	if !full && !p.pub.stale && !p.pub.members && !p.pub.digests && !p.cache.stale && !p.digestDirty {
+		return
+	}
+	var start float64
+	if p.tel != nil {
+		start = p.env.Now()
+	}
 	// Scalars, tree, cold bitmap, oracle and owner hint carry over as they
-	// are; every container the loop mutates is replaced by a frozen copy.
+	// are; every container the loop mutates is replaced by a frozen one.
 	s := &RouteSnapshot{view: p.routeView, stats: &p.fast, tel: p.tel}
 	s.piggy = p.piggyback() // loop context; also rebuilds a dirty digest
 	v := &s.view
-	v.hostedList = append([]*hostedNode(nil), p.hostedList...)
-	v.hostedIDs = append([]NodeID(nil), p.hostedIDs...)
-	s.hosted = make(map[NodeID]*snapHosted, len(p.hostedList))
-	for _, hn := range p.hostedList {
-		s.hosted[hn.id] = &snapHosted{node: hn, meta: hn.meta.Clone(), outgoing: p.outgoingMap(hn.id)}
-	}
-	v.residentNode = func(node NodeID) *hostedNode {
-		if sh := s.hosted[node]; sh != nil {
-			return sh.node
+	v.frozen = true
+
+	// Entries first, containers second: a container rebuilt below must find
+	// every member's cell filled.
+	refrozen := 0
+	if full {
+		for _, hn := range p.hostedList {
+			p.freezeHosted(hn)
 		}
-		return nil
+		for _, e := range p.neighborMaps {
+			p.freezeNeighbor(e)
+		}
+		refrozen = len(p.hostedList) + len(p.neighborMaps)
+	} else {
+		// A listed entry may have left the peer since it was marked; freezing
+		// it once more is harmless, and older snapshots may still hold it.
+		for hn := p.pub.hosted; hn != nil; {
+			p.freezeHosted(hn)
+			hn, hn.nextStale = hn.nextStale, nil
+			refrozen++
+		}
+		for e := p.pub.neighbors; e != nil; {
+			p.freezeNeighbor(e)
+			e, e.nextStale = e.nextStale, nil
+			refrozen++
+		}
 	}
-	v.neighborMaps = make(map[NodeID]*neighborMapEntry, len(p.neighborMaps))
-	// One block, not one object per entry: neighbor maps outnumber hosted
-	// nodes about three to one, and publication cost is mostly allocation.
-	neighbors := make([]neighborMapEntry, 0, len(p.neighborMaps))
-	for nd, e := range p.neighborMaps {
-		neighbors = append(neighbors, neighborMapEntry{m: e.m.Clone()})
-		v.neighborMaps[nd] = &neighbors[len(neighbors)-1]
+
+	if full || p.pub.members {
+		v.hostedList = append([]*hostedNode(nil), p.hostedList...)
+		v.hostedIDs = append([]NodeID(nil), p.hostedIDs...)
+		hosted := maps.Clone(p.hosted)
+		v.residentNode = func(node NodeID) *hostedNode { return hosted[node] }
+		v.neighborMaps = maps.Clone(p.neighborMaps)
+	} else {
+		pv := &prev.view
+		v.hostedList, v.hostedIDs, v.residentNode, v.neighborMaps = pv.hostedList, pv.hostedIDs, pv.residentNode, pv.neighborMaps
 	}
-	v.cache = p.cache.frozen()
-	// Digest entries are refreshed in place by the loop: copy them (the
-	// filters themselves are immutable and shared).
-	entries := make([]digestEntry, len(p.digestList))
-	v.digestList = make([]*digestEntry, len(entries))
-	v.digests = make(map[ServerID]*digestEntry, len(entries))
-	for i, e := range p.digestList {
-		entries[i] = *e
-		v.digestList[i] = &entries[i]
-		v.digests[e.server] = &entries[i]
+	if full || p.cache.stale {
+		var recloned int
+		v.cache, recloned = p.cache.frozen()
+		refrozen += recloned
+	} else {
+		v.cache = prev.view.cache
 	}
+	if full || p.pub.digests {
+		// Digest entries are refreshed in place by the loop: copy them (the
+		// filters themselves are immutable and shared).
+		entries := make([]digestEntry, len(p.digestList))
+		v.digestList = make([]*digestEntry, len(entries))
+		v.digests = make(map[ServerID]*digestEntry, len(entries))
+		for i, e := range p.digestList {
+			entries[i] = *e
+			v.digestList[i] = &entries[i]
+			v.digests[e.server] = &entries[i]
+		}
+	} else {
+		v.digests, v.digestList = prev.view.digests, prev.view.digestList
+	}
+	p.pub = pubState{tracking: true}
 	p.snap.Store(s)
+	if p.tel != nil {
+		p.tel.publishes.Inc()
+		p.tel.publishDirty.Observe(float64(refrozen))
+		p.tel.publishSeconds.Observe(p.env.Now() - start)
+	}
 }
 
 // RoutingSnapshot returns the most recently published snapshot, or nil when
@@ -225,9 +356,11 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, hint NodeMap, 
 
 func (s *RouteSnapshot) piggyback() Piggyback { return s.piggy }
 
-func (s *RouteSnapshot) outgoingMap(node NodeID) NodeMap { return s.hosted[node].outgoing }
+func (s *RouteSnapshot) outgoingMap(node NodeID) NodeMap {
+	return s.view.residentNode(node).pub.Load().outgoing
+}
 
 func (s *RouteSnapshot) answer(hn *hostedNode) (Meta, NodeMap) {
-	sh := s.hosted[hn.id]
-	return sh.meta.Clone(), sh.outgoing
+	f := hn.pub.Load()
+	return f.meta.Clone(), f.outgoing
 }

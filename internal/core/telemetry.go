@@ -25,6 +25,12 @@ type peerTelemetry struct {
 	adoptions       *telemetry.Counter
 	releases        *telemetry.Counter
 
+	// Routing-snapshot publication (PublishSnapshot): how often, how many
+	// entries each publish re-froze, and how long it held the loop.
+	publishes      *telemetry.Counter
+	publishDirty   *telemetry.Histogram
+	publishSeconds *telemetry.Histogram
+
 	// aboveHigh tracks which side of the Thigh watermark the load was on at
 	// the last check, so crossings count as edges rather than levels.
 	aboveHigh bool
@@ -62,6 +68,13 @@ func (p *Peer) AttachTelemetry(reg *telemetry.Registry, labels ...string) {
 		purgedEntries:   c("terradir_purged_entries_total", "Soft-state references removed by dead-server purges."),
 		adoptions:       c("terradir_ownership_adoptions_total", "Namespace nodes provisionally adopted from dead owners."),
 		releases:        c("terradir_ownership_releases_total", "Adopted namespace nodes handed back to returned owners."),
+		publishes:       c("terradir_snapshot_publishes_total", "Routing snapshots published for the lock-free fast path (publishes that found nothing changed are not counted)."),
+		publishDirty: reg.Histogram("terradir_snapshot_dirty_entries",
+			"Entries (hosted nodes, neighbor maps, cache slots) a snapshot publish re-froze.",
+			telemetry.HistogramOpts{Min: 1, Max: 1e5}, labels...),
+		publishSeconds: reg.Histogram("terradir_snapshot_publish_seconds",
+			"Event-loop time one snapshot publish took.",
+			telemetry.HistogramOpts{Min: 1e-7, Max: 1}, labels...),
 	}
 }
 

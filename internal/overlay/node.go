@@ -628,11 +628,6 @@ func (n *Node) Stop() {
 	}
 }
 
-// snapshotInterval throttles routing-snapshot publication while the loop is
-// busy; an idle loop publishes immediately so fast-path readers never lag a
-// quiet node.
-const snapshotInterval = 500 * time.Microsecond
-
 // handleControl executes one envelope against shard s's peer.
 func (n *Node) handleControl(s *shard, env envelope) {
 	if env.fn != nil {

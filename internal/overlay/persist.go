@@ -128,9 +128,15 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 		s := n.shards[n.shardOf(mu.Node)]
 		if ix != nil && s.peer.IsCold(mu.Node) && partialMutation(mu.Kind) {
 			// The tail mutates a field of an entry whose base state is still
-			// on disk: materialize it first so the partial record applies.
+			// on disk: materialize it first so the partial record applies. A
+			// plain import, not InstallFromIndex: that enforces the residency
+			// cap at once, and with the resident entries all dirty (as they
+			// are after the index stream above) its only clean victim is the
+			// entry just installed — the mutation would find nothing to patch
+			// and an acknowledged write would be lost. The cap is enforced
+			// once, after the whole tail.
 			if rec, err := ix.Get(mu.Node); err == nil && rec != nil {
-				s.peer.InstallFromIndex(rec, ownerOf)
+				s.peer.ImportHosted(rec, ownerOf)
 			} else if err != nil {
 				log.Printf("overlay: server %d index read for tail replay of node %d: %v", n.id, mu.Node, err)
 			}
@@ -156,9 +162,9 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 }
 
 // flushJournal pushes the store's group-commit buffer to the OS (see
-// persist.Store.Flush). Shard loops call it once per drained batch and before
-// blocking, so journal writes amortize across a batch of mutations instead of
-// costing one write(2) each. No-op without persistence.
+// persist.Store.Flush). Shard loops call it once per drained batch and
+// maintenance tick, so journal writes amortize across a batch of mutations
+// instead of costing one write(2) each. No-op without persistence.
 func (n *Node) flushJournal() {
 	if n.store == nil {
 		return

@@ -279,44 +279,42 @@ const ingestBatch = 64
 // Each wakeup drains a BATCH of up to ingestBatch already-queued
 // envelopes (or queries) instead of exactly one: the per-wakeup costs —
 // advert-expiry sweep and digest bookkeeping (peer.BatchTick), the snapshot
-// publish check, and the WAL group-commit flush — are then paid once per
-// batch rather than once per message. Per-envelope semantics are untouched:
-// every learn envelope still publishes before advancing learnPub, queue-wait
+// publish, and the WAL group-commit flush — are then paid once per batch
+// rather than once per message. Per-envelope semantics are untouched: every
+// learn envelope still publishes before advancing learnPub, queue-wait
 // histograms still measure from enqueue time, and control keeps strict
 // priority over queries (a query batch stops early the moment control
 // traffic appears).
+//
+// The snapshot is published after every batch and every maintenance tick,
+// with no rate limit: a publish costs what the batch changed
+// (core.Peer.PublishSnapshot), and nothing when it changed nothing.
 func (s *shard) loop() {
 	n := s.n
 	defer close(s.done)
 	maintain := time.NewTicker(time.Duration(n.opts.Config.MaintainInterval * float64(time.Second)))
 	defer maintain.Stop()
-	dirty := false
 	var learnExec uint64
-	var lastPublish time.Time
-	publish := func(force bool) {
-		if !n.fastEnabled || !dirty {
-			return
+	publish := func() {
+		if n.fastEnabled {
+			s.peer.PublishSnapshot()
 		}
-		now := time.Now()
-		if !force && now.Sub(lastPublish) < snapshotInterval {
-			return
-		}
-		s.peer.PublishSnapshot()
-		lastPublish = now
-		dirty = false
 	}
 	handle := func(env envelope) {
 		n.handleControl(s, env)
-		dirty = true
 		if env.learn {
 			// Publish before advancing learnPub: a reader that observes
 			// learnPub == learnSeq must find the learning in the snapshot.
 			learnExec++
-			publish(true)
+			publish()
 			s.learnPub.Store(learnExec)
-			return
 		}
-		publish(false)
+	}
+	tick := func() {
+		s.peer.Maintain()
+		s.loadEst.Store(math.Float64bits(s.meter.Load(time.Since(n.epoch).Seconds())))
+		n.flushJournal() // age-based evictions journal deletes
+		publish()
 	}
 	// drainControl services env plus up to ingestBatch-1 more already-queued
 	// control envelopes, returning the batch depth.
@@ -339,13 +337,11 @@ func (s *shard) loop() {
 	// priority).
 	drainQueries := func(q *core.QueryMsg) int {
 		n.serveQuery(s, q)
-		dirty = true
 		depth := 1
 		for depth < ingestBatch && len(s.control) == 0 {
 			select {
 			case q := <-s.queries:
 				n.serveQuery(s, q)
-				dirty = true
 				depth++
 			default:
 				return depth
@@ -355,11 +351,11 @@ func (s *shard) loop() {
 	}
 	// finishBatch settles the per-batch work: depth telemetry, one WAL
 	// group-commit flush covering every mutation the batch journaled, and
-	// one (throttled) snapshot publish check.
+	// one snapshot publish.
 	finishBatch := func(depth int) {
 		n.batchDepthHist.Observe(float64(depth))
 		n.flushJournal()
-		publish(false)
+		publish()
 	}
 	for {
 		// Control traffic and timers take priority over queued queries
@@ -372,18 +368,10 @@ func (s *shard) loop() {
 			finishBatch(drainControl(env))
 			continue
 		case <-maintain.C:
-			s.peer.Maintain()
-			s.loadEst.Store(math.Float64bits(s.meter.Load(time.Since(n.epoch).Seconds())))
-			dirty = true
-			publish(false)
+			tick()
 			continue
 		default:
 		}
-		// About to block: flush any pending snapshot and journal bytes so
-		// concurrent readers and the disk aren't left behind while the loop
-		// sits idle.
-		publish(len(s.control) == 0 && len(s.queries) == 0)
-		n.flushJournal()
 		select {
 		case <-n.stop:
 			return
@@ -391,9 +379,7 @@ func (s *shard) loop() {
 			s.peer.BatchTick()
 			finishBatch(drainControl(env))
 		case <-maintain.C:
-			s.peer.Maintain()
-			s.loadEst.Store(math.Float64bits(s.meter.Load(time.Since(n.epoch).Seconds())))
-			dirty = true
+			tick()
 		case q := <-s.queries:
 			s.peer.BatchTick()
 			finishBatch(drainQueries(q))

@@ -364,8 +364,8 @@ func (s *Store) flushSyncLocked() error {
 
 // Flush group-commits buffered records: one write(2) for everything appended
 // since the last flush, then the interval sync policy. Shard event loops call
-// it once per drained batch and before blocking idle, so a record never waits
-// in user space longer than the batch that journaled it.
+// it once per drained batch and maintenance tick, so a record never waits in
+// user space longer than the batch that journaled it.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
