@@ -71,12 +71,47 @@ func BenchmarkHandleQueryForward(b *testing.B) {
 	}
 }
 
+// BenchmarkBestCandidate prices the candidate search of one forward at the
+// paper's namespace size, by resident hosted nodes per server: the cost must
+// follow the destination's depth, not the hosted count.
 func BenchmarkBestCandidate(b *testing.B) {
-	p, tree, _ := benchPeer(b)
-	src := rng.New(9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.bestCandidate(NodeID(src.Intn(tree.Len())), nil)
+	for _, hosted := range []int{32, 512, 1024, 2048} {
+		p, _, _ := publishPeer(b, hosted)
+		src := rng.New(9)
+		dests := make([]NodeID, 4096)
+		for i := range dests {
+			// A forward's destination is never resident: decide resolves those.
+			for dests[i] = NodeID(src.Intn(p.tree.Len())); p.hosted[dests[i]] != nil; {
+				dests[i] = NodeID(src.Intn(p.tree.Len()))
+			}
+		}
+		b.Run(fmt.Sprint(hosted), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.bestCandidate(dests[i%len(dests)], nil)
+			}
+		})
+	}
+}
+
+// BenchmarkHostedIndexUpdate prices what a hosted-set change costs the index:
+// one node added at the end of the hosting order and another demoted, the
+// last entry taking its place (the pair a cold load at the residency cap
+// performs). No allocation once the arrays have their capacity.
+func BenchmarkHostedIndexUpdate(b *testing.B) {
+	for _, hosted := range []int{102, 1024} {
+		p, _, order := publishPeer(b, hosted)
+		x, tree := &p.index, p.tree
+		spare := order[len(order)-1] + 1 // not hosted: hosted ids are multiples of the stride
+		b.Run(fmt.Sprint(hosted), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i % hosted
+				x.add(tree, spare, hosted)
+				x.remove(tree, order[j], j, spare)
+				order[j], spare = spare, order[j]
+			}
+		})
 	}
 }
 

@@ -74,14 +74,15 @@ func TestProtocolInvariantsUnderMessageStorm(t *testing.T) {
 				seen[s] = true
 			}
 		}
-		if len(p.hostedList) != len(p.hosted) || len(p.hostedIDs) != len(p.hosted) {
-			t.Fatalf("step %d: hosted index %d, list %d, ids %d", step, len(p.hosted), len(p.hostedList), len(p.hostedIDs))
+		if len(p.hostedList) != len(p.hosted) {
+			t.Fatalf("step %d: hosted map %d, list %d", step, len(p.hosted), len(p.hostedList))
 		}
 		for i, hn := range p.hostedList {
-			if p.hostedIDs[i] != hn.id || p.hosted[hn.id] != hn {
-				t.Fatalf("step %d: hosted slot %d out of step: id %d, node %d", step, i, p.hostedIDs[i], hn.id)
+			if p.hosted[hn.id] != hn {
+				t.Fatalf("step %d: hosted slot %d (node %d) is not the map's", step, i, hn.id)
 			}
 		}
+		checkHostedIndexInStep(t, &p.routeView)
 		for nd, hn := range p.hosted {
 			validate("self", &hn.selfMap)
 			if !hn.selfMap.Contains(0) {

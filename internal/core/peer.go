@@ -93,10 +93,18 @@ func (s *Stats) Accumulate(o Stats) {
 }
 
 type hostedNode struct {
-	id          NodeID
-	owned       bool
-	adopted     bool   // provisional ownership taken over from a dead server
-	hasData     bool   // owners keep node data (Table 1); replicas do not
+	id NodeID
+	// size is the approximate resident size last accounted (resident.go). It
+	// and the flags below sit together so the struct stays in its size class.
+	size    int32
+	owned   bool
+	adopted bool // provisional ownership taken over from a dead server
+	hasData bool // owners keep node data (Table 1); replicas do not
+	// Snapshot publication (snapshot.go): stale says the published copy is out
+	// of date and the node is linked into the peer's republish list.
+	stale bool
+	// Residency bookkeeping (resident.go): CLOCK reference bit.
+	ref         bool
 	data        []byte // application data (owner only)
 	meta        Meta
 	selfMap     NodeMap
@@ -108,19 +116,14 @@ type hostedNode struct {
 	// path; the loop folds it into weight/lastUsed (foldFastTouches).
 	fastTouch atomic.Int64
 
-	// Snapshot publication (snapshot.go): pub is the frozen copy of meta and
-	// the outgoing map that off-loop readers see; stale says it is out of date
-	// and links the node into the peer's republish list.
+	// pub is the frozen copy of meta and the outgoing map that off-loop
+	// readers see; nextStale links the republish list (see stale).
 	pub       atomic.Pointer[frozenHosted]
-	stale     bool
 	nextStale *hostedNode
 
-	// Residency bookkeeping (resident.go): CLOCK reference bit, dirty epoch
-	// stamp (0 = clean: durable state is in the current index generation),
-	// and the approximate resident size last accounted.
-	ref      bool
+	// dirtyGen is the dirty epoch stamp (0 = clean: durable state is in the
+	// current index generation).
 	dirtyGen uint64
-	size     int32
 }
 
 // neighborMapEntry is the map kept for one neighbor of a hosted node. m is the
@@ -165,7 +168,7 @@ type Peer struct {
 	// tree, hostedList, neighbor maps, cache, foreign digests, cold set,
 	// OracleHosts, ownerHint. PublishSnapshot freezes a copy of it.
 	routeView
-	hosted     map[NodeID]*hostedNode // resident hosted nodes; hostedList orders them
+	hosted     map[NodeID]*hostedNode // resident hosted nodes by id, for the loop; hostedList orders them
 	ownedCount int
 
 	digest      *bloom.Filter // own inverse-mapping digest
@@ -270,7 +273,6 @@ func NewPeer(id ServerID, tree *namespace.Tree, cfg Config, env Env, src *rng.So
 		lastSessionEnd: math.Inf(-1),
 		resident:       residencyState{mutGen: 1},
 	}
-	p.residentNode = func(node NodeID) *hostedNode { return p.hosted[node] }
 	return p, nil
 }
 
@@ -353,7 +355,7 @@ func (p *Peer) AddOwned(node NodeID, meta Meta) {
 func (p *Peer) addHosted(hn *hostedNode) {
 	p.hosted[hn.id] = hn
 	p.hostedList = append(p.hostedList, hn)
-	p.hostedIDs = append(p.hostedIDs, hn.id)
+	p.index.add(p.tree, hn.id, len(p.hostedList)-1)
 	p.pub.members = true
 	p.staleHosted(hn)
 }
@@ -366,7 +368,7 @@ func (p *Peer) dropHosted(hn *hostedNode) {
 	for i, h := range p.hostedList {
 		if h == hn {
 			p.hostedList = append(p.hostedList[:i], p.hostedList[i+1:]...)
-			p.hostedIDs = append(p.hostedIDs[:i], p.hostedIDs[i+1:]...)
+			p.index.remove(p.tree, hn.id, i, namespace.Invalid)
 			return
 		}
 	}

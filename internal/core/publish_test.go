@@ -21,6 +21,7 @@ import (
 // viewImage is a routing view flattened to plain values.
 type viewImage struct {
 	HostedIDs []NodeID
+	Index     hostedIndex // the closest-hosted index over HostedIDs' order
 	Hosted    map[NodeID]frozenHosted
 	Neighbors map[NodeID]NodeMap
 	Cache     []PathEntry // recency order, as the candidate scan walks it
@@ -36,7 +37,7 @@ type viewImage struct {
 // replaced it. It reads the live containers only, never a published copy.
 func fullFreeze(p *Peer) viewImage {
 	img := viewImage{
-		HostedIDs: append([]NodeID(nil), p.hostedIDs...),
+		Index:     p.index.clone(),
 		Hosted:    map[NodeID]frozenHosted{},
 		Neighbors: map[NodeID]NodeMap{},
 		DigestMap: map[ServerID]digestEntry{},
@@ -44,6 +45,7 @@ func fullFreeze(p *Peer) viewImage {
 		Rider:     p.ID,
 	}
 	for _, hn := range p.hostedList {
+		img.HostedIDs = append(img.HostedIDs, hn.id)
 		img.Hosted[hn.id] = frozenHosted{meta: hn.meta.Clone(), outgoing: p.outgoingMap(hn.id)}
 	}
 	for nd, e := range p.neighborMaps {
@@ -70,20 +72,22 @@ func publishedImage(t testing.TB, p *Peer, s *RouteSnapshot) viewImage {
 		t.Fatalf("snapshot scalars diverge from the peer's")
 	}
 	img := viewImage{
-		HostedIDs: append([]NodeID(nil), v.hostedIDs...),
+		Index:     v.index.clone(),
 		Hosted:    map[NodeID]frozenHosted{},
 		Neighbors: map[NodeID]NodeMap{},
 		DigestMap: map[ServerID]digestEntry{},
 		Cold:      v.cold,
 		Rider:     s.piggy.From,
 	}
-	if len(v.hostedList) != len(v.hostedIDs) {
-		t.Fatalf("frozen hostedList has %d entries, hostedIDs %d", len(v.hostedList), len(v.hostedIDs))
+	checkHostedIndexInStep(t, v)
+	if len(v.index.min) > 0 && len(p.index.min) > 0 && &v.index.min[0] == &p.index.min[0] {
+		t.Fatalf("the published index shares its arrays with the loop's")
 	}
 	for i, hn := range v.hostedList {
-		if hn.id != v.hostedIDs[i] || v.residentNode(hn.id) != hn {
+		if v.residentNode(hn.id) != hn {
 			t.Fatalf("frozen hosted containers disagree at %d (node %d)", i, hn.id)
 		}
+		img.HostedIDs = append(img.HostedIDs, hn.id)
 		meta, out := s.answer(hn)
 		if !reflect.DeepEqual(out, s.outgoingMap(hn.id)) {
 			t.Fatalf("node %d: answer and outgoingMap disagree", hn.id)
@@ -134,8 +138,9 @@ type heldSnapshot struct {
 func (h *heldSnapshot) frozenValues() viewImage {
 	v := &h.snap.view
 	img := viewImage{Hosted: map[NodeID]frozenHosted{}, Neighbors: map[NodeID]NodeMap{}}
-	img.HostedIDs = append(img.HostedIDs, v.hostedIDs...)
+	img.Index = v.index.clone()
 	for i, f := range h.hosted {
+		img.HostedIDs = append(img.HostedIDs, v.hostedList[i].id)
 		img.Hosted[v.hostedList[i].id] = frozenHosted{meta: f.meta.Clone(), outgoing: f.outgoing.Clone()}
 	}
 	for i, m := range h.neighbors {

@@ -30,6 +30,8 @@ package core
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"terradir/internal/namespace"
 )
 
 // coldSet tracks which namespace nodes this peer hosts on disk only. Bits are
@@ -339,9 +341,14 @@ func (p *Peer) evictOneCold() bool {
 func (p *Peer) demoteToCold(i int) {
 	hn := p.hostedList[i]
 	last := len(p.hostedList) - 1
-	p.hostedList[i], p.hostedIDs[i] = p.hostedList[last], p.hostedIDs[last]
+	moved := namespace.Invalid
+	if i != last {
+		p.hostedList[i] = p.hostedList[last]
+		moved = p.hostedList[i].id
+	}
 	p.hostedList[last] = nil
-	p.hostedList, p.hostedIDs = p.hostedList[:last], p.hostedIDs[:last]
+	p.hostedList = p.hostedList[:last]
+	p.index.remove(p.tree, hn.id, i, moved)
 	delete(p.hosted, hn.id)
 	p.pub.members = true
 	p.releaseNeighbors(hn)

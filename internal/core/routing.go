@@ -32,13 +32,12 @@ type routeView struct {
 	// copy behind the atomic pub pointer.
 	frozen bool
 
-	// residentNode returns the resident hosted node for an id, or nil.
-	// hostedList is the same set in hosting order (deterministic iteration)
-	// and hostedIDs its ids, index for index: the closest-hosted scan walks
-	// the dense id array, not the nodes.
-	residentNode func(NodeID) *hostedNode
-	hostedList   []*hostedNode
-	hostedIDs    []NodeID
+	// hostedList is the resident hosted nodes in hosting order (deterministic
+	// iteration, and the order ties between equally close hosted nodes resolve
+	// in); index finds one of them by id (residentNode) and the closest of
+	// them to a destination (hostedindex.go).
+	hostedList []*hostedNode
+	index      hostedIndex
 
 	neighborMaps map[NodeID]*neighborMapEntry // read through neighborMap
 	cache        *lruCache
@@ -108,6 +107,14 @@ type routeDecision struct {
 	// resolved destination; closest the hosted node nearest the destination,
 	// which supplies a forward's path entry. See charged for weight accounting.
 	onBehalf, dest, closest *hostedNode
+}
+
+// residentNode returns the resident hosted node for an id, or nil.
+func (v *routeView) residentNode(id NodeID) *hostedNode {
+	if pos := v.index.position(v.tree, id); pos >= 0 {
+		return v.hostedList[pos]
+	}
+	return nil
 }
 
 // decide settles the outcomes that need no routing: resolve when the
@@ -222,28 +229,20 @@ func (v *routeView) toOwner(dest NodeID, d *routeDecision) bool {
 // nodes and all cached nodes, excluding any in skip. It also returns the
 // hosted node closest to dest (the context representative for path
 // propagation). A nil map means no usable candidate.
+//
+// Among hosted nodes the candidate is the next hop of the first in hosting
+// order at the minimum distance whose next hop has a usable map. The index
+// names the first at the minimum distance outright; when that node's next hop
+// is usable — all but always — it is the answer, and otherwise scanHosted
+// finds the runner-up.
 func (v *routeView) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeID, m *NodeMap, dist int, viaCache bool, closest *hostedNode) {
-	cand = namespace.Invalid
-	dist = math.MaxInt
-	hostedDist := math.MaxInt
-	for i, id := range v.hostedIDs {
-		d := v.tree.Distance(id, dest)
-		if d < hostedDist {
-			hostedDist = d
-			closest = v.hostedList[i]
-		}
-		if d-1 >= dist {
-			continue
-		}
-		nh := v.tree.NextHopToward(id, dest)
-		if nh == namespace.Invalid || skip[nh] {
-			continue
-		}
-		nm := v.neighborMap(nh)
-		if nm == nil || nm.Len() == 0 {
-			continue
-		}
-		cand, m, dist = nh, nm, d-1
+	if pos, d := v.index.closest(v.tree, dest); pos >= 0 {
+		closest = v.hostedList[pos]
+		cand, dist = v.tree.NextHopToward(closest.id, dest), d-1
+		m = v.usableMap(cand, skip)
+	}
+	if m == nil {
+		cand, m, dist, closest = v.scanHosted(dest, skip)
 	}
 	// Cached nodes (§2.4): pointers without context; strictly-better only,
 	// so context hops win ties (guaranteed progress beats a stale pointer).
@@ -257,6 +256,43 @@ func (v *routeView) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeI
 		}
 	}
 	return cand, m, dist, viaCache, closest
+}
+
+// scanHosted is bestCandidate's hosted half by exhaustion, one Distance per
+// hosted node: the definition the index is tested against, and the exact
+// continuation for the case the index cannot answer.
+func (v *routeView) scanHosted(dest NodeID, skip map[NodeID]bool) (cand NodeID, m *NodeMap, dist int, closest *hostedNode) {
+	cand = namespace.Invalid
+	dist = math.MaxInt
+	hostedDist := math.MaxInt
+	for _, hn := range v.hostedList {
+		d := v.tree.Distance(hn.id, dest)
+		if d < hostedDist {
+			hostedDist = d
+			closest = hn
+		}
+		if d-1 >= dist {
+			continue
+		}
+		nh := v.tree.NextHopToward(hn.id, dest)
+		if nm := v.usableMap(nh, skip); nm != nil {
+			cand, m, dist = nh, nm, d-1
+		}
+	}
+	return cand, m, dist, closest
+}
+
+// usableMap returns the non-empty map this view holds for neighbor nd, or nil
+// when there is none, nd is in skip, or nd is Invalid (no next hop: the
+// hosted node is the destination).
+func (v *routeView) usableMap(nd NodeID, skip map[NodeID]bool) *NodeMap {
+	if nd == namespace.Invalid || skip[nd] {
+		return nil
+	}
+	if nm := v.neighborMap(nd); nm != nil && nm.Len() > 0 {
+		return nm
+	}
+	return nil
 }
 
 // neighborMap returns the map this view holds for neighbor nd, or nil: the

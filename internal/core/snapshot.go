@@ -28,10 +28,11 @@ package core
 //     digests, shared by pointer with outgoing messages under the read-only
 //     convention the loop already uses for digests.
 //   - A snapshot is NOT a point-in-time image of the whole view. Its lookup
-//     containers (hosted set and order, neighbor key set) are those of the
-//     publish that built it, but they hold the live hostedNode and
-//     neighborMapEntry cells, whose frozen value sits behind an atomic pointer
-//     the loop swaps on every later publish. A reader holding an older
+//     containers (hosted set, order and closest-hosted index, neighbor key
+//     set) are those of the publish that built it — copies, never written
+//     afterwards — but they hold the live hostedNode and neighborMapEntry
+//     cells, whose frozen value sits behind an atomic pointer the loop swaps
+//     on every later publish. A reader holding an older
 //     snapshot therefore sees each entry at its latest published value: every
 //     entry is atomic in itself, entries may be of different publishes. Soft
 //     state tolerates this by construction — every map is possibly stale and
@@ -220,13 +221,11 @@ func (p *Peer) PublishSnapshot() {
 
 	if full || p.pub.members {
 		v.hostedList = append([]*hostedNode(nil), p.hostedList...)
-		v.hostedIDs = append([]NodeID(nil), p.hostedIDs...)
-		hosted := maps.Clone(p.hosted)
-		v.residentNode = func(node NodeID) *hostedNode { return hosted[node] }
+		v.index = p.index.clone()
 		v.neighborMaps = maps.Clone(p.neighborMaps)
 	} else {
 		pv := &prev.view
-		v.hostedList, v.hostedIDs, v.residentNode, v.neighborMaps = pv.hostedList, pv.hostedIDs, pv.residentNode, pv.neighborMaps
+		v.hostedList, v.index, v.neighborMaps = pv.hostedList, pv.index, pv.neighborMaps
 	}
 	if full || p.cache.stale {
 		var recloned int

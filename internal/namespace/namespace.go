@@ -34,8 +34,10 @@ type Tree struct {
 	childStart []int32
 	childList  []NodeID
 	maxDepth   int32
-	lca        *lcaIndex
-	names      []atomic.Pointer[string] // memoized Name results, filled lazily
+	// Preorder numbering (children in childList order): the subtree of node i
+	// is exactly the nodes numbered pre[i] .. pre[i]+size[i]-1.
+	pre, size []int32
+	names     []atomic.Pointer[string] // memoized Name results, filled lazily
 }
 
 // Builder incrementally constructs a Tree. The zero value is ready to use;
@@ -107,7 +109,21 @@ func (b *Builder) Build() *Tree {
 			t.maxDepth = t.depth[i]
 		}
 	}
-	t.buildLCA()
+	// Subtree sizes accumulate child into parent from the back; preorder
+	// numbers are then handed down from each node to its children in order.
+	t.pre, t.size = make([]int32, n), make([]int32, n)
+	for i := n - 1; i > 0; i-- {
+		t.size[i]++
+		t.size[b.parent[i]] += t.size[i]
+	}
+	t.size[0]++
+	for i := 0; i < n; i++ {
+		next := t.pre[i] + 1
+		for _, c := range t.Children(NodeID(i)) {
+			t.pre[c] = next
+			next += t.size[c]
+		}
+	}
 	return t
 }
 
@@ -218,18 +234,9 @@ func splitSeg(s string) (seg, rest string) {
 	return s, ""
 }
 
-// LCA returns the lowest common ancestor of a and b in O(1) (Euler tour +
-// sparse table, built at construction).
+// LCA returns the lowest common ancestor of a and b by walking both up to a
+// common depth and then in step: O(depth), over two arrays that stay in cache.
 func (t *Tree) LCA(a, b NodeID) NodeID {
-	if t.lca != nil {
-		return t.lcaFast(a, b)
-	}
-	return t.lcaWalk(a, b)
-}
-
-// lcaWalk is the index-free fallback (and the reference implementation the
-// property tests check the sparse table against).
-func (t *Tree) lcaWalk(a, b NodeID) NodeID {
 	for t.depth[a] > t.depth[b] {
 		a = t.parent[a]
 	}
@@ -249,6 +256,14 @@ func (t *Tree) lcaWalk(a, b NodeID) NodeID {
 func (t *Tree) Distance(a, b NodeID) int {
 	l := t.LCA(a, b)
 	return int(t.depth[a] + t.depth[b] - 2*t.depth[l])
+}
+
+// PreorderSpan returns the half-open interval of preorder numbers that id's
+// subtree occupies; first is id's own number. A node is in the subtree of id
+// exactly when its number falls in the interval, which is what lets a set of
+// nodes sorted by number answer subtree queries by binary search.
+func (t *Tree) PreorderSpan(id NodeID) (first, end int32) {
+	return t.pre[id], t.pre[id] + t.size[id]
 }
 
 // IsAncestor reports whether a is an ancestor of b (a node is considered its

@@ -209,7 +209,7 @@ type Node struct {
 
 	epoch    time.Time
 	shards   []*shard
-	shardTbl []int32 // node → shard index (all zero at one shard)
+	shardTbl []int32 // node → shard index (nil at one shard)
 	stop     chan struct{}
 
 	// barrier serializes runOnShards callers (see shards.go).
@@ -306,7 +306,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	n.shardTbl = buildShardTable(tree, opts.Shards)
 	ownedBy := make([][]core.NodeID, opts.Shards)
 	for _, nd := range owned {
-		si := int(n.shardTbl[nd])
+		si := n.shardOf(nd)
 		ownedBy[si] = append(ownedBy[si], nd)
 	}
 	n.reg = opts.Registry

@@ -32,8 +32,8 @@ func TestShardTableDeterministic(t *testing.T) {
 			}
 			seen[a[i]] = true
 		}
-		if shards == 1 && (len(seen) != 1 || !seen[0]) {
-			t.Fatalf("single-shard table must be all zero, got shards %v", seen)
+		if shards == 1 && a != nil {
+			t.Fatalf("one shard needs no table, got %d entries", len(a))
 		}
 	}
 	// Subtree affinity: below the keying level, every node shares its shard

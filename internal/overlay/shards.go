@@ -144,12 +144,13 @@ func fnv1a(s string) uint64 {
 // — parent/child forwarding chains and neighbor context stay shard-local —
 // while there are enough distinct subtrees to spread load. The table depends
 // only on the tree shape, names and shard count, so every restart and every
-// server computes the same mapping.
+// server computes the same mapping. One shard needs no table: nil, which
+// shardOf reads as shard 0 for every node.
 func buildShardTable(tree *namespace.Tree, shards int) []int32 {
-	tbl := make([]int32, tree.Len())
 	if shards <= 1 {
-		return tbl
+		return nil
 	}
+	tbl := make([]int32, tree.Len())
 	keyDepth := shardKeyDepth(tree, shards)
 	for id := range tbl {
 		nd := core.NodeID(id)
@@ -184,9 +185,6 @@ func shardKeyDepth(tree *namespace.Tree, shards int) int {
 
 // shardOf returns the shard index owning node nd's partition.
 func (n *Node) shardOf(nd core.NodeID) int {
-	if len(n.shards) == 1 {
-		return 0
-	}
 	if nd < 0 || int(nd) >= len(n.shardTbl) {
 		return 0
 	}

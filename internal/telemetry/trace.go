@@ -145,14 +145,22 @@ func (s *TraceStore) record(id uint64) *TraceRecord {
 	if tr, ok := s.recs[id]; ok {
 		return tr
 	}
+	// A full store recycles the record it evicts, span array included: records
+	// never leave the store (Get copies), and a node that traces every lookup
+	// would otherwise allocate one of each per lookup.
+	var tr *TraceRecord
 	for len(s.fifo) >= s.cap {
 		victim := s.fifo[0]
 		s.fifo = s.fifo[1:]
+		tr = s.recs[victim]
 		delete(s.recs, victim)
 	}
-	// Reserve a typical route's worth of spans up front so the one-at-a-time
-	// inserts don't regrow the slice every hop.
-	tr := &TraceRecord{ID: id, Spans: make([]Span, 0, 8)}
+	if tr == nil {
+		// Reserve a typical route's worth of spans up front so the
+		// one-at-a-time inserts don't regrow the slice every hop.
+		tr = &TraceRecord{Spans: make([]Span, 0, 8)}
+	}
+	*tr = TraceRecord{ID: id, Spans: tr.Spans[:0]}
 	s.recs[id] = tr
 	s.fifo = append(s.fifo, id)
 	return tr
