@@ -55,7 +55,7 @@ func main() {
 		faultLatency = flag.Duration("fault-latency", 0, "inject: delay every outbound message by this much")
 
 		adminAddr   = flag.String("admin-addr", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof, /trace/<id>); empty disables")
-		traceSample = flag.Float64("trace-sample", 1.0, "fraction of lookups initiated here that carry a distributed trace (0 disables)")
+		traceSample = flag.Float64("trace-sample", overlay.DefaultTraceSample, "fraction of lookups initiated here that carry a distributed trace (<= 0 disables)")
 
 		dataDir      = flag.String("data-dir", "", "durability directory: WAL + snapshots of hosted state; empty disables persistence")
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "period between hosted-state snapshots (requires -data-dir)")
@@ -127,7 +127,7 @@ func main() {
 
 	sample := *traceSample
 	if sample <= 0 {
-		sample = -1 // Options treats 0 as "default to 1"; negative disables
+		sample = -1 // Options reads 0 as DefaultTraceSample; negative disables
 	}
 	nodeOpts := overlay.Options{
 		Seed:         *seed + uint64(*id)*7919,

@@ -1,7 +1,7 @@
 // Livecluster: boot a real multi-process-style TerraDir overlay — eight
 // peers, each with its own goroutine event loop, talking TCP over loopback
-// with gob-framed protocol messages — then drive a hot-spot through it and
-// watch live replication happen on actual sockets.
+// with length-prefixed binary protocol frames — then drive a hot-spot
+// through it and watch live replication happen on actual sockets.
 package main
 
 import (

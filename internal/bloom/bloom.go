@@ -12,8 +12,10 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Filter is a Bloom filter over 64-bit keys. The zero value is unusable;
@@ -180,17 +182,15 @@ func (f *Filter) Marshal() []byte {
 // so callers embedding digests in larger frames serialize without an
 // intermediate allocation.
 func (f *Filter) AppendTo(dst []byte) []byte {
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(v>>(8*i)))
-		}
-	}
-	put(f.version)
-	put(uint64(f.k))
-	put(f.mBits)
-	put(f.n)
-	for _, w := range f.bits {
-		put(w)
+	off := len(dst)
+	dst = slices.Grow(dst, 32+8*len(f.bits))[:off+32+8*len(f.bits)]
+	b := dst[off:]
+	binary.LittleEndian.PutUint64(b[0:], f.version)
+	binary.LittleEndian.PutUint64(b[8:], uint64(f.k))
+	binary.LittleEndian.PutUint64(b[16:], f.mBits)
+	binary.LittleEndian.PutUint64(b[24:], f.n)
+	for i, w := range f.bits {
+		binary.LittleEndian.PutUint64(b[32+8*i:], w)
 	}
 	return dst
 }
@@ -200,17 +200,10 @@ func Unmarshal(data []byte) (*Filter, error) {
 	if len(data) < 32 {
 		return nil, fmt.Errorf("bloom: truncated digest (%d bytes)", len(data))
 	}
-	get := func(off int) uint64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(data[off+i]) << (8 * i)
-		}
-		return v
-	}
-	version := get(0)
-	k := get(8)
-	mBits := get(16)
-	n := get(24)
+	version := binary.LittleEndian.Uint64(data[0:])
+	k := binary.LittleEndian.Uint64(data[8:])
+	mBits := binary.LittleEndian.Uint64(data[16:])
+	n := binary.LittleEndian.Uint64(data[24:])
 	if mBits < 64 || mBits&(mBits-1) != 0 {
 		return nil, fmt.Errorf("bloom: invalid size %d", mBits)
 	}
@@ -230,7 +223,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 		version: version,
 	}
 	for i := range f.bits {
-		f.bits[i] = get(32 + i*8)
+		f.bits[i] = binary.LittleEndian.Uint64(data[32+8*i:])
 	}
 	return f, nil
 }

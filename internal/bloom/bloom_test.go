@@ -1,6 +1,10 @@
 package bloom
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +183,26 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalGoldenBytes pins the digest layout every peer on the wire relies
+// on: version, k, mBits, n, then the bit words, all little-endian uint64.
+// The bytes are the ones the byte-at-a-time codec produced.
+func TestMarshalGoldenBytes(t *testing.T) {
+	f := New(128, 3)
+	for _, k := range []uint64{1, 2, 0xdeadbeef} {
+		f.Add(k)
+	}
+	f.SetVersion(0x0102030405060708)
+	const golden = "0807060504030201" + "0300000000000000" + "8000000000000000" + "0300000000000000" +
+		"400400008001000000000002201c0000"
+	if got := hex.EncodeToString(f.Marshal()); got != golden {
+		t.Fatalf("layout changed:\n got  %s\n want %s", got, golden)
+	}
+	// AppendTo leaves what dst already holds in place.
+	if got := f.AppendTo([]byte{0xaa}); got[0] != 0xaa || hex.EncodeToString(got[1:]) != golden {
+		t.Fatalf("AppendTo after a prefix: %x", got)
+	}
+}
+
 func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("nil input accepted")
@@ -275,4 +299,64 @@ func BenchmarkTest(b *testing.B) {
 		sink = f.Test(uint64(i))
 	}
 	_ = sink
+}
+
+// FuzzFilterRoundTrip: Unmarshal(AppendTo(f)) equals f for any geometry,
+// content and version, and Unmarshal of arbitrary bytes never panics — what
+// it accepts re-encodes to the same bytes.
+func FuzzFilterRoundTrip(f *testing.F) {
+	f.Add([]byte{}, uint16(64), uint8(1), uint64(0))
+	f.Add([]byte("0123456789abcdef"), uint16(2048), uint8(6), uint64(7))
+	f.Add(New(128, 3).Marshal(), uint16(128), uint8(17), ^uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, bits uint16, k uint8, version uint64) {
+		if g, err := Unmarshal(data); err == nil && !bytes.Equal(g.Marshal(), data) {
+			t.Fatalf("accepted %x, re-encodes as %x", data, g.Marshal())
+		}
+		flt := New(uint64(bits), uint32(k))
+		for i := 0; i+8 <= len(data); i += 8 {
+			flt.Add(binary.LittleEndian.Uint64(data[i:]))
+		}
+		flt.SetVersion(version)
+		enc := flt.AppendTo(data[:len(data):len(data)])
+		if !bytes.Equal(enc[:len(data)], data) {
+			t.Fatal("AppendTo overwrote its prefix")
+		}
+		g, err := Unmarshal(enc[len(data):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, flt) {
+			t.Fatalf("round trip changed the filter:\n got  %+v\n want %+v", g, flt)
+		}
+	})
+}
+
+// digestFilter is a full digest as peers piggyback it: 2 KiB of bits.
+func digestFilter() *Filter {
+	f := New(16384, 6)
+	for i := uint64(0); i < 1024; i++ {
+		f.Add(i)
+	}
+	return f
+}
+
+func BenchmarkFilterMarshal(b *testing.B) {
+	f := digestFilter()
+	buf := make([]byte, 0, 4096)
+	b.SetBytes(int64(len(f.Marshal())))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = f.AppendTo(buf[:0])
+	}
+}
+
+func BenchmarkFilterUnmarshal(b *testing.B) {
+	data := digestFilter().Marshal()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Unmarshal(data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

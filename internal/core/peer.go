@@ -586,7 +586,11 @@ func (p *Peer) KnownLoadCount() int { return len(p.knownLoads) }
 // piggyback builds the rider attached to an outgoing message: own identity
 // and load, fresh replica adverts, own digest plus a bounded sample of
 // foreign digests (transitive dissemination, §6).
-func (p *Peer) piggyback() Piggyback {
+func (p *Peer) piggyback() Piggyback { return p.rider(true) }
+
+// rider is piggyback with the digests optional: without them it neither
+// rebuilds the own digest nor draws the foreign sample from p.src.
+func (p *Peer) rider(digests bool) Piggyback {
 	pb := Piggyback{From: p.ID, Load: p.effLoad()}
 	now := p.env.Now()
 	// Compact stale adverts in place, unless BatchTick already swept within
@@ -602,7 +606,7 @@ func (p *Peer) piggyback() Piggyback {
 		}
 		pb.Adverts = append(pb.Adverts, Advert{Node: a.node, Servers: append([]ServerID(nil), a.servers...)})
 	}
-	if p.cfg.DigestsEnabled && p.cfg.DigestsPerMessage > 0 {
+	if digests && p.cfg.DigestsEnabled && p.cfg.DigestsPerMessage > 0 {
 		own := p.sharedDigest
 		if own == nil {
 			if p.digestDirty {

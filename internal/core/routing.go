@@ -498,11 +498,12 @@ func (d *routeDecision) tally(q *QueryMsg, led routeLedger, tel *peerTelemetry) 
 }
 
 // messageSource supplies what message construction cannot read off a view:
-// the rider, and the metadata and bounded host map a hosted node is answered
-// and path-recorded with. The live peer computes them (a fresh rider, drawn
-// from its RNG stream); a snapshot returns the copies frozen at publication.
+// the rider, with or without digests, and the metadata and bounded host map a
+// hosted node is answered and path-recorded with. The live peer computes them
+// (a fresh rider, drawn from its RNG stream); a snapshot returns the copies
+// frozen at publication.
 type messageSource interface {
-	piggyback() Piggyback
+	rider(digests bool) Piggyback
 	outgoingMap(NodeID) NodeMap
 	answer(*hostedNode) (Meta, NodeMap)
 }
@@ -512,12 +513,15 @@ type messageSource interface {
 // and always reported out-of-band to the initiating server, which is what
 // survives a query lost mid-route — then the forwarded query, the result, or
 // the failure. now closes the span's service time. Riders are drawn span
-// first, message second.
+// first, message second. A rider addressed to an edge client (IsClient)
+// carries no digests: §3.6's digests serve routing and map pruning, and a
+// client does neither.
 //
 // Ownership transfer: a received message's path belongs to its handler (the
 // sender built a fresh slice and never retains it; absorbPath only copies
 // values out), so the path is extended in place rather than deep-cloned.
 func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messageSource, send func(ServerID, Message)) {
+	digests := !IsClient(q.Source)
 	spans := q.Spans
 	if q.TraceID != 0 {
 		sp := telemetry.Span{Seq: int32(q.Hops), Server: int32(v.self), Node: int32(d.node), Reason: d.reason}
@@ -532,7 +536,7 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 		if q.SpanBudget <= 0 || int32(len(spans)) < q.SpanBudget {
 			spans = append(spans, sp)
 		}
-		send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: from.piggyback()})
+		send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: from.rider(digests)})
 	}
 	if d.kind == routeForward {
 		path := q.Path
@@ -551,7 +555,7 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 			TraceID:    q.TraceID,
 			SpanBudget: q.SpanBudget,
 			Spans:      spans,
-			Piggy:      from.piggyback(),
+			Piggy:      from.rider(true),
 		})
 		return
 	}
@@ -575,7 +579,7 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 			res.Path = append(res.Path, PathEntry{Node: q.Dest, Map: res.Map})
 		}
 	}
-	res.Piggy = from.piggyback()
+	res.Piggy = from.rider(digests)
 	send(q.Source, res)
 }
 

@@ -353,7 +353,13 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, hint NodeMap, 
 	return FastOutcome(d.kind)
 }
 
-func (s *RouteSnapshot) piggyback() Piggyback { return s.piggy }
+func (s *RouteSnapshot) rider(digests bool) Piggyback {
+	pb := s.piggy
+	if !digests {
+		pb.Digests = nil
+	}
+	return pb
+}
 
 func (s *RouteSnapshot) outgoingMap(node NodeID) NodeMap {
 	return s.view.residentNode(node).pub.Load().outgoing

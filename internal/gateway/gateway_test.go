@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -364,4 +365,72 @@ func TestCoalesceFlashCrowd(t *testing.T) {
 	if hits+flights < crowd {
 		t.Fatalf("hits %g + flights %g < crowd %d: requests unaccounted", hits, flights, crowd)
 	}
+}
+
+// TestGatewayResultsCarryAdvertsNotDigests: a hot node's owner replicates it
+// under load, and the results it sends the gateway then carry the new
+// replica's advert — which the gateway's cache feeds on — but never a Bloom
+// digest: the gateway neither routes nor prunes, so digests would be dead
+// weight on every result.
+func TestGatewayResultsCarryAdvertsNotDigests(t *testing.T) {
+	c := startCluster(t, 3, false, 2*time.Millisecond)
+	g := c.startGateway(func(o *Options) { o.HedgeAfter = -1 })
+	waitReady(t, g)
+
+	var (
+		mu      sync.Mutex
+		results int
+		digests int
+		advert  *core.Advert
+	)
+	for i := range c.faults {
+		c.faults[i].SetDropFilter(func(_, to core.ServerID, m core.Message) bool {
+			if r, ok := m.(*core.ResultMsg); ok && to == g.self {
+				mu.Lock()
+				results++
+				digests += len(r.Piggy.Digests)
+				if advert == nil && len(r.Piggy.Adverts) > 0 {
+					a := r.Piggy.Adverts[0]
+					advert = &a
+				}
+				mu.Unlock()
+			}
+			return false
+		})
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	hot := c.ownedNode(0)
+	// The owner learns its peers' (idle) loads from the queries they forward
+	// it, which is what lets it pick a replication target.
+	for _, i := range []int{1, 2} {
+		if _, err := c.nodes[i].Lookup(ctx, hot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Back-to-back lookups keep the owner busy past Thigh; it replicates the
+	// node and advertises the replica on the results that follow.
+	for seen := false; !seen; {
+		if _, err := g.Lookup(ctx, hot); err != nil {
+			t.Fatalf("no result carried an advert: %v", err)
+		}
+		mu.Lock()
+		seen = advert != nil
+		mu.Unlock()
+	}
+	mu.Lock()
+	n, d, ad := results, digests, *advert
+	mu.Unlock()
+	if d != 0 {
+		t.Fatalf("%d results to the gateway carried %d digests", n, d)
+	}
+	waitFor(t, 5*time.Second, "the advert in the gateway's cache", func() bool {
+		for _, s := range ad.Servers {
+			if !slices.Contains(g.cache.get(ad.Node), s) {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -1,7 +1,7 @@
 // Package overlay runs the TerraDir protocol as a live concurrent system:
 // one goroutine per peer driving the same core.Peer state machine the
 // simulator uses, over a pluggable Transport (in-process channels for local
-// clusters, length-prefixed gob frames over TCP for real deployments).
+// clusters, length-prefixed binary frames over TCP for real deployments).
 //
 // Each node owns its peer exclusively: every message, timer callback and
 // client lookup is funneled through the node's event loop, so the core
@@ -51,8 +51,8 @@ type Options struct {
 	// (reachable via Node.Registry).
 	Registry *telemetry.Registry
 	// TraceSample is the fraction of lookups initiated at this node that
-	// carry a distributed trace. 0 defaults to 1 (trace everything — the
-	// per-hop cost is one small control message); negative disables tracing.
+	// carry a distributed trace. 0 means DefaultTraceSample; negative
+	// disables tracing.
 	TraceSample float64
 	// TraceCap bounds the node's retained trace records
 	// (telemetry.DefaultTraceCap if 0).
@@ -74,6 +74,13 @@ type Options struct {
 	// PersistOptions and DESIGN.md §13.
 	Persist *PersistOptions
 }
+
+// DefaultTraceSample is the share of lookups traced when Options.TraceSample
+// is 0. A traced lookup sends its initiator one span report per hop. Tracing
+// every lookup cost about a fifth of an in-process lookup's CPU, while every
+// share at or below 1/16 measured within noise of tracing nothing (DESIGN.md
+// §8).
+const DefaultTraceSample = 1.0 / 64
 
 func (o *Options) fill(id core.ServerID) {
 	if o.Config.MapSize == 0 {
@@ -101,7 +108,7 @@ func (o *Options) fill(id core.ServerID) {
 		o.Registry = telemetry.NewRegistry()
 	}
 	if o.TraceSample == 0 {
-		o.TraceSample = 1
+		o.TraceSample = DefaultTraceSample
 	}
 }
 
@@ -156,7 +163,7 @@ type TransportStats struct {
 	DialErrors    uint64 // failed connection attempts
 	Redials       uint64 // successful dials after a connection previously existed
 	CorruptFrames uint64 // inbound frames that failed framing or decoding
-	UnknownFrames uint64 // well-framed inbound frames of an unrecognized kind or wire version (rolling upgrades) — skipped, not corruption
+	UnknownFrames uint64 // well-framed inbound frames of an unrecognized kind (rolling upgrades) — skipped, not corruption
 	ConnErrors    uint64 // inbound connections terminated by a non-EOF error
 	FaultDrops    uint64 // messages dropped by fault injection (FaultTransport)
 	FramesRead    uint64 // frames read off inbound connections (batched reader)
@@ -564,7 +571,7 @@ func (n *Node) registerTransportMetrics() {
 		func(s TransportStats) uint64 { return s.Redials })
 	counter("terradir_transport_corrupt_frames_total", "Inbound frames that failed framing or decoding.",
 		func(s TransportStats) uint64 { return s.CorruptFrames })
-	counter("terradir_transport_unknown_frames_total", "Well-framed inbound frames of an unrecognized kind or version (rolling upgrades), skipped without tearing down the connection.",
+	counter("terradir_transport_unknown_frames_total", "Well-framed inbound frames of an unrecognized kind (rolling upgrades), skipped without tearing down the connection.",
 		func(s TransportStats) uint64 { return s.UnknownFrames })
 	counter("terradir_transport_conn_errors_total", "Inbound connections terminated by a non-EOF error.",
 		func(s TransportStats) uint64 { return s.ConnErrors })

@@ -275,7 +275,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			frames++
 			msg, derr := wire.Decode(frame)
 			if derr != nil {
-				if errors.Is(derr, wire.ErrUnknownKind) || errors.Is(derr, wire.ErrVersion) {
+				if errors.Is(derr, wire.ErrUnknownKind) {
 					// Well-framed message from a different protocol vintage —
 					// what a newer peer's frames look like during a rolling
 					// upgrade. Skip it; this is not corruption.

@@ -16,6 +16,13 @@ import (
 // phantom peers before traffic starts).
 func startTCPPair(t *testing.T, opts TCPTransportOptions) ([]*Node, []*TCPTransport, map[core.ServerID]string) {
 	t.Helper()
+	return startTCPPairNodes(t, opts, Options{})
+}
+
+// startTCPPairNodes is startTCPPair with node options; each node's Seed and
+// Shards are set here.
+func startTCPPairNodes(t *testing.T, opts TCPTransportOptions, nodeOpts Options) ([]*Node, []*TCPTransport, map[core.ServerID]string) {
+	t.Helper()
 	tree := testTree()
 	owner := Assign(tree, 2, 7)
 	ownerOf := func(nd core.NodeID) core.ServerID { return owner[nd] }
@@ -35,8 +42,9 @@ func startTCPPair(t *testing.T, opts TCPTransportOptions) ([]*Node, []*TCPTransp
 	}
 	nodes := make([]*Node, 2)
 	for i := 0; i < 2; i++ {
-		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf,
-			Options{Seed: uint64(i) + 1, Shards: *testShards})
+		o := nodeOpts
+		o.Seed, o.Shards = uint64(i)+1, *testShards
+		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // the last a resolve at the destination's owner — and that the initiator's
 // trace store holds the same, complete, record.
 func TestTCPLookupTraceEndToEnd(t *testing.T) {
-	nodes, _, _ := startTCPPair(t, TCPTransportOptions{})
+	nodes, _, _ := startTCPPairNodes(t, TCPTransportOptions{}, Options{TraceSample: 1})
 	owner := Assign(testTree(), 2, 7)
 	dest := ownedByServer(t, owner, 1)
 
@@ -29,7 +30,7 @@ func TestTCPLookupTraceEndToEnd(t *testing.T) {
 		t.Fatalf("lookup failed: %s", res.Reason)
 	}
 	if res.TraceID == 0 {
-		t.Fatal("lookup not traced despite default TraceSample=1")
+		t.Fatal("lookup not traced despite TraceSample=1")
 	}
 	if len(res.Trace) != res.Hops+1 {
 		t.Fatalf("trace has %d spans for %d hops, want %d", len(res.Trace), res.Hops, res.Hops+1)
@@ -107,7 +108,7 @@ func TestTCPLookupTraceTruncatedOnDrop(t *testing.T) {
 	})
 	nodes := make([]*Node, 2)
 	for i := 0; i < 2; i++ {
-		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, Options{Seed: uint64(i) + 1})
+		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, Options{Seed: uint64(i) + 1, TraceSample: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,5 +162,44 @@ func TestTCPLookupTraceTruncatedOnDrop(t *testing.T) {
 	case telemetry.HopParent, telemetry.HopChild, telemetry.HopCache, telemetry.HopReplica:
 	default:
 		t.Fatalf("hop 0 should record a forwarding reason, got %s", sp.Reason)
+	}
+}
+
+// TestDefaultTraceSampleShare: a node left at the default traces a share of
+// its lookups within binomial bounds of DefaultTraceSample, decided by (seed,
+// query ID) alone — a second node with the same seed traces the same lookups.
+func TestDefaultTraceSampleShare(t *testing.T) {
+	tree := testTree()
+	owned := make([]core.NodeID, tree.Len())
+	for i := range owned {
+		owned[i] = core.NodeID(i)
+	}
+	ownerOf := func(core.NodeID) core.ServerID { return 0 }
+	node := func() *Node {
+		n, err := NewNode(0, tree, owned, ownerOf, Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a, b := node(), node()
+	if a.opts.TraceSample != DefaultTraceSample {
+		t.Fatalf("TraceSample filled as %v, want DefaultTraceSample %v", a.opts.TraceSample, DefaultTraceSample)
+	}
+	const lookups = 64000
+	traced := 0
+	for qid := uint64(1); qid <= lookups; qid++ {
+		id := a.traceID(qid)
+		if id != b.traceID(qid) {
+			t.Fatalf("query %d: same seed, trace IDs %d and %d", qid, id, b.traceID(qid))
+		}
+		if id != 0 {
+			traced++
+		}
+	}
+	mean := lookups * DefaultTraceSample
+	sd := math.Sqrt(mean * (1 - DefaultTraceSample))
+	if math.Abs(float64(traced)-mean) > 4*sd {
+		t.Fatalf("traced %d of %d lookups, want %.0f ± %.0f", traced, lookups, mean, 4*sd)
 	}
 }

@@ -31,16 +31,15 @@ import (
 // incarnation + Bloom digest, the reconcile/reconcile-ack kinds) and fixed
 // the hosted-record layout that WAL records and snapshots reuse
 // (AppendHosted/DecodeHosted). Version ≥4 frames lead with the Magic byte;
-// versions 1–3 led with the kind tag directly, so the decoder recognises
-// legacy frames by their first byte (legacy kinds occupy 1..10, disjoint
-// from Magic) and rejects them with ErrVersion. Mixed-version deployments
-// are not supported; v6 changed the membership frame layout, so v4/v5
-// membership frames do not decode.
+// versions 1–3 led with the kind tag directly (1..10, disjoint from Magic),
+// so the decoder rejects their frames as an unknown frame marker.
+// Mixed-version deployments are not supported; v6 changed the membership
+// frame layout, so v4/v5 membership frames do not decode.
 const Version = 6
 
 // Magic is the first byte of every version-4 frame. It is disjoint from the
-// legacy kind-tag range (1..10), so the decoder can tell a v4 frame from a
-// gob-era one by its first byte alone.
+// kind-tag range (1..10) that led wire ≤3 frames, so such a frame can never
+// be misread as a current one.
 const Magic byte = 0xD4
 
 // Message kind tags (second byte of a v4 frame; first byte of legacy
@@ -68,13 +67,6 @@ const MaxFrame = 1 << 20
 // with errors.Is; transports use it to classify read failures as corruption
 // rather than connection errors.
 var ErrFrameSize = errors.New("wire: frame size out of range")
-
-// ErrVersion reports a frame from an incompatible protocol version — in
-// practice a gob-encoded frame from a wire ≤3 peer, recognised by its
-// leading kind tag where version 4 puts the Magic byte. Detect it with
-// errors.Is; transports use it to distinguish "peer speaks an old protocol"
-// from corruption.
-var ErrVersion = errors.New("wire: incompatible protocol version")
 
 // ErrUnknownKind reports a well-framed current-format message (Magic marker
 // intact) whose kind byte this build does not recognize — what a frame from a
@@ -531,14 +523,10 @@ func (r *reader) piggy() core.Piggyback {
 }
 
 // Decode deserializes a protocol message produced by Encode/AppendMessage.
-// Legacy (gob, wire ≤3) frames are classified as ErrVersion; every other
-// malformed input yields a descriptive error. Decode never panics.
+// Malformed input yields a descriptive error. Decode never panics.
 func Decode(data []byte) (core.Message, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("wire: short message (%d bytes)", len(data))
-	}
-	if data[0] >= kindQuery && data[0] <= kindMembership {
-		return nil, fmt.Errorf("%w: legacy gob frame (kind %d, wire ≤3)", ErrVersion, data[0])
 	}
 	if data[0] != Magic {
 		return nil, fmt.Errorf("wire: unknown frame marker 0x%02x", data[0])

@@ -1,62 +1,28 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 
 	"terradir/internal/core"
 )
 
-// legacyGobFrame builds a wire-version-3 frame exactly as the gob-era
-// encoder did: a leading kind tag followed by a gob-encoded mirror struct.
-// The mirror type here reproduces the v3 wireQuery layout.
-func legacyGobFrame(t testing.TB) []byte {
-	t.Helper()
-	type legacyQuery struct {
-		QueryID  uint64
-		Dest     int32
-		Source   int32
-		OnBehalf int32
-		Hops     int32
-		Started  float64
-		PrevDist int32
-		Path     []core.PathEntry
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(1) // kindQuery in every wire version
-	if err := gob.NewEncoder(&buf).Encode(legacyQuery{
-		QueryID: 42, Dest: 7, Source: 3, Hops: 2, Started: 1.5,
-		Path: []core.PathEntry{{Node: 1, Map: core.SingleServerMap(2)}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLegacyFrameRejectedAsErrVersion asserts a v3 gob frame is classified
-// as a version mismatch — not corruption, and never a panic — so transports
-// can report "peer speaks an old protocol" distinctly.
-func TestLegacyFrameRejectedAsErrVersion(t *testing.T) {
-	if _, err := Decode(legacyGobFrame(t)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("legacy gob frame not classified as ErrVersion: %v", err)
-	}
-	// Every legacy kind tag (1..10) classifies the same way, payload or not.
+// TestLegacyFrameRejectedAsUnknownMarker asserts a wire ≤3 frame — which led
+// with its kind tag (1..10) where version 4 puts the Magic byte — is rejected
+// as an unknown frame marker: corruption, never a panic, and never mistaken
+// for a well-framed message of an unknown kind.
+func TestLegacyFrameRejectedAsUnknownMarker(t *testing.T) {
 	for kind := byte(1); kind <= 10; kind++ {
-		if _, err := Decode([]byte{kind, 0xde, 0xad}); !errors.Is(err, ErrVersion) {
-			t.Fatalf("legacy kind %d: want ErrVersion, got %v", kind, err)
+		_, err := Decode([]byte{kind, 0xde, 0xad})
+		if err == nil || errors.Is(err, ErrUnknownKind) || !strings.Contains(err.Error(), "unknown frame marker") {
+			t.Fatalf("legacy kind %d: want an unknown-marker error, got %v", kind, err)
 		}
-	}
-	// A first byte outside both the legacy kind range and Magic is plain
-	// corruption, not a version mismatch.
-	if _, err := Decode([]byte{0x7f, 0, 0}); err == nil || errors.Is(err, ErrVersion) {
-		t.Fatalf("corrupt marker misclassified: %v", err)
 	}
 }
 
 // TestVersionFrameLeadsWithMagic pins the v4 self-identification invariant
-// the legacy classification depends on.
+// the legacy rejection depends on.
 func TestVersionFrameLeadsWithMagic(t *testing.T) {
 	data, err := Encode(&core.LoadProbeMsg{Session: 1, From: 2})
 	if err != nil {

@@ -13,7 +13,7 @@
 //     transport (NewLocalOverlay) — the same protocol state machine, run
 //     for real.
 //   - Live TCP overlay: nodes in separate processes over length-prefixed
-//     gob frames (see cmd/terradird and the overlay package building
+//     binary frames (see cmd/terradird and the overlay package building
 //     blocks re-exported here).
 //
 // Quickstart:
