@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -31,33 +30,8 @@ func main() {
 		outDir  = flag.String("out", "results", "output directory for TSV files")
 		maxDur  = flag.Float64("maxdur", 0, "cap per-run simulated duration in seconds (0 = no cap)")
 		list    = flag.Bool("list", false, "list experiments and exit")
-
-		openloop = flag.Bool("openloop", false, "run the open-loop (coordinated-omission-safe) lookup load harness instead of the paper experiments")
-		target   = flag.String("target", "direct", "openloop: 'direct' (in-process cluster) or 'gw' (TCP peers behind a terradir-gw gateway)")
-		dist     = flag.String("dist", "unif", "openloop: destination distribution, 'unif' or 'zipf'")
-		alpha    = flag.Float64("alpha", 0.9, "openloop: Zipf exponent for -dist zipf")
-		servers  = flag.Int("servers", 8, "openloop: servers in the cluster")
-		clients  = flag.Int("clients", 64, "openloop: load-generator goroutines")
-		shards   = flag.String("shards", "1", "openloop: comma-separated per-server shard counts to sweep")
-		rates    = flag.String("rate", "20000", "openloop: comma-separated offered arrival rates (lookups/sec)")
-		duration = flag.Duration("duration", 5*time.Second, "openloop: measured duration per run")
 	)
 	flag.Parse()
-
-	if *openloop {
-		shardList, err := parseIntList(*shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "terradir-bench: -shards: %v\n", err)
-			os.Exit(1)
-		}
-		rateList, err := parseFloatList(*rates)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "terradir-bench: -rate: %v\n", err)
-			os.Exit(1)
-		}
-		openLoopMain(*target, *dist, *alpha, *servers, *clients, shardList, rateList, *duration, *seed)
-		return
-	}
 
 	if *list {
 		for _, d := range terradir.Experiments() {
@@ -112,28 +86,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "terradir-bench: no experiments matched %q (try -list)\n", *expList)
 		os.Exit(1)
 	}
-}
-
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloatList(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -44,7 +44,6 @@ func main() {
 		nsKind   = flag.String("namespace", "balanced:2:10", "namespace spec: 'balanced:<arity>:<levels>' or 'fs:<nodes>'")
 		seed     = flag.Uint64("seed", 1, "deployment seed (must match across peers)")
 		svcDelay = flag.Duration("service-delay", 0, "artificial per-query processing cost")
-		shards   = flag.Int("shards", 1, "event-loop shards per peer (namespace-subtree partitioned; >1 enables multi-core scale-up)")
 
 		queueDepth   = flag.Int("queue-depth", 0, "per-peer outbound queue depth (0 = default)")
 		dialTimeout  = flag.Duration("dial-timeout", 0, "peer dial timeout (0 = default)")
@@ -132,7 +131,6 @@ func main() {
 	nodeOpts := overlay.Options{
 		Seed:         *seed + uint64(*id)*7919,
 		ServiceDelay: *svcDelay,
-		Shards:       *shards,
 		TraceSample:  sample,
 	}
 	if !*noMembership && (*servers > 1 || *join != "") {

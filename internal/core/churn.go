@@ -128,10 +128,6 @@ func (p *Peer) AdoptOwnership(node NodeID, ownerOf func(NodeID) ServerID) bool {
 		}
 		return true
 	}
-	if !p.AcceptsHosted(node) {
-		// Another shard's partition: only its home shard may adopt it.
-		return false
-	}
 	hn := &hostedNode{
 		id:       node,
 		owned:    true,

@@ -128,9 +128,6 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 		}
 		hn, ok := p.hosted[rec.Node]
 		if !ok {
-			if !p.AcceptsHosted(rec.Node) {
-				return false
-			}
 			hn = &hostedNode{id: rec.Node}
 			p.addHosted(hn)
 			p.initNeighbors(hn, ownerOf)

@@ -67,31 +67,6 @@ type Stats struct {
 	OwnershipReleases int64 // adopted nodes handed back to returned owners
 }
 
-// Accumulate adds o's counters into s, aggregating multiple shard peers into
-// one server-wide view.
-func (s *Stats) Accumulate(o Stats) {
-	s.Processed += o.Processed
-	s.Resolved += o.Resolved
-	s.Forwarded += o.Forwarded
-	s.FailedTTL += o.FailedTTL
-	s.FailedNoRoute += o.FailedNoRoute
-	s.DigestShortcuts += o.DigestShortcuts
-	s.CacheHits += o.CacheHits
-	s.ContextHops += o.ContextHops
-	s.ReplicaInstalls += o.ReplicaInstalls
-	s.ReplicaEvictions += o.ReplicaEvictions
-	s.SessionsStarted += o.SessionsStarted
-	s.SessionsAborted += o.SessionsAborted
-	s.SessionsOK += o.SessionsOK
-	s.ControlSent += o.ControlSent
-	s.ResultsSent += o.ResultsSent
-	s.StaleSelfPurged += o.StaleSelfPurged
-	s.ServerPurges += o.ServerPurges
-	s.PurgedEntries += o.PurgedEntries
-	s.OwnershipAdopts += o.OwnershipAdopts
-	s.OwnershipReleases += o.OwnershipReleases
-}
-
 type hostedNode struct {
 	id NodeID
 	// size is the approximate resident size last accounted (resident.go). It
@@ -166,7 +141,7 @@ type Peer struct {
 
 	// routeView is the state routing decisions read (routing.go): config,
 	// tree, hostedList, neighbor maps, cache, foreign digests, cold set,
-	// OracleHosts, ownerHint. PublishSnapshot freezes a copy of it.
+	// OracleHosts. PublishSnapshot freezes a copy of it.
 	routeView
 	hosted     map[NodeID]*hostedNode // resident hosted nodes by id, for the loop; hostedList orders them
 	ownedCount int
@@ -186,27 +161,7 @@ type Peer struct {
 
 	sess           replSession
 	nextSession    uint64
-	sessionBase    uint64 // OR-ed into session ids (shard tagging, overlay §11)
 	lastSessionEnd float64
-
-	// learnFilter, when set, restricts which namespace nodes this peer may
-	// CREATE cache entries for. Existing state always refreshes. The sharded
-	// overlay uses it to partition soft state across shard peers (DESIGN.md
-	// §11); nil accepts everything.
-	learnFilter func(NodeID) bool
-
-	// hostFilter, when set, restricts which namespace nodes this peer may
-	// CREATE hosted state for (replica installs, fresh adoptions). The
-	// sharded overlay keeps hosting strictly partitioned even where caching
-	// is shared (the top of the tree); nil accepts everything.
-	hostFilter func(NodeID) bool
-
-	// sharedDigest, when set, is advertised in place of the peer's own
-	// digest. The sharded overlay installs a combined server-wide filter
-	// here: advertising a shard's partial digest under the shared ServerID
-	// would read as Bloom false negatives at remote peers and make their
-	// keepFor filtering prune valid hosts.
-	sharedDigest *bloom.Filter
 
 	Hooks Hooks
 	Stats Stats
@@ -279,41 +234,6 @@ func NewPeer(id ServerID, tree *namespace.Tree, cfg Config, env Env, src *rng.So
 // Config returns the peer's configuration.
 func (p *Peer) Config() Config { return p.cfg }
 
-// SetLearnFilter installs the cache-creation filter (see the learnFilter
-// field). Call before message handling starts.
-func (p *Peer) SetLearnFilter(accept func(NodeID) bool) { p.learnFilter = accept }
-
-// SetHostFilter installs the hosted-state creation filter (see the
-// hostFilter field). Call before message handling starts.
-func (p *Peer) SetHostFilter(accept func(NodeID) bool) { p.hostFilter = accept }
-
-// SetOwnerHint installs the authoritative-owner routing escape (see the
-// ownerHint field). The function must be safe for concurrent use: published
-// routing snapshots carry it and call it off-loop. Call before message
-// handling starts.
-func (p *Peer) SetOwnerHint(owner func(NodeID) ServerID) { p.ownerHint = owner }
-
-// Accepts reports whether this peer may create new cache entries for node.
-func (p *Peer) Accepts(node NodeID) bool {
-	return p.learnFilter == nil || p.learnFilter(node)
-}
-
-// AcceptsHosted reports whether this peer may create new hosted state
-// (replicas, fresh adoptions) for node.
-func (p *Peer) AcceptsHosted(node NodeID) bool {
-	return p.hostFilter == nil || p.hostFilter(node)
-}
-
-// SetSessionBase sets the bits OR-ed into every replication session id this
-// peer generates, letting a multi-shard server route probe/replicate replies
-// back to the originating shard. Call before message handling starts.
-func (p *Peer) SetSessionBase(base uint64) { p.sessionBase = base }
-
-// SetSharedDigest installs (or, with nil, removes) the digest advertised in
-// place of the peer's own (see the sharedDigest field). Safe to call from
-// the peer's execution context at any time; the filter must be immutable.
-func (p *Peer) SetSharedDigest(f *bloom.Filter) { p.sharedDigest, p.pub.stale = f, true }
-
 // HostedIDs returns a fresh slice of all hosted node ids (owned and
 // replicated, resident and cold), resident entries first in hosting order.
 func (p *Peer) HostedIDs() []NodeID {
@@ -322,14 +242,6 @@ func (p *Peer) HostedIDs() []NodeID {
 		ids[i] = hn.id
 	}
 	return append(ids, p.ColdIDs()...)
-}
-
-// SeedCache installs a bootstrap routing hint for node, bypassing the learn
-// filter: a shard peer with no hosted nodes has no routing context at all,
-// so the overlay seeds a route toward the namespace root. No-op when caching
-// is disabled.
-func (p *Peer) SeedCache(node NodeID, m NodeMap) {
-	p.cache.Put(node, m.Clone())
 }
 
 // AddOwned declares this peer the owner of node. Call before FinishSetup.
@@ -607,16 +519,12 @@ func (p *Peer) rider(digests bool) Piggyback {
 		pb.Adverts = append(pb.Adverts, Advert{Node: a.node, Servers: append([]ServerID(nil), a.servers...)})
 	}
 	if digests && p.cfg.DigestsEnabled && p.cfg.DigestsPerMessage > 0 {
-		own := p.sharedDigest
-		if own == nil {
-			if p.digestDirty {
-				p.rebuildDigest()
-			}
-			own = p.digest
+		if p.digestDirty {
+			p.rebuildDigest()
 		}
 		// Digests are immutable snapshots (see rebuildDigest), shared by
 		// pointer — no per-message copies.
-		pb.Digests = append(pb.Digests, DigestUpdate{Server: p.ID, Digest: own})
+		pb.Digests = append(pb.Digests, DigestUpdate{Server: p.ID, Digest: p.digest})
 		for i := 1; i < p.cfg.DigestsPerMessage && len(p.digestList) > 0; i++ {
 			e := p.digestList[p.src.Intn(len(p.digestList))]
 			pb.Digests = append(pb.Digests, DigestUpdate{Server: e.server, Digest: e.filter})
@@ -644,7 +552,7 @@ func (p *Peer) sweepAdverts(now float64) {
 // per drained inbox batch, before handling the batch's messages.
 func (p *Peer) BatchTick() {
 	p.sweepAdverts(p.env.Now())
-	if p.digestDirty && p.sharedDigest == nil {
+	if p.digestDirty {
 		p.rebuildDigest()
 	}
 }
@@ -675,7 +583,7 @@ func (p *Peer) absorbAdvert(a *Advert) {
 	}
 	target := p.editMapFor(a.Node)
 	if target == nil {
-		if p.cfg.CachingEnabled && p.Accepts(a.Node) {
+		if p.cfg.CachingEnabled {
 			m := NodeMap{}
 			for _, s := range a.Servers {
 				if s != p.ID {
@@ -755,10 +663,6 @@ func (p *Peer) learnMap(node NodeID, incoming *NodeMap) {
 	}
 	if m := p.cache.Get(node); m != nil {
 		m.Merge(incoming, p.cfg.MapSize, p.src, keep)
-		return
-	}
-	if !p.Accepts(node) {
-		// Another shard's partition: its home shard learns this entry.
 		return
 	}
 	c := incoming.Clone()

@@ -389,7 +389,7 @@ func (w *pubWorld) mutate() {
 		}
 		p.HandleControl(rep)
 	case 17:
-		p.SeedCache(w.node(), w.randMap())
+		p.cache.Put(w.node(), w.randMap())
 	case 18:
 		p.HandleControl(&LoadProbeMsg{Session: 1, From: w.server(), Piggy: w.rider()})
 	}

@@ -55,7 +55,7 @@ func (p *Peer) afterQuery() {
 func (p *Peer) startSession() {
 	p.nextSession++
 	p.sess = replSession{
-		id:    p.sessionBase | p.nextSession,
+		id:    p.nextSession,
 		tried: make(map[ServerID]bool),
 	}
 	p.Stats.SessionsStarted++
@@ -143,7 +143,9 @@ func (p *Peer) HandleControl(m Message) {
 		p.handleReplicateReply(msg)
 	case *DataRequest:
 		p.absorbPiggy(&msg.Piggy)
-		rep := &DataReply{ReqID: msg.ReqID, Node: msg.Node, From: p.ID, Piggy: p.piggyback()}
+		// An edge client neither routes nor prunes: its reply carries no
+		// digests, as emit's results do not.
+		rep := &DataReply{ReqID: msg.ReqID, Node: msg.Node, From: p.ID, Piggy: p.rider(!IsClient(msg.From))}
 		if data, ok := p.DataOf(msg.Node); ok {
 			rep.OK = true
 			rep.Data = data
@@ -312,10 +314,6 @@ func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 	}
 	max := p.maxReplicas()
 	if max <= 0 {
-		return false
-	}
-	if !p.AcceptsHosted(pl.Node) {
-		// Another shard's partition: only its home shard may host it.
 		return false
 	}
 	// Make room under Frepl by evicting lowest-ranked replicas (§3.5) — but

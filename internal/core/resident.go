@@ -234,7 +234,7 @@ func (p *Peer) markDirty(hn *hostedNode) {
 // MarkCleanEpoch opens a clean epoch at a snapshot barrier: it returns the
 // current mutation generation and bumps it, so mutations landing after the
 // barrier are distinguishable from state the snapshot captured. Loop context
-// (invoked under the shard barrier).
+// (invoked with the loop parked).
 func (p *Peer) MarkCleanEpoch() uint64 {
 	g := p.resident.mutGen
 	p.resident.mutGen++

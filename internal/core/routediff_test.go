@@ -136,9 +136,6 @@ func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg, NodeMap)
 			p.MarkCold(hn.id, hn.owned)
 		}
 	}
-	if g.Intn(3) == 0 {
-		p.SetOwnerHint(ownerOf)
-	}
 
 	hosted := func() NodeID { return p.hostedList[g.Intn(len(p.hostedList))].id }
 	q := &QueryMsg{

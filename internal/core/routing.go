@@ -54,15 +54,6 @@ type routeView struct {
 	// digest tests with perfect knowledge of which servers host a node
 	// (§4.4's "optimal behavior, as if given by an oracle" yardstick).
 	OracleHosts func(NodeID) []ServerID
-
-	// ownerHint, when set, supplies a destination's authoritative owner as a
-	// routing escape: consulted when candidate selection finds no usable map,
-	// or when a query has burned half its hop budget without resolving — the
-	// sign it is cycling between stale maps. A shard peer sees only its
-	// partition's hosted context, so the tree-walk progress guarantee of the
-	// unsharded design does not hold across shard boundaries; the hint (the
-	// overlay's ownership table) restores bounded termination.
-	ownerHint func(NodeID) ServerID
 }
 
 // routeKind classifies a decision. The values mirror FastOutcome so the fast
@@ -163,10 +154,6 @@ func (v *routeView) route(q *QueryMsg, base routeDecision, src *rng.Source, curs
 		candMap = nil
 	}
 	d.kind, d.closest = routeForward, closest
-	wandering := q.Hops >= v.cfg.MaxHops/2
-	if wandering && v.toOwner(q.Dest, &d) {
-		return d
-	}
 	if hint.Len() > 0 {
 		if t := hint.Pick(src, v.self, v.keepFor(q.Dest)); t != NoServer {
 			// Direct hop to a remembered host of the destination — the same
@@ -189,9 +176,7 @@ func (v *routeView) route(q *QueryMsg, base routeDecision, src *rng.Source, curs
 		}
 	}
 	if candMap == nil {
-		if wandering || !v.toOwner(q.Dest, &d) {
-			d.kind, d.reason, d.fail = routeFail, telemetry.HopFail, FailNoRoute
-		}
+		d.kind, d.reason, d.fail = routeFail, telemetry.HopFail, FailNoRoute
 		return d
 	}
 	d.node, d.newDist, d.viaCache = cand, candDist, viaCache
@@ -208,20 +193,6 @@ func (v *routeView) route(q *QueryMsg, base routeDecision, src *rng.Source, curs
 		d.reason = telemetry.HopChild
 	}
 	return d
-}
-
-// toOwner applies the authoritative escape (see ownerHint): forward straight
-// to the destination's owner. It reports whether the view names one.
-func (v *routeView) toOwner(dest NodeID, d *routeDecision) bool {
-	if v.ownerHint == nil {
-		return false
-	}
-	o := v.ownerHint(dest)
-	if o == NoServer || o == v.self {
-		return false
-	}
-	d.target, d.node, d.newDist, d.reason = o, dest, 0, telemetry.HopOwner
-	return true
 }
 
 // bestCandidate returns the closest node to dest this server knows a map for
@@ -459,8 +430,6 @@ func (d *routeDecision) tally(q *QueryMsg, led routeLedger, tel *peerTelemetry) 
 	case d.reason == telemetry.HopReplica:
 		led.bump(ctrForwarded)
 		led.bump(ctrDigestShortcuts)
-	case d.reason == telemetry.HopOwner:
-		led.bump(ctrForwarded)
 	default: // neighbor context: HopChild, HopParent
 		led.bump(ctrForwarded)
 		led.bump(ctrContextHops)

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"slices"
 	"sync"
 
 	"terradir/internal/core"
@@ -149,21 +150,26 @@ func (c *routeCache) insertLocked(node core.NodeID, servers []core.ServerID) {
 
 // drop removes a server from every cached entry — called when the prober
 // ejects an upstream, so cache-directed picks stop steering at a dead peer
-// even before fresh results overwrite the entries.
+// even before fresh results overwrite the entries. get hands out the
+// entries' slices, so the survivors go into a fresh slice, never compacted
+// in place under a reader.
 func (c *routeCache) drop(server core.ServerID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 0; i < len(c.slots); {
 		servers := c.slots[i].servers
-		w := 0
+		if !slices.Contains(servers, server) {
+			i++
+			continue
+		}
+		kept := make([]core.ServerID, 0, len(servers)-1)
 		for _, s := range servers {
 			if s != server {
-				servers[w] = s
-				w++
+				kept = append(kept, s)
 			}
 		}
-		if w > 0 {
-			c.slots[i].servers = servers[:w]
+		if len(kept) > 0 {
+			c.slots[i].servers = kept
 			i++
 			continue
 		}

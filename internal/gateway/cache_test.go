@@ -44,14 +44,19 @@ func TestRouteCacheClock(t *testing.T) {
 }
 
 // TestRouteCacheDropRemovesSlots pins the swap-remove path: emptied slots
-// disappear, survivors stay reachable through the rebuilt index.
+// disappear, survivors stay reachable through the rebuilt index, and a
+// replica set a reader got before the drop is left as it was.
 func TestRouteCacheDropRemovesSlots(t *testing.T) {
 	c := newRouteCache(8)
 	c.put(1, []core.ServerID{7})
 	c.put(2, []core.ServerID{7, 8})
 	c.put(3, []core.ServerID{7})
 	c.put(4, []core.ServerID{9})
+	held := c.get(2)
 	c.drop(7)
+	if len(held) != 2 || held[0] != 7 || held[1] != 8 {
+		t.Fatalf("drop rewrote a replica set a reader held: %v", held)
+	}
 	if c.len() != 2 {
 		t.Fatalf("len %d after drop, want 2", c.len())
 	}

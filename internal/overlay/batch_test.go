@@ -2,8 +2,8 @@ package overlay
 
 // Tests for the batched receive path: frame classification (unknown kind vs
 // corruption), FramesRead/ReadBatches accounting, batch delivery vs sender
-// retirement and vs the shard barrier, and the queue-wait-from-enqueue
-// invariant of the batch-drain shard loop.
+// retirement and vs a parked loop, and the queue-wait-from-enqueue invariant
+// of the batch-drain event loop.
 
 import (
 	"context"
@@ -159,10 +159,9 @@ func TestTCPClientRetireStopsBatchDelivery(t *testing.T) {
 }
 
 func TestTCPBatchDeliveryVsPurgeBarrier(t *testing.T) {
-	// Batched DeliverBatch calls from the transport read goroutines racing the
-	// shard barrier (Inspect/PurgeServer parks every loop) must stay safe: run
-	// lookups and purges concurrently under -race, then verify the overlay
-	// still resolves.
+	// Batched DeliverBatch calls from the transport read goroutines racing a
+	// parked loop (Inspect/PurgeServer) must stay safe: run lookups and purges
+	// concurrently under -race, then verify the overlay still resolves.
 	nodes, _, _ := startTCPPair(t, TCPTransportOptions{})
 	owner := Assign(testTree(), 2, 7)
 	remote := ownedByServer(t, owner, 1)
@@ -192,7 +191,7 @@ func TestTCPBatchDeliveryVsPurgeBarrier(t *testing.T) {
 	ownerOf := func(nd core.NodeID) core.ServerID { return owner[nd] }
 	deadline := time.Now().Add(600 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		// Purging a phantom server exercises the full barrier without
+		// Purging a phantom server exercises the full park without
 		// disturbing real routing state.
 		nodes[1].Inspect(func(p *core.Peer) { p.PurgeServer(core.ServerID(9), ownerOf) })
 	}
@@ -218,7 +217,7 @@ func snapshotPrefix(snap map[string]float64, prefix string) float64 {
 
 func TestQueueWaitMeasuredFromEnqueue(t *testing.T) {
 	// The batch-drain loop must keep charging queue wait from ENQUEUE time,
-	// not from when its batch started draining: block the shard loop, let
+	// not from when its batch started draining: block the event loop, let
 	// queries pile up, and require the recorded wait to cover the blockage.
 	cluster, err := NewLocalCluster(testTree(), LocalClusterOptions{
 		Servers: 1,
@@ -234,7 +233,7 @@ func TestQueueWaitMeasuredFromEnqueue(t *testing.T) {
 	const queries = 8
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	n.shards[0].control <- envelope{fn: func() {
+	n.control <- envelope{fn: func() {
 		close(blocked)
 		<-release
 	}}

@@ -19,7 +19,6 @@ func benchCluster(b *testing.B, servers int) *LocalCluster {
 	b.Helper()
 	tree := testTree()
 	opts := LocalClusterOptions{Servers: servers, Seed: 11}
-	opts.Node.Shards = *testShards
 	c, err := NewLocalCluster(tree, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -78,14 +77,13 @@ func BenchmarkLookupThroughputParallel(b *testing.B) {
 // BenchmarkLookupDenseZipf is the shape bench/README.md Finding 1 could not
 // measure steadily: 16 servers × 2,048 hosted nodes of the paper-size
 // namespace, Zipf(0.9) destinations, one closed-loop client per processor.
-// Every shard loop republishes its routing snapshot after each batch, so
+// Every event loop republishes its routing snapshot after each batch, so
 // this is where a publish whose cost follows the hosted count shows: as
 // stalls (p99-us, max-us) before it shows in the mean.
 func BenchmarkLookupDenseZipf(b *testing.B) {
 	tree := namespace.NewBalanced(2, 15) // 32,767 nodes
 	const servers = 16
 	opts := LocalClusterOptions{Servers: servers, Seed: 11}
-	opts.Node.Shards = *testShards
 	c, err := NewLocalCluster(tree, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -76,8 +76,7 @@ func TestTCPChurnE2E(t *testing.T) {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		nd, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, Options{
-			Seed:   uint64(i) + 1,
-			Shards: *testShards,
+			Seed: uint64(i) + 1,
 			Membership: &MembershipOptions{
 				Protocol: churnProto(i),
 				Servers:  n,
@@ -214,8 +213,7 @@ func TestTCPChurnE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, err := NewNode(victim, tree, ownedBy[victim], ownerOf, Options{
-		Seed:   99,
-		Shards: *testShards,
+		Seed: 99,
 		Membership: &MembershipOptions{
 			Protocol: churnProto(int(victim) + 50),
 			Servers:  n,

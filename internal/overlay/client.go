@@ -57,7 +57,7 @@ func (n *Node) fetchData(ctx context.Context, host core.ServerID, dest core.Node
 	}
 	req := &core.DataRequest{ReqID: reqID, Node: dest, From: n.id}
 	if host == n.id {
-		// Our own copy is read by the shard loop that owns it, like any other
+		// Our own copy is read by the event loop, like any other
 		// host's: the loop is the only reader of hosted state, and a cold node
 		// parks there and loads instead of answering "no data".
 		n.Deliver(req)
@@ -139,10 +139,10 @@ func (n *Node) Search(ctx context.Context, prefix string, maxDepth, limit int) (
 }
 
 // StoreData stores application data on a node this server owns. Call before
-// Start (or after Stop): while the node is running, its loops own the peers.
+// Start (or after Stop): while the node is running, its loop owns the peer.
 // It reports whether this server owns the node.
 func (n *Node) StoreData(nd core.NodeID, data []byte) bool {
-	return n.shardFor(nd).peer.SetData(nd, data)
+	return n.peer.SetData(nd, data)
 }
 
 // Snapshot is a point-in-time view of a live node's protocol state, safe to
@@ -159,31 +159,23 @@ type Snapshot struct {
 	Transport TransportStats
 }
 
-// Snapshot collects monitoring counters from the node, aggregated across
-// shards: counts and stats sum, load averages (so a sharded server reports a
-// load comparable to an unsharded one).
+// Snapshot collects monitoring counters from the node.
 func (n *Node) Snapshot() Snapshot {
 	s := Snapshot{
 		ID:      n.id,
 		Dropped: n.dropped.Load(),
 	}
 	now := time.Since(n.epoch).Seconds()
-	// Inside runOnShards the whole node is quiescent and fn runs sequentially
-	// on this goroutine, so plain accumulation is safe.
-	collect := func(sh *shard) {
-		p := sh.peer
-		s.Owned += p.OwnedCount()
-		s.Replicas += p.ReplicaCount()
-		s.Cache += p.CacheLen()
-		s.Load += sh.meter.Load(now)
-		s.Stats.Accumulate(p.StatsView())
+	collect := func(p *core.Peer) {
+		s.Owned = p.OwnedCount()
+		s.Replicas = p.ReplicaCount()
+		s.Cache = p.CacheLen()
+		s.Load = n.meter.Load(now)
+		s.Stats = p.StatsView()
 	}
-	if !n.runOnShards(false, collect) {
-		for _, sh := range n.shards { // node stopped: the loops are quiescent
-			collect(sh)
-		}
+	if !n.inspect(false, collect) {
+		collect(n.peer) // node stopped: the loop is quiescent
 	}
-	s.Load /= float64(len(n.shards))
 	s.Transport, _ = n.TransportStats()
 	return s
 }

@@ -44,7 +44,7 @@ func TestFetchDataFromSelf(t *testing.T) {
 // TestGetSelfHostedRace runs Get for nodes the calling server hosts itself
 // while that server's loops rewrite the hosted map underneath: data writes,
 // replica installs and evictions, and — on a residency-capped node — cold
-// loads and demotions. The data step must go through the owning shard's loop
+// loads and demotions. The data step must go through the event loop
 // (run with -race: reading hosted state on the caller's goroutine is a
 // concurrent map read and write), and a cold node must load, not answer
 // "no data".
@@ -94,9 +94,7 @@ func TestGetSelfHostedRace(t *testing.T) {
 					}
 				})
 				n.Inspect(func(p *core.Peer) {
-					if p.AcceptsHosted(nd) {
-						p.InstallReplica(&pl, 1)
-					}
+					p.InstallReplica(&pl, 1)
 					p.SetData(mine[i%len(mine)], []byte("v"))
 				})
 			}
@@ -118,7 +116,7 @@ func TestGetSelfHostedRace(t *testing.T) {
 		tree := n.tree
 		n.Inspect(func(p *core.Peer) {
 			for nd := core.NodeID(0); int(nd) < tree.Len(); nd++ {
-				p.SetData(nd, []byte("v")) // false on the shards that do not own nd
+				p.SetData(nd, []byte("v"))
 			}
 		})
 		drainToCap(t, n, capEntries)

@@ -1,15 +1,15 @@
 package overlay
 
 // This file is the async cold-miss machinery behind larger-than-RAM hosting
-// (DESIGN.md §14). Each shard's hosted map is a bounded hot cache
-// (core.Peer.SetResidency); the rest of the shard's partition lives in the
+// (DESIGN.md §14). The node's hosted map is a bounded hot cache
+// (core.Peer.SetResidency); the rest of its partition lives in the
 // persistence tier's on-disk node index. When the event loop meets a query or
 // data request for a hosted-but-cold node, it parks the message in a pending
-// table keyed by node and signals the shard's loader goroutine; the loader
-// reads the index off the loop and hands the decoded record back as a control
+// table keyed by node and signals the loader goroutine; the loader reads the
+// index off the loop and hands the decoded record back as a control
 // envelope, which installs it and replays the parked messages. The event loop
-// therefore never blocks on disk I/O — the PR 6 queue-wait guarantees hold
-// with a namespace far larger than RAM.
+// therefore never blocks on disk I/O, so queue waits stay bounded with a
+// namespace far larger than RAM.
 
 import (
 	"fmt"
@@ -33,9 +33,9 @@ type coldPending struct {
 	start   float64 // park time, for the load-latency histogram
 }
 
-// setupResidency bounds every shard's resident hosted map and registers the
-// hot-cache telemetry. Called from NewNode before setupPersist (restart
-// streaming needs the cold sets in place), with the loops not yet running.
+// setupResidency bounds the resident hosted map and registers the hot-cache
+// telemetry. Called from NewNode before setupPersist (restart streaming needs
+// the cold set in place), with the loop not yet running.
 func (n *Node) setupResidency() {
 	po := n.opts.Persist
 	server := []string{"server", fmt.Sprint(n.id)}
@@ -48,69 +48,54 @@ func (n *Node) setupResidency() {
 	n.idxLoadHist = n.reg.Histogram("terradir_persist_index_load_seconds",
 		"Cold-miss latency: park to install (index read off the event loop).",
 		telemetry.HistogramOpts{Min: 1e-6, Max: 1e3, BucketsPerDecade: 8}, server...)
-	shards := len(n.shards)
-	perEntries := 0
-	if po.HotCacheEntries > 0 {
-		perEntries = (po.HotCacheEntries + shards - 1) / shards
-	}
-	var perBytes int64
-	if po.HotCacheBytes > 0 {
-		perBytes = (po.HotCacheBytes + int64(shards) - 1) / int64(shards)
-	}
-	for _, s := range n.shards {
-		s.pendingCold = make(map[core.NodeID]*coldPending)
-		s.loadCh = make(chan core.NodeID, 256)
-		s.coldCapEntries = perEntries
-		s.coldCapBytes = perBytes
-		s.peer.SetResidency(perEntries, perBytes, func(core.NodeID) { n.idxEvictions.Inc() })
-	}
+	n.pendingCold = make(map[core.NodeID]*coldPending)
+	n.loadCh = make(chan core.NodeID, 256)
+	n.peer.SetResidency(po.HotCacheEntries, po.HotCacheBytes, func(core.NodeID) { n.idxEvictions.Inc() })
 }
 
-// residencyFull reports whether this shard's hot cache is at (or past) its
-// configured bounds — the restart streaming cutoff for keeping index entries
-// resident.
-func (s *shard) residencyFull() bool {
-	if s.coldCapEntries > 0 && s.peer.ResidentCount() >= s.coldCapEntries {
+// residencyFull reports whether the hot cache is at (or past) its configured
+// bounds — the restart streaming cutoff for keeping index entries resident.
+func (n *Node) residencyFull() bool {
+	po := n.opts.Persist
+	if po.HotCacheEntries > 0 && n.peer.ResidentCount() >= po.HotCacheEntries {
 		return true
 	}
-	return s.coldCapBytes > 0 && s.peer.ResidentBytes() >= s.coldCapBytes
+	return po.HotCacheBytes > 0 && n.peer.ResidentBytes() >= po.HotCacheBytes
 }
 
 // parkCold parks w until dest's index record is installed, scheduling a load
 // if none is in flight. Loop context. It reports false — the caller must
 // serve the message as-is — when the loader queue is saturated; the query
-// then routes on whatever soft state is resident (another replica, the owner
-// hint), which is a graceful-degradation path, not a stall.
-func (n *Node) parkCold(s *shard, dest core.NodeID, w coldWaiter) bool {
-	p, ok := s.pendingCold[dest]
+// then routes on whatever soft state is resident (another replica), which is
+// a graceful-degradation path, not a stall.
+func (n *Node) parkCold(dest core.NodeID, w coldWaiter) bool {
+	p, ok := n.pendingCold[dest]
 	if !ok {
 		select {
-		case s.loadCh <- dest:
+		case n.loadCh <- dest:
 		default:
 			return false
 		}
 		p = &coldPending{start: time.Since(n.epoch).Seconds()}
-		s.pendingCold[dest] = p
+		n.pendingCold[dest] = p
 	}
 	p.waiters = append(p.waiters, w)
 	n.idxMisses.Inc()
 	return true
 }
 
-// coldLoader is the shard's disk-read goroutine: it resolves each demanded
+// coldLoader is the node's disk-read goroutine: it resolves each demanded
 // node against the current index generation and re-injects the result into
-// the shard loop as a control envelope. One loader per shard keeps index
-// reads strictly off the event loops while naturally batching per-shard
-// demand (the channel dedupes via pendingCold).
-func (s *shard) coldLoader() {
-	defer close(s.loaderDone)
-	n := s.n
+// the loop as a control envelope, keeping index reads strictly off the event
+// loop (the channel dedupes via pendingCold).
+func (n *Node) coldLoader() {
+	defer close(n.loaderDone)
 	for {
 		var dest core.NodeID
 		select {
 		case <-n.stop:
 			return
-		case dest = <-s.loadCh:
+		case dest = <-n.loadCh:
 		}
 		var rec *core.HostedMutation
 		if ix := n.store.AcquireIndex(); ix != nil {
@@ -123,7 +108,7 @@ func (s *shard) coldLoader() {
 			}
 		}
 		select {
-		case s.control <- envelope{fn: func() { n.finishColdLoad(s, dest, rec) }}:
+		case n.control <- envelope{fn: func() { n.finishColdLoad(dest, rec) }}:
 		case <-n.stop:
 			return
 		}
@@ -134,9 +119,9 @@ func (s *shard) coldLoader() {
 // the parked messages. A nil record — the entry vanished from the index, or
 // the read failed — clears the cold marker so waiters fail through the
 // normal routing paths instead of re-parking forever.
-func (n *Node) finishColdLoad(s *shard, dest core.NodeID, rec *core.HostedMutation) {
-	p := s.pendingCold[dest]
-	delete(s.pendingCold, dest)
+func (n *Node) finishColdLoad(dest core.NodeID, rec *core.HostedMutation) {
+	p := n.pendingCold[dest]
+	delete(n.pendingCold, dest)
 	installed := false
 	if rec != nil {
 		// The stored self-map predates current liveness knowledge: drop
@@ -147,12 +132,12 @@ func (n *Node) finishColdLoad(s *shard, dest core.NodeID, rec *core.HostedMutati
 			rec.Map.Remove(sv)
 		}
 		n.resMu.RUnlock()
-		installed = s.peer.InstallFromIndex(rec, n.effectiveOwner)
+		installed = n.peer.InstallFromIndex(rec, n.effectiveOwner)
 	}
 	if installed {
 		n.idxHits.Inc()
 	} else {
-		s.peer.ClearCold(dest)
+		n.peer.ClearCold(dest)
 	}
 	if p == nil {
 		return
@@ -164,9 +149,9 @@ func (n *Node) finishColdLoad(s *shard, dest core.NodeID, rec *core.HostedMutati
 			// Queue wait was already observed when the query first reached
 			// the loop; zero it so the replay doesn't double-count.
 			w.q.Enqueued = 0
-			n.serveQuery(s, w.q)
+			n.serveQuery(w.q)
 		} else if w.msg != nil {
-			n.handleControl(s, envelope{msg: w.msg})
+			n.handleControl(envelope{msg: w.msg})
 		}
 	}
 }

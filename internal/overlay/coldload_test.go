@@ -22,8 +22,7 @@ func startColdNode(t *testing.T, dir string, capEntries int) (*Node, *LocalTrans
 		all[i] = core.NodeID(i)
 	}
 	nd, err := NewNode(0, tree, all, func(core.NodeID) core.ServerID { return 0 }, Options{
-		Seed:   7,
-		Shards: *testShards,
+		Seed: 7,
 		Persist: &PersistOptions{
 			Dir:              dir,
 			SnapshotInterval: time.Hour, // snapshots are forced explicitly
@@ -60,9 +59,7 @@ func drainToCap(t *testing.T, n *Node, capEntries int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		resident, cold, _ := residentTotals(t, n)
-		// Per-shard caps are ceil(cap/shards), so allow one entry of slack
-		// per shard when rounding up.
-		if cold > 0 && resident <= capEntries+n.Shards() {
+		if cold > 0 && resident <= capEntries {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -152,7 +149,7 @@ func TestColdHostingZipfE2E(t *testing.T) {
 	if p99 := n.queueWaitHist.Quantile(0.99); p99 > 0.25 {
 		t.Fatalf("queue-wait p99 %.4fs: the event loop is stalling on cold misses", p99)
 	}
-	if resident, _, _ := residentTotals(t, n); resident > capEntries+n.Shards() {
+	if resident, _, _ := residentTotals(t, n); resident > capEntries {
 		t.Fatalf("resident set %d exceeds cap %d after the stream", resident, capEntries)
 	}
 
@@ -204,7 +201,7 @@ func TestColdHostingZipfE2E(t *testing.T) {
 	if hosted != tree.Len() {
 		t.Fatalf("restart hosts %d nodes, want %d", hosted, tree.Len())
 	}
-	if resident > capEntries+n2.Shards() {
+	if resident > capEntries {
 		t.Fatalf("restart materialized %d entries, cap %d", resident, capEntries)
 	}
 	if cold == 0 {
@@ -234,10 +231,9 @@ func TestColdHostingZipfE2E(t *testing.T) {
 }
 
 // TestColdLoadConcurrentBarriers races cold-miss loads against the two
-// operations that serialize the shard loops — barrier inspections (the
-// PurgeServer path membership uses) and snapshots (which capture cold sets
-// and complete clean epochs) — under the race detector. Every lookup must
-// still resolve.
+// operations that park the event loop — inspections (the PurgeServer path
+// membership uses) and snapshots (which capture cold sets and complete clean
+// epochs) — under the race detector. Every lookup must still resolve.
 func TestColdLoadConcurrentBarriers(t *testing.T) {
 	const capEntries = 20
 	n, tr := startColdNode(t, t.TempDir(), capEntries)
@@ -259,8 +255,8 @@ func TestColdLoadConcurrentBarriers(t *testing.T) {
 				return
 			default:
 			}
-			// The purge barrier parks every loop mid-stream; cold loads in
-			// flight must neither block it nor corrupt state under it.
+			// The purge parks the loop mid-stream; cold loads in flight must
+			// neither block it nor corrupt state under it.
 			n.Inspect(func(p *core.Peer) { p.PurgeServer(1, nil) })
 			if i%5 == 0 {
 				n.writeSnapshot()

@@ -69,9 +69,11 @@ func (n *Node) setupOwnership(ownerOf func(core.NodeID) core.ServerID) {
 		"server", fmt.Sprint(n.id))
 }
 
-// startMembership launches the failure detector (called from Start, after
-// the transport is wired).
-func (n *Node) startMembership() {
+// setupMembership builds the failure detector (called from NewNode, after
+// persistence replay; Start launches it). It exists before the node can
+// receive anything, so delivery never races its construction. The transport
+// is read when the service uses it: it is wired later, by SetTransport.
+func (n *Node) setupMembership() {
 	mo := n.opts.Membership
 	cfg := membership.Config{
 		Self:     n.id,
@@ -86,9 +88,19 @@ func (n *Node) startMembership() {
 		},
 		OnEvent: func(ev membership.Event) {
 			// Runs on the membership goroutine; handleMembershipEvent parks
-			// every shard loop (runOnShards) so purges and handoffs apply
-			// atomically across the whole server's soft state.
+			// the event loop so purges and handoffs apply atomically.
 			n.handleMembershipEvent(ev)
+		},
+		OnAddr: func(id core.ServerID, addr string) {
+			if as, ok := n.transport.(AddrSetter); ok {
+				as.SetAddr(id, addr)
+			}
+		},
+		SendAddr: func(addr string, m *core.MembershipMsg) error {
+			if ds, ok := n.transport.(AddrSender); ok {
+				return ds.SendTo(addr, m)
+			}
+			return fmt.Errorf("overlay: transport cannot send by address")
 		},
 	}
 	if n.store != nil {
@@ -107,27 +119,15 @@ func (n *Node) startMembership() {
 			_ = n.store.AppendIncarnation(cfg.Incarnation)
 		}
 	}
-	if as, ok := n.transport.(AddrSetter); ok {
-		cfg.OnAddr = as.SetAddr
-	}
-	if ds, ok := n.transport.(AddrSender); ok {
-		cfg.SendAddr = func(addr string, m *core.MembershipMsg) error {
-			return ds.SendTo(addr, m)
-		}
-	}
 	n.membership = membership.New(cfg)
-	n.membership.Start()
 }
 
 // handleMembershipEvent runs on the membership goroutine: it folds a liveness
-// transition into the ownership table, then parks every shard loop
-// (runOnShards, a server-wide quiescence barrier) to repair soft state and
-// apply any partition handoff that lands on (or leaves) this server. The
-// barrier is what keeps PurgeServer and ownership changes atomic from the
-// overlay's view even though the server is internally sharded: no shard can
-// route a query between "shard A purged" and "shard B purged". The barrier
-// is learn-marked, so every shard republishes its snapshot before the fast
-// path serves again.
+// transition into the ownership table, then parks the event loop to repair
+// soft state and apply any partition handoff that lands on (or leaves) this
+// server, so no query is routed between the purge and the handoff. The park
+// is learn-marked, so the loop republishes its snapshot before the fast path
+// serves again.
 func (n *Node) handleMembershipEvent(ev membership.Event) {
 	if n.ownership == nil || ev.ID == n.id {
 		return
@@ -136,17 +136,15 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 	case membership.Dead:
 		changes := n.ownership.SetAlive(ev.ID, false)
 		// The result cache may hold maps naming the dead server; scrub it
-		// outside the barrier (it has its own lock) and mark the server dead
-		// so in-flight results cannot re-insert it.
+		// outside the park (it has its own lock) and mark the server dead so
+		// in-flight results cannot re-insert it.
 		n.purgeResults(ev.ID)
 		// Soft-state repair: drop every cached/replicated reference to the
 		// dead server, reseeding emptied maps from the post-handoff owner.
-		n.runOnShards(true, func(s *shard) {
-			s.peer.PurgeServer(ev.ID, n.ownership.Owner)
-			n.applyReassignments(s, changes)
-			n.reseedStarved(s)
+		n.inspect(true, func(p *core.Peer) {
+			p.PurgeServer(ev.ID, n.ownership.Owner)
+			n.applyReassignments(p, changes)
 		})
-		n.kickCoordinator()
 	case membership.Alive:
 		changes := n.ownership.SetAlive(ev.ID, true)
 		n.reviveResults(ev.ID)
@@ -158,17 +156,16 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 		if max == 0 {
 			max = defaultWarmupEntries
 		}
-		// Collect each shard's warmup slice inside the barrier (fn runs
-		// sequentially on this goroutine, so plain appends are safe), then
-		// merge and send after the loops resume.
-		var perShard [][]core.PathEntry
-		n.runOnShards(true, func(s *shard) {
-			n.applyReassignments(s, changes)
-			if warm && max > 0 && ev.ID != n.id {
-				perShard = append(perShard, s.peer.BuildWarmup(max))
+		// Build the warmup slice with the loop parked, then send it after
+		// the loop resumes.
+		var entries []core.PathEntry
+		n.inspect(true, func(p *core.Peer) {
+			n.applyReassignments(p, changes)
+			if warm {
+				entries = p.BuildWarmup(max)
 			}
 		})
-		if entries := mergeWarmup(perShard, max); len(entries) > 0 {
+		if len(entries) > 0 {
 			// A newly admitted or returned member starts cold: stream it a
 			// bounded slice of our hottest hosted maps (which also announces
 			// our own owned-partition claim to a joiner).
@@ -179,77 +176,22 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 				Kind: core.MembershipWarmup, From: n.id, Warmup: entries,
 			})
 		}
-		n.kickCoordinator()
 	}
 }
 
 // applyReassignments adopts or releases provisional ownership for every
-// handoff that involves this server and falls in shard s's partition. Other
-// servers' handoffs need no local action beyond the ownership table itself
-// (routing consults it lazily). Runs inside a runOnShards barrier.
-func (n *Node) applyReassignments(s *shard, changes []membership.Reassignment) {
+// handoff that involves this server. Other servers' handoffs need no local
+// action beyond the ownership table itself (routing consults it lazily).
+// Runs with the loop parked.
+func (n *Node) applyReassignments(p *core.Peer, changes []membership.Reassignment) {
 	for _, ch := range changes {
-		if len(n.shards) > 1 && n.shardOf(ch.Node) != s.idx {
-			continue
-		}
 		switch {
 		case ch.To == n.id:
-			s.peer.AdoptOwnership(ch.Node, n.ownership.Owner)
+			p.AdoptOwnership(ch.Node, n.ownership.Owner)
 		case ch.From == n.id:
-			s.peer.ReleaseOwnership(ch.Node)
+			p.ReleaseOwnership(ch.Node)
 		}
 	}
-}
-
-// reseedStarved re-bootstraps a shard whose purge left it with no routing
-// state at all (nothing owned, hosted, or cached): without at least a root
-// seed the shard could only fail its partition's queries. Mirrors the
-// bootstrap seeding in NewNode, but against the live ownership table.
-func (n *Node) reseedStarved(s *shard) {
-	if len(n.shards) <= 1 {
-		return
-	}
-	p := s.peer
-	if p.OwnedCount() > 0 || p.ReplicaCount() > 0 || p.CacheLen() > 0 {
-		return
-	}
-	root := n.tree.Root()
-	if o := n.ownership.Owner(root); o != n.id && o != core.NoServer {
-		p.SeedCache(root, core.SingleServerMap(o))
-	}
-}
-
-// mergeWarmup interleaves per-shard warmup slices round-robin (each is
-// ranked hottest-first, so interleaving keeps the merged stream's prefix
-// representative of the whole server) and truncates to max.
-func mergeWarmup(perShard [][]core.PathEntry, max int) []core.PathEntry {
-	total := 0
-	for _, sl := range perShard {
-		total += len(sl)
-	}
-	if total > max {
-		total = max
-	}
-	if total <= 0 {
-		return nil
-	}
-	out := make([]core.PathEntry, 0, total)
-	for i := 0; len(out) < total; i++ {
-		advanced := false
-		for _, sl := range perShard {
-			if i < len(sl) {
-				advanced = true
-				out = append(out, sl[i])
-				if len(out) == total {
-					break
-				}
-			}
-		}
-		if !advanced {
-			break
-		}
-	}
-	return out
 }
 
 // Membership returns the node's membership service (nil when the subsystem

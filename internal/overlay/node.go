@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,12 +62,6 @@ type Options struct {
 	// failure detection, versioned ownership handoff, soft-state purging of
 	// dead servers, and join/warmup admission. See MembershipOptions.
 	Membership *MembershipOptions
-	// Shards partitions the node's hosted nodes and soft state across this
-	// many independently scheduled single-writer event loops, keyed by
-	// namespace subtree (DESIGN.md §11) — the multi-core scale-up knob.
-	// Default 1 (the classic single loop). Values above 1 require
-	// Config.CachingEnabled (shard bootstrap routes live in the cache).
-	Shards int
 	// Persist, when non-nil, enables the durability tier: hosted-state
 	// mutations journal to a WAL under Persist.Dir, periodic snapshots bound
 	// replay, and a restart recovers locally then delta-reconciles with its
@@ -88,12 +83,6 @@ func (o *Options) fill(id core.ServerID) {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 64
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Shards > 64 {
-		o.Shards = 64
 	}
 	if o.LoadWindow <= 0 {
 		o.LoadWindow = 500 * time.Millisecond
@@ -205,27 +194,29 @@ type envelope struct {
 	learn bool
 }
 
-// Node is one live TerraDir server. Its hosted nodes and soft state live in
-// one or more shards (Options.Shards), each a single-writer event loop over
-// its own core.Peer; see shards.go and DESIGN.md §11.
+// Node is one live TerraDir server: one single-writer event loop over one
+// core.Peer (loop.go, DESIGN.md §11).
 type Node struct {
 	id        core.ServerID
 	tree      *namespace.Tree
 	opts      Options
 	transport Transport
 
-	epoch    time.Time
-	shards   []*shard
-	shardTbl []int32 // node → shard index (nil at one shard)
-	stop     chan struct{}
+	epoch time.Time
+	stop  chan struct{}
 
-	// barrier serializes runOnShards callers (see shards.go).
-	barrier sync.Mutex
+	// The event loop's state. peer and meter belong to the loop; queries is
+	// the bounded request queue, control the priority queue for everything
+	// else.
+	peer    *core.Peer
+	meter   *sim.LoadMeter
+	queries chan *core.QueryMsg
+	control chan envelope
+	done    chan struct{}
 
-	// Digest coordinator (sharded nodes with digests enabled; see shards.go).
-	digestGen atomic.Uint64
-	coordKick chan struct{}
-	coordDone chan struct{}
+	// loadEst is the Float64bits of the last meter reading, for readers
+	// outside the loop (the terradir_server_load gauge).
+	loadEst atomic.Uint64
 
 	nextQID atomic.Uint64
 	dropped atomic.Int64
@@ -248,26 +239,36 @@ type Node struct {
 	reconcileSkipped *telemetry.Counter
 
 	// Larger-than-RAM hosting (coldload.go; requires the persistence tier).
+	// pendingCold parks queries and data requests for hosted-but-on-disk
+	// nodes while the loader goroutine reads the node index; it is
+	// loop-owned. loadCh wakes the loader.
 	ownerOf      func(core.NodeID) core.ServerID // static assignment, for cold installs
+	pendingCold  map[core.NodeID]*coldPending
+	loadCh       chan core.NodeID
+	loaderDone   chan struct{}
 	idxHits      *telemetry.Counter
 	idxMisses    *telemetry.Counter
 	idxEvictions *telemetry.Counter
 	idxLoadHist  *telemetry.Histogram
 
 	inboxDrops     *telemetry.Counter
-	batchDepthHist *telemetry.Histogram // envelopes drained per shard wakeup
+	batchDepthHist *telemetry.Histogram // envelopes drained per loop wakeup
 	queueWaitHist  *telemetry.Histogram
 	serviceHist    *telemetry.Histogram
 	latencyHist    *telemetry.Histogram
 	hopsHist       *telemetry.Histogram
 
-	// Lock-free snapshot fast path (see core.RouteSnapshot). sendFn is bound
-	// once so per-query fast serves allocate no closures. Learn gating
-	// (learnSeq/learnPub) lives per shard: while a shard's counters differ,
-	// its fast path declines queries, which routes them through that shard's
-	// loop behind the pending learns (control drains before queries) —
-	// sequential callers get exactly the loop's read-your-writes ordering.
+	// Lock-free snapshot fast path (see core.RouteSnapshot). sendFn and
+	// absorbFn are bound once so per-query fast serves allocate no closures.
+	// Learn gating: learnSeq counts learn-marked envelopes enqueued,
+	// learnPub those whose effects are published. While they differ the
+	// fast path declines queries, which routes them through the loop behind
+	// the pending learns (control drains before queries) — sequential
+	// callers get exactly the loop's read-your-writes ordering.
 	fastEnabled bool
+	learnSeq    atomic.Uint64
+	learnPub    atomic.Uint64
+	absorbFn    func(core.Piggyback, []core.PathEntry)
 	// resMaps remembers the host maps of recently completed local lookups so
 	// the fast path sees its own results immediately, without waiting for the
 	// loop to absorb them into the next snapshot (read-your-writes for the
@@ -297,103 +298,45 @@ type Node struct {
 // beforehand.
 func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerOf func(core.NodeID) core.ServerID, opts Options) (*Node, error) {
 	opts.fill(id)
-	if opts.Shards > 1 && !opts.Config.CachingEnabled {
-		return nil, fmt.Errorf("overlay: Shards = %d requires Config.CachingEnabled (shard bootstrap routes live in the cache)", opts.Shards)
-	}
 	n := &Node{
 		id:          id,
 		tree:        tree,
 		opts:        opts,
 		epoch:       time.Now(),
 		stop:        make(chan struct{}),
+		meter:       sim.NewLoadMeter(opts.LoadWindow.Seconds()),
+		queries:     make(chan *core.QueryMsg, opts.QueueCap),
+		control:     make(chan envelope, 1024),
+		done:        make(chan struct{}),
 		deadSrv:     make(map[core.ServerID]struct{}),
 		pending:     make(map[uint64]chan LookupResult),
 		pendingData: make(map[uint64]chan *core.DataReply),
+		fastEnabled: opts.ServiceDelay == 0, // see Options.ServiceDelay
 	}
-	n.shardTbl = buildShardTable(tree, opts.Shards)
-	ownedBy := make([][]core.NodeID, opts.Shards)
+	peer, err := core.NewPeer(id, tree, opts.Config, nodeEnv{n}, rng.New(opts.Seed))
+	if err != nil {
+		return nil, err
+	}
 	for _, nd := range owned {
-		si := n.shardOf(nd)
-		ownedBy[si] = append(ownedBy[si], nd)
+		peer.AddOwned(nd, core.Meta{})
 	}
+	peer.FinishSetup(ownerOf)
+	n.peer = peer
+	n.absorbFn = n.fastAbsorb
 	n.reg = opts.Registry
 	n.traces = telemetry.NewTraceStore(opts.TraceCap)
 	server := []string{"server", fmt.Sprint(id)}
-	// Queue capacity is a per-server admission bound; split it across shards.
-	queueCap := (opts.QueueCap + opts.Shards - 1) / opts.Shards
+	peer.AttachTelemetry(n.reg, server...)
 	latencyLayout := telemetry.HistogramOpts{Min: 1e-6, Max: 1e3, BucketsPerDecade: 8}
-	for i := 0; i < opts.Shards; i++ {
-		s := &shard{
-			n:       n,
-			idx:     i,
-			meter:   sim.NewLoadMeter(opts.LoadWindow.Seconds()),
-			queries: make(chan *core.QueryMsg, queueCap),
-			control: make(chan envelope, 1024),
-			done:    make(chan struct{}),
-		}
-		peer, err := core.NewPeer(id, tree, opts.Config, shardEnv{s}, rng.New(opts.Seed+uint64(i)*0x9e3779b9))
-		if err != nil {
-			return nil, err
-		}
-		for _, nd := range ownedBy[i] {
-			peer.AddOwned(nd, core.Meta{})
-		}
-		peer.FinishSetup(ownerOf)
-		if opts.Shards > 1 {
-			idx := i
-			keyDepth := shardKeyDepth(tree, opts.Shards)
-			// Cache creation: own partition plus the shared top of the tree
-			// (every lookup's ancestor chain crosses it; see shardKeyDepth).
-			peer.SetLearnFilter(func(nd core.NodeID) bool {
-				return n.shardOf(nd) == idx || tree.Depth(nd) < keyDepth
-			})
-			// Hosted state stays strictly partitioned: one writer per node.
-			peer.SetHostFilter(func(nd core.NodeID) bool { return n.shardOf(nd) == idx })
-			peer.SetSessionBase(uint64(i) << sessionTagShift)
-			// Routing escape for queries a partition-local view cannot make
-			// progress on (see core.Peer.SetOwnerHint): consult the live
-			// ownership table under membership, the static assignment
-			// otherwise.
-			peer.SetOwnerHint(func(nd core.NodeID) core.ServerID {
-				if n.ownership != nil {
-					return n.ownership.Owner(nd)
-				}
-				return ownerOf(nd)
-			})
-			if len(ownedBy[i]) == 0 {
-				// A shard owning nothing starts with no routing context at
-				// all; seed a route toward the namespace root so its first
-				// queries make progress instead of failing NoRoute.
-				if o := ownerOf(tree.Root()); o != id && o != core.NoServer {
-					peer.SeedCache(tree.Root(), core.SingleServerMap(o))
-				}
-			}
-		}
-		// Shard peers share the node's server-labeled counters (the registry
-		// resolves by name+labels, and counters are atomic).
-		peer.AttachTelemetry(n.reg, server...)
-		s.peer = peer
-		s.absorbFn = s.fastAbsorb
-		if opts.Shards > 1 {
-			lbl := []string{"server", fmt.Sprint(id), "shard", fmt.Sprint(i)}
-			s.waitHist = n.reg.Histogram("terradir_shard_queue_wait_seconds",
-				"Time queries spent in one shard's request queue before service.", latencyLayout, lbl...)
-			sh := s
-			n.reg.GaugeFunc("terradir_shard_queue_depth",
-				"Messages currently queued to one shard's event loop.",
-				func() float64 { return float64(len(sh.queries) + len(sh.control)) }, lbl...)
-		}
-		n.shards = append(n.shards, s)
-	}
 	n.reg.GaugeFunc("terradir_server_load",
-		"Server-wide load estimate: mean of the shards' last meter readings.",
-		n.serverLoad, server...)
+		"Server load estimate: the event loop's last load-meter reading.",
+		func() float64 { return math.Float64frombits(n.loadEst.Load()) }, server...)
 	n.inboxDrops = n.reg.Counter("terradir_inbox_query_drops_total",
 		"Queries dropped because the server's bounded request queue was full.", server...)
 	n.queueWaitHist = n.reg.Histogram("terradir_queue_wait_seconds",
 		"Time queries spent in the request queue before service.", latencyLayout, server...)
 	n.batchDepthHist = n.reg.Histogram("terradir_shard_batch_depth",
-		"Envelopes drained per shard event-loop wakeup (at most ingestBatch).",
+		"Envelopes drained per event-loop wakeup (at most ingestBatch).",
 		telemetry.HistogramOpts{Min: 1, Max: 4096, BucketsPerDecade: 8}, server...)
 	n.serviceHist = n.reg.Histogram("terradir_service_seconds",
 		"Per-query service time (protocol handling plus configured delay).", latencyLayout, server...)
@@ -412,7 +355,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		"Queries the fast path declined to the event loop (no snapshot or pruning needed).", server...)
 	n.fastAbsorbDrops = n.reg.Counter("terradir_fastpath_absorb_drops_total",
 		"Fast-path rider/path absorptions dropped because the control queue was full.", server...)
-	n.sendFn = n.fastSend
+	n.sendFn = nodeEnv{n}.Send
 	if n.resCap = opts.Config.CacheSlots; n.resCap > 0 {
 		n.resMaps = make(map[core.NodeID]core.NodeMap, n.resCap)
 	}
@@ -439,6 +382,9 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 			return nil, err
 		}
 	}
+	if opts.Membership != nil {
+		n.setupMembership()
+	}
 	return n, nil
 }
 
@@ -453,26 +399,19 @@ func (n *Node) Traces() *telemetry.TraceStore { return n.traces }
 // ID returns the node's server ID.
 func (n *Node) ID() core.ServerID { return n.id }
 
-// Peer exposes the underlying protocol state machine — shard 0's peer; on a
-// multi-shard node the other shards are reachable via ShardPeer. It must
-// only be inspected while the node is stopped (the loops own the peers while
-// running); on a running node use Inspect or InspectShards instead.
-func (n *Node) Peer() *core.Peer { return n.shards[0].peer }
+// Peer exposes the underlying protocol state machine. It must only be
+// inspected while the node is stopped (the loop owns the peer while
+// running); on a running node use Inspect instead.
+func (n *Node) Peer() *core.Peer { return n.peer }
 
-// Inspect runs fn with every shard loop parked, synchronously. It is the
-// safe way to read (or poke) the single-threaded peer state while the node
-// runs. fn is invoked once per shard peer — once total at the default single
-// shard; on a multi-shard node reads should aggregate across invocations,
-// and pokes (PurgeServer, LearnMaps) apply server-wide. Returns false if the
-// node stopped before fn could run everywhere.
-func (n *Node) Inspect(fn func(p *core.Peer)) bool {
-	return n.runOnShards(true, func(s *shard) { fn(s.peer) })
-}
+// ReplicaCount returns the hosted replicas. Like Peer, call it on a stopped
+// (or quiescent) node; on a running node read it via Inspect.
+func (n *Node) ReplicaCount() int { return n.peer.ReplicaCount() }
 
-// InspectShards is Inspect with the shard index supplied to fn.
-func (n *Node) InspectShards(fn func(idx int, p *core.Peer)) bool {
-	return n.runOnShards(true, func(s *shard) { fn(s.idx, s.peer) })
-}
+// Inspect runs fn with the event loop parked, synchronously. It is the safe
+// way to read (or poke) the single-threaded peer state while the node runs.
+// Returns false if the node stopped before fn could run.
+func (n *Node) Inspect(fn func(p *core.Peer)) bool { return n.inspect(true, fn) }
 
 // InboxDropped returns the number of queries discarded by the bounded inbox
 // — the server's own admission control, distinct from TransportStats
@@ -484,49 +423,27 @@ func (n *Node) InboxDropped() int64 { return n.dropped.Load() }
 // SetTransport wires the node's outgoing path. Must be called before Start.
 func (n *Node) SetTransport(t Transport) { n.transport = t }
 
-// Start launches the node's event loops (one per shard) and, on a
-// multi-shard node with digests enabled, the digest coordinator.
+// Start launches the node's event loop, its cold loader and snapshotter when
+// persistence asks for them, and the membership service. Everything delivery
+// reads is settled by NewNode, so messages that arrive earlier wait in the
+// queues; StartTCPNode still serves only after Start has returned.
 func (n *Node) Start() {
 	if n.transport == nil {
 		panic("overlay: Start before SetTransport")
 	}
 	n.registerTransportMetrics()
-	n.fastEnabled = n.opts.ServiceDelay == 0
-	shared := len(n.shards) > 1 && n.opts.Config.DigestsEnabled
-	if shared {
-		// Install the combined server-wide digest before any shard advertises
-		// its own partial hosted set (see buildSharedDigest). The loops are
-		// not running yet, so direct peer access is safe.
-		ids := make([][]core.NodeID, len(n.shards))
-		for i, s := range n.shards {
-			ids[i] = s.peer.HostedIDs()
-		}
-		f := n.buildSharedDigest(ids)
-		for _, s := range n.shards {
-			s.peer.SetSharedDigest(f)
-		}
-	}
 	if n.fastEnabled {
-		// Publish before the loops run so early arrivals see snapshots
+		// Publish before the loop runs so early arrivals see a snapshot
 		// instead of falling back.
-		for _, s := range n.shards {
-			s.peer.PublishSnapshot()
-		}
+		n.peer.PublishSnapshot()
 	}
-	for _, s := range n.shards {
-		go s.loop()
-		if s.loadCh != nil {
-			s.loaderDone = make(chan struct{})
-			go s.coldLoader()
-		}
+	go n.loop()
+	if n.loadCh != nil {
+		n.loaderDone = make(chan struct{})
+		go n.coldLoader()
 	}
-	if shared {
-		n.coordKick = make(chan struct{}, 1)
-		n.coordDone = make(chan struct{})
-		go n.coordinator()
-	}
-	if n.opts.Membership != nil {
-		n.startMembership()
+	if n.membership != nil {
+		n.membership.Start()
 	}
 	if n.store != nil {
 		n.snapDone = make(chan struct{})
@@ -599,8 +516,8 @@ type ReadHistogramSetter interface {
 	SetReadHistogram(*telemetry.Histogram)
 }
 
-// Stop terminates the membership service (if any), every shard loop and the
-// digest coordinator, waiting for all to exit.
+// Stop terminates the membership service (if any), the event loop and the
+// node's background goroutines, waiting for all to exit.
 func (n *Node) Stop() {
 	if n.membership != nil {
 		n.membership.Stop()
@@ -610,14 +527,9 @@ func (n *Node) Stop() {
 	default:
 		close(n.stop)
 	}
-	for _, s := range n.shards {
-		<-s.done
-		if s.loaderDone != nil {
-			<-s.loaderDone
-		}
-	}
-	if n.coordDone != nil {
-		<-n.coordDone
+	<-n.done
+	if n.loaderDone != nil {
+		<-n.loaderDone
 	}
 	if n.snapDone != nil {
 		<-n.snapDone
@@ -626,7 +538,7 @@ func (n *Node) Stop() {
 		<-n.recDone
 	}
 	if n.store != nil {
-		// Loops and snapshotter have exited: no appender is left. Close
+		// Loop and snapshotter have exited: no appender is left. Close
 		// flushes the WAL tail; recovery is replay-only by design (no
 		// shutdown snapshot — a crash and a clean stop restart identically).
 		if err := n.store.Close(); err != nil {
@@ -635,15 +547,15 @@ func (n *Node) Stop() {
 	}
 }
 
-// handleControl executes one envelope against shard s's peer.
-func (n *Node) handleControl(s *shard, env envelope) {
+// handleControl executes one envelope against the peer.
+func (n *Node) handleControl(env envelope) {
 	if env.fn != nil {
 		env.fn()
 		return
 	}
 	switch m := env.msg.(type) {
 	case *core.ResultMsg:
-		s.peer.HandleResult(m)
+		n.peer.HandleResult(m)
 		n.completeLookup(m)
 		return
 	case *core.TraceSpanMsg:
@@ -651,18 +563,18 @@ func (n *Node) handleControl(s *shard, env envelope) {
 		// the trace store (this is what survives a lost query), then let the
 		// peer absorb the piggybacked rider.
 		n.traces.AddSpan(m.TraceID, m.Span)
-		s.peer.HandleControl(m)
+		n.peer.HandleControl(m)
 		return
 	case *core.DataRequest:
-		if s.pendingCold != nil && s.peer.IsCold(m.Node) &&
-			n.parkCold(s, m.Node, coldWaiter{msg: m}) {
+		if n.pendingCold != nil && n.peer.IsCold(m.Node) &&
+			n.parkCold(m.Node, coldWaiter{msg: m}) {
 			// The requested node's data is on disk; answer after the load.
 			return
 		}
-		s.peer.HandleControl(m)
+		n.peer.HandleControl(m)
 		return
 	case *core.DataReply:
-		s.peer.HandleControl(m) // absorb the piggybacked rider
+		n.peer.HandleControl(m) // absorb the piggybacked rider
 		n.mu.Lock()
 		ch, ok := n.pendingData[m.ReqID]
 		if ok {
@@ -674,29 +586,29 @@ func (n *Node) handleControl(s *shard, env envelope) {
 		}
 		return
 	}
-	s.peer.HandleControl(env.msg)
+	n.peer.HandleControl(env.msg)
 }
 
-// tryFastServe attempts to serve q on shard s's published routing snapshot,
+// tryFastServe attempts to serve q on the published routing snapshot,
 // entirely on the calling goroutine — no event-loop round trip, no locks.
 // It reports whether the query was fully handled; false means the caller must
-// queue it for the shard's loop (no snapshot yet, hooks active, or the route
-// needs a mutation only the loop may perform).
-func (n *Node) tryFastServe(s *shard, q *core.QueryMsg) bool {
-	if s.learnPub.Load() != s.learnSeq.Load() {
+// queue it for the loop (no snapshot yet, hooks active, or the route needs a
+// mutation only the loop may perform).
+func (n *Node) tryFastServe(q *core.QueryMsg) bool {
+	if n.learnPub.Load() != n.learnSeq.Load() {
 		// Learnings are still in flight to the snapshot; serve through the
 		// loop, which drains them first (read-your-writes).
 		n.fastFallbacks.Inc()
 		return false
 	}
-	snap := s.peer.RoutingSnapshot()
+	snap := n.peer.RoutingSnapshot()
 	if snap == nil {
 		n.fastFallbacks.Inc()
 		return false
 	}
 	now := time.Since(n.epoch).Seconds()
 	q.ServedAt = now
-	switch snap.HandleQueryFast(q, now, n.resultHint(q.Dest), n.sendFn, s.absorbFn) {
+	switch snap.HandleQueryFast(q, now, n.resultHint(q.Dest), n.sendFn, n.absorbFn) {
 	case core.FastResolved:
 		n.fastResolved.Inc()
 	case core.FastForwarded:
@@ -709,19 +621,8 @@ func (n *Node) tryFastServe(s *shard, q *core.QueryMsg) bool {
 	}
 	if q.Enqueued > 0 && now >= q.Enqueued {
 		n.queueWaitHist.Observe(now - q.Enqueued)
-		if s.waitHist != nil {
-			s.waitHist.Observe(now - q.Enqueued)
-		}
 	}
 	return true
-}
-
-func (n *Node) fastSend(to core.ServerID, m core.Message) {
-	if to == n.id {
-		n.Deliver(m)
-		return
-	}
-	_ = n.transport.Send(n.id, to, m) // soft state: losses tolerated
 }
 
 // rememberResult records a completed lookup's host map in the node's result
@@ -805,18 +706,15 @@ func (n *Node) reviveResults(sv core.ServerID) {
 	n.resMu.Unlock()
 }
 
-// serveQuery services one query on shard s's loop.
-func (n *Node) serveQuery(s *shard, q *core.QueryMsg) {
+// serveQuery services one query on the loop.
+func (n *Node) serveQuery(q *core.QueryMsg) {
 	start := time.Since(n.epoch).Seconds()
 	q.ServedAt = start // spans measure service from here, including the delay
 	if q.Enqueued > 0 && start >= q.Enqueued {
 		n.queueWaitHist.Observe(start - q.Enqueued)
-		if s.waitHist != nil {
-			s.waitHist.Observe(start - q.Enqueued)
-		}
 	}
-	if s.pendingCold != nil && s.peer.IsCold(q.Dest) &&
-		n.parkCold(s, q.Dest, coldWaiter{q: q}) {
+	if n.pendingCold != nil && n.peer.IsCold(q.Dest) &&
+		n.parkCold(q.Dest, coldWaiter{q: q}) {
 		// Hosted here, but on disk: the loader materializes the entry and
 		// replays the query. Queue wait is already observed above.
 		return
@@ -824,26 +722,23 @@ func (n *Node) serveQuery(s *shard, q *core.QueryMsg) {
 	if n.opts.ServiceDelay > 0 {
 		time.Sleep(n.opts.ServiceDelay)
 	}
-	s.peer.HandleQuery(q)
+	n.peer.HandleQuery(q)
 	end := time.Since(n.epoch).Seconds()
 	n.serviceHist.Observe(end - start)
-	s.meter.AddBusy(start, end)
+	n.meter.AddBusy(start, end)
 }
 
-// toShard enqueues env onto shard s's control queue, blocking until accepted
-// or the node stops.
-func (n *Node) toShard(s *shard, env envelope) {
+// toLoop enqueues env onto the control queue, blocking until accepted or the
+// node stops.
+func (n *Node) toLoop(env envelope) {
 	select {
-	case s.control <- env:
+	case n.control <- env:
 	case <-n.stop:
 	}
 }
 
 // Deliver injects an incoming message (called by transports; safe from any
-// goroutine). Each message is dispatched to the shard that owns its subject
-// node (§11): queries and results by destination, replication and probe
-// traffic by session tag or payload node, warmup streams fanned across
-// shards. Queries beyond the inbox bound are dropped.
+// goroutine). Queries beyond the inbox bound are dropped.
 func (n *Node) Deliver(m core.Message) {
 	n.deliver(m, time.Since(n.epoch).Seconds())
 }
@@ -863,21 +758,17 @@ func (n *Node) DeliverBatch(batch []core.Message) {
 func (n *Node) deliver(m core.Message, now float64) {
 	switch msg := m.(type) {
 	case *core.QueryMsg:
-		s := n.shardFor(msg.Dest)
 		msg.Enqueued = now
-		n.fanForeignPath(s.idx, msg.Path)
-		if n.fastEnabled && n.tryFastServe(s, msg) {
+		if n.fastEnabled && n.tryFastServe(msg) {
 			return
 		}
 		select {
-		case s.queries <- msg:
+		case n.queries <- msg:
 		default:
 			n.dropped.Add(1)
 			n.inboxDrops.Inc()
 		}
 	case *core.ResultMsg:
-		s := n.shardFor(msg.Dest)
-		n.fanForeignPath(s.idx, msg.Path)
 		if n.fastEnabled {
 			// Queue the learning first (control is FIFO) so an Inspect issued
 			// after Lookup returns observes the absorbed result, then wake the
@@ -886,38 +777,36 @@ func (n *Node) deliver(m core.Message, now float64) {
 			// The result cache (not the snapshot) gives the caller's next
 			// lookup immediate visibility of this result.
 			select {
-			case s.control <- envelope{fn: func() { s.peer.HandleResult(msg) }}:
+			case n.control <- envelope{fn: func() { n.peer.HandleResult(msg) }}:
 			case <-n.stop:
 				return
 			}
 			n.completeLookup(msg)
 			return
 		}
-		n.toShard(s, envelope{msg: m})
+		n.toLoop(envelope{msg: m})
 	case *core.TraceSpanMsg:
-		s := n.shardFor(core.NodeID(msg.Span.Node))
 		if n.fastEnabled {
 			// Fold the span in immediately (TraceStore is concurrency-safe);
 			// the piggybacked rider is soft state, absorbed on the loop when
 			// there's room.
 			n.traces.AddSpan(msg.TraceID, msg.Span)
 			select {
-			case s.control <- envelope{fn: func() { s.peer.HandleControl(msg) }}:
+			case n.control <- envelope{fn: func() { n.peer.HandleControl(msg) }}:
 			default:
 				n.fastAbsorbDrops.Inc()
 			}
 			return
 		}
-		n.toShard(s, envelope{msg: m})
+		n.toLoop(envelope{msg: m})
 	case *core.MembershipMsg:
 		switch msg.Kind {
 		case core.MembershipWarmup:
 			// Warmup streams are routing state, not liveness: absorb them on
-			// the event loops, partitioned so each shard learns its own slice.
+			// the event loop.
 			n.deliverWarmup(msg.Warmup)
 		case core.MembershipReconcile:
-			// Answering needs the shard barrier; never block a transport
-			// reader on it.
+			// Answering parks the loop; never block a transport reader on it.
 			go n.handleReconcile(msg)
 		case core.MembershipReconcileAck:
 			n.handleReconcileAck(msg)
@@ -926,26 +815,17 @@ func (n *Node) deliver(m core.Message, now float64) {
 				n.membership.Deliver(msg)
 			}
 		}
-	case *core.LoadProbeMsg:
-		// Spread probes by sender so no single shard absorbs the whole probe
-		// load. The reply carries the answering shard's own load; spread
-		// across senders, that samples the server's per-shard load spectrum.
-		n.toShard(n.shards[int(uint32(msg.From))%len(n.shards)], envelope{msg: m})
-	case *core.LoadProbeReply:
-		// Replies echo the probe's session id, whose top byte tags the shard
-		// whose replication session sent it.
-		n.toShard(n.sessionShard(msg.Session), envelope{msg: m})
-	case *core.ReplicateReply:
-		n.toShard(n.sessionShard(msg.Session.ID), envelope{msg: m})
-	case *core.ReplicateRequest:
-		n.deliverReplicate(msg)
-	case *core.DataRequest:
-		n.toShard(n.shardFor(msg.Node), envelope{msg: m})
-	case *core.DataReply:
-		n.toShard(n.shardFor(msg.Node), envelope{msg: m})
 	default:
-		n.toShard(n.shards[0], envelope{msg: m})
+		n.toLoop(envelope{msg: m})
 	}
+}
+
+// deliverWarmup hands a warmup stream to the loop as a guaranteed learning
+// (warmup is how a joiner becomes routable; dropping it would leave the node
+// cold).
+func (n *Node) deliverWarmup(entries []core.PathEntry) {
+	n.learnSeq.Add(1)
+	n.toLoop(envelope{fn: func() { n.peer.LearnMaps(entries) }, learn: true})
 }
 
 func (n *Node) completeLookup(r *core.ResultMsg) {
@@ -1027,10 +907,9 @@ func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, erro
 		// reallocate; completeLookup recycles the buffer.
 		q.Spans = core.NewSpanBuf(int(q.SpanBudget))
 	}
-	s := n.shardFor(dest)
-	if !n.fastEnabled || !n.tryFastServe(s, q) {
+	if !n.fastEnabled || !n.tryFastServe(q) {
 		select {
-		case s.queries <- q:
+		case n.queries <- q:
 		default:
 			n.mu.Lock()
 			delete(n.pending, qid)

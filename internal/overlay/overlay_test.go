@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,12 +12,6 @@ import (
 	"terradir/internal/rng"
 )
 
-// testShards is the default shard count for every cluster-building helper in
-// the package, so the whole suite can be re-run against a sharded event loop:
-//
-//	go test -race -shards 4 ./internal/overlay/
-var testShards = flag.Int("shards", 1, "default node shard count for overlay tests")
-
 func testTree() *namespace.Tree {
 	return namespace.NewBalanced(2, 8) // 255 nodes
 }
@@ -26,7 +19,6 @@ func testTree() *namespace.Tree {
 func startLocal(t *testing.T, servers int, mut func(*LocalClusterOptions)) *LocalCluster {
 	t.Helper()
 	opts := LocalClusterOptions{Servers: servers, Seed: 11}
-	opts.Node.Shards = *testShards
 	if mut != nil {
 		mut(&opts)
 	}

@@ -1,9 +1,9 @@
 package overlay
 
 // This file wires the persistence tier (internal/persist) into a live node:
-// journal hooks on every shard peer, periodic snapshots taken under the
-// shard barrier, replay at construction, and the delta-reconcile protocol a
-// restarted node uses instead of a full warmup stream (DESIGN.md §13).
+// journal hooks on the peer, periodic snapshots taken with the loop parked,
+// replay at construction, and the delta-reconcile protocol a restarted node
+// uses instead of a full warmup stream (DESIGN.md §13).
 
 import (
 	"fmt"
@@ -46,14 +46,13 @@ type PersistOptions struct {
 	// at most once per interval. Default 100ms.
 	SyncInterval time.Duration
 	// HotCacheEntries, when positive, bounds the hosted entries the node
-	// keeps in memory (split across shards); the rest of its hosted
-	// partition lives in the persistence tier's on-disk node index and is
-	// loaded on demand by a per-shard loader goroutine (DESIGN.md §14). The
-	// namespace a node can host is then bounded by disk, not RAM.
+	// keeps in memory; the rest of its hosted partition lives in the
+	// persistence tier's on-disk node index and is loaded on demand by a
+	// loader goroutine (DESIGN.md §14). The namespace a node can host is then
+	// bounded by disk, not RAM.
 	HotCacheEntries int
 	// HotCacheBytes, when positive, bounds the approximate resident hosted
-	// bytes per node (split across shards). Either bound (or both) enables
-	// larger-than-RAM hosting.
+	// bytes per node. Either bound (or both) enables larger-than-RAM hosting.
 	HotCacheBytes int64
 }
 
@@ -68,9 +67,9 @@ func (o *PersistOptions) fill() {
 	}
 }
 
-// setupPersist opens the store, replays durable state into the shard peers
-// (the loops are not running yet, so direct access is safe) and installs the
-// journal hooks. Called from NewNode after shard construction.
+// setupPersist opens the store, replays durable state into the peer (the
+// loop is not running yet, so direct access is safe) and installs the
+// journal hook. Called from NewNode after the peer is built.
 func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 	po := n.opts.Persist
 	po.fill()
@@ -90,8 +89,8 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 	n.store = st
 	n.replayed = rs
 	// An indexed replay left the snapshot's records on disk instead of
-	// materializing them: stream the index into the shards, keeping entries
-	// resident until each shard's hot cache fills and marking the rest cold.
+	// materializing them: stream the index into the peer, keeping entries
+	// resident until the hot cache fills and marking the rest cold.
 	// The index stays acquired through the WAL-tail replay below, which may
 	// need it to materialize cold entries hit by partial mutations.
 	var ix *persist.Index
@@ -101,32 +100,29 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 		}
 		defer ix.Release()
 		err := ix.EachEntry(func(node core.NodeID, owned, adopted bool, payload []byte) error {
-			s := n.shards[n.shardOf(node)]
-			if s.peer.ResidencyEnabled() && s.residencyFull() {
+			if n.peer.ResidencyEnabled() && n.residencyFull() {
 				// Adopted ownership is not durable (see ImportHosted): a cold
 				// adopted entry counts as a plain replica.
-				s.peer.MarkCold(node, owned && !adopted)
+				n.peer.MarkCold(node, owned && !adopted)
 				return nil
 			}
 			mu, err := wire.DecodeHosted(payload)
 			if err != nil {
 				return err
 			}
-			s.peer.ImportHosted(mu, ownerOf)
+			n.peer.ImportHosted(mu, ownerOf)
 			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("overlay: index restart stream: %w", err)
 		}
 	}
-	// Route each replayed mutation to the shard owning its partition. The
-	// owner hint resolves against the static assignment: the replayed view
-	// predates any liveness knowledge, and adopted ownership is deliberately
-	// not durable (membership re-adopts from live evidence).
+	// Replay the WAL tail. Owners resolve against the static assignment: the
+	// replayed view predates any liveness knowledge, and adopted ownership is
+	// deliberately not durable (membership re-adopts from live evidence).
 	for i := range rs.Mutations {
 		mu := &rs.Mutations[i]
-		s := n.shards[n.shardOf(mu.Node)]
-		if ix != nil && s.peer.IsCold(mu.Node) && partialMutation(mu.Kind) {
+		if ix != nil && n.peer.IsCold(mu.Node) && partialMutation(mu.Kind) {
 			// The tail mutates a field of an entry whose base state is still
 			// on disk: materialize it first so the partial record applies. A
 			// plain import, not InstallFromIndex: that enforces the residency
@@ -136,33 +132,29 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 			// and an acknowledged write would be lost. The cap is enforced
 			// once, after the whole tail.
 			if rec, err := ix.Get(mu.Node); err == nil && rec != nil {
-				s.peer.ImportHosted(rec, ownerOf)
+				n.peer.ImportHosted(rec, ownerOf)
 			} else if err != nil {
 				log.Printf("overlay: server %d index read for tail replay of node %d: %v", n.id, mu.Node, err)
 			}
 		}
-		s.peer.ImportHosted(mu, ownerOf)
+		n.peer.ImportHosted(mu, ownerOf)
 	}
-	// Tail upserts may have pushed shards past their caps; entries installed
+	// Tail upserts may have pushed the peer past its caps; entries installed
 	// from the index are clean and can drain back to disk immediately.
-	for _, s := range n.shards {
-		s.peer.EnforceResidency()
-	}
-	// Journal hooks fire synchronously from each shard's single-writer loop;
-	// the store serializes appends internally. Installed after replay so
-	// imports do not re-journal themselves.
-	for _, s := range n.shards {
-		s.peer.SetJournal(func(mu *core.HostedMutation) {
-			if err := st.Append(mu); err != nil {
-				log.Printf("overlay: server %d wal append: %v", n.id, err)
-			}
-		})
-	}
+	n.peer.EnforceResidency()
+	// The journal hook fires synchronously from the loop (or a goroutine
+	// holding it parked); the store serializes appends internally. Installed
+	// after replay so imports do not re-journal themselves.
+	n.peer.SetJournal(func(mu *core.HostedMutation) {
+		if err := st.Append(mu); err != nil {
+			log.Printf("overlay: server %d wal append: %v", n.id, err)
+		}
+	})
 	return nil
 }
 
 // flushJournal pushes the store's group-commit buffer to the OS (see
-// persist.Store.Flush). Shard loops call it once per drained batch and
+// persist.Store.Flush). The loop calls it once per drained batch and
 // maintenance tick, so journal writes amortize across a batch of mutations
 // instead of costing one write(2) each. No-op without persistence.
 func (n *Node) flushJournal() {
@@ -174,34 +166,30 @@ func (n *Node) flushJournal() {
 	}
 }
 
-// writeSnapshot captures the full hosted state under the shard barrier and
-// writes it as an atomic snapshot. Mark runs inside the barrier — no append
-// is in flight, so the rolled WAL segment boundary exactly matches the
+// writeSnapshot captures the full hosted state with the loop parked and
+// writes it as an atomic snapshot. Mark runs while the loop is parked — no
+// append is in flight, so the rolled WAL segment boundary exactly matches the
 // exported state — while the (slow, fsyncing) snapshot write happens after
-// the loops resume.
+// the loop resumes.
 //
 // With the hot cache enabled, "full hosted state" spans memory and disk: the
-// barrier exports resident entries and captures each shard's cold-id set plus
-// its clean-epoch generation, then (after the loops resume) the cold entries
-// are merged in from the previous index generation with one sequential scan.
-// Only after snapshot and index are durably on disk does each shard complete
+// parked loop exports resident entries and captures the cold-id set plus the
+// clean-epoch generation, then (after the loop resumes) the cold entries are
+// merged in from the previous index generation with one sequential scan.
+// Only after snapshot and index are durably on disk does the peer complete
 // its clean epoch, making the entries the snapshot covered evictable.
 func (n *Node) writeSnapshot() {
-	var seq uint64
+	var seq, gen uint64
 	var markErr error
 	var recs []core.HostedMutation
-	coldIDs := make([][]core.NodeID, len(n.shards))
-	gens := make([]uint64, len(n.shards))
+	var coldIDs []core.NodeID
 	residency := false
-	ok := n.runOnShards(false, func(s *shard) {
-		if s.idx == 0 {
-			seq, markErr = n.store.Mark()
-		}
-		recs = append(recs, s.peer.ExportHosted()...)
-		if s.peer.ResidencyEnabled() {
-			residency = true
-			gens[s.idx] = s.peer.MarkCleanEpoch()
-			coldIDs[s.idx] = s.peer.ColdIDs()
+	ok := n.inspect(false, func(p *core.Peer) {
+		seq, markErr = n.store.Mark()
+		recs = p.ExportHosted()
+		if residency = p.ResidencyEnabled(); residency {
+			gen = p.MarkCleanEpoch()
+			coldIDs = p.ColdIDs()
 		}
 	})
 	if !ok {
@@ -225,23 +213,13 @@ func (n *Node) writeSnapshot() {
 	if !residency {
 		return
 	}
-	// Snapshot + index are durable: tell each shard its pre-barrier state is
-	// clean (evictable). A shard that mutated entries after the barrier keeps
-	// those dirty — they wait for the next snapshot.
-	for _, s := range n.shards {
-		if !s.peer.ResidencyEnabled() {
-			continue
-		}
-		s, g := s, gens[s.idx]
-		select {
-		case s.control <- envelope{fn: func() {
-			s.peer.CompleteCleanEpoch(g)
-			s.peer.EnforceResidency()
-		}}:
-		case <-n.stop:
-			return
-		}
-	}
+	// Snapshot + index are durable: the state captured while parked is clean
+	// (evictable). Entries mutated since stay dirty — they wait for the next
+	// snapshot.
+	n.toLoop(envelope{fn: func() {
+		n.peer.CompleteCleanEpoch(gen)
+		n.peer.EnforceResidency()
+	}})
 }
 
 // mergeColdRecords appends the durable state of every cold (disk-only) node
@@ -249,12 +227,10 @@ func (n *Node) writeSnapshot() {
 // reports false — abandoning the snapshot — if any cold entry cannot be
 // produced: writing a snapshot that silently lacks hosted state would turn
 // the next restart into data loss.
-func (n *Node) mergeColdRecords(recs *[]core.HostedMutation, coldIDs [][]core.NodeID) bool {
-	want := make(map[core.NodeID]struct{})
-	for _, l := range coldIDs {
-		for _, nd := range l {
-			want[nd] = struct{}{}
-		}
+func (n *Node) mergeColdRecords(recs *[]core.HostedMutation, coldIDs []core.NodeID) bool {
+	want := make(map[core.NodeID]struct{}, len(coldIDs))
+	for _, nd := range coldIDs {
+		want[nd] = struct{}{}
 	}
 	if len(want) == 0 {
 		return true
@@ -379,27 +355,18 @@ func (n *Node) reconcileTarget() core.ServerID {
 	return first
 }
 
-// buildReconcileDigest snapshots the node's hosted IDs (under the shard
-// barrier) into a Bloom filter sized for ~1% false positives. A false
+// buildReconcileDigest snapshots the node's hosted IDs (with the loop
+// parked) into a Bloom filter sized for ~1% false positives. A false
 // positive makes the successor skip an entry we actually lack — soft state,
 // repaired by normal path dissemination.
 func (n *Node) buildReconcileDigest() *bloom.Filter {
-	ids := make([][]core.NodeID, len(n.shards))
-	if !n.runOnShards(false, func(s *shard) { ids[s.idx] = s.peer.HostedIDs() }) {
+	var ids []core.NodeID
+	if !n.inspect(false, func(p *core.Peer) { ids = p.HostedIDs() }) {
 		return nil
 	}
-	total := 0
-	for _, l := range ids {
-		total += len(l)
-	}
-	if total < 1 {
-		total = 1
-	}
-	f := bloom.NewForCapacity(uint64(total), 0.01)
-	for _, l := range ids {
-		for _, nd := range l {
-			f.Add(core.NodeKey(nd))
-		}
+	f := bloom.NewForCapacity(uint64(max(len(ids), 1)), 0.01)
+	for _, nd := range ids {
+		f.Add(core.NodeKey(nd))
 	}
 	return f
 }
@@ -408,7 +375,7 @@ func (n *Node) buildReconcileDigest() *bloom.Filter {
 
 // handleReconcile answers a rejoiner's digest with the hosted entries the
 // digest misses, bounded by ReconcileEntries. Runs on its own goroutine
-// (Deliver must not block on the shard barrier).
+// (Deliver must not block on parking the loop).
 func (n *Node) handleReconcile(msg *core.MembershipMsg) {
 	if n.membership == nil {
 		return
@@ -422,8 +389,8 @@ func (n *Node) handleReconcile(msg *core.MembershipMsg) {
 	}
 	var entries []core.PathEntry
 	skipped := 0
-	n.runOnShards(false, func(s *shard) {
-		for _, e := range s.peer.BuildWarmup(1 << 20) {
+	n.inspect(false, func(p *core.Peer) {
+		for _, e := range p.BuildWarmup(1 << 20) {
 			if msg.Digest != nil && msg.Digest.Test(core.NodeKey(e.Node)) {
 				skipped++
 				continue

@@ -75,8 +75,7 @@ func TestTCPPersistRestartE2E(t *testing.T) {
 
 	newOpts := func(i int) Options {
 		o := Options{
-			Seed:   uint64(i) + 1,
-			Shards: *testShards,
+			Seed: uint64(i) + 1,
 			Membership: &MembershipOptions{
 				Protocol: churnProto(i),
 				Servers:  n,
@@ -199,8 +198,7 @@ func TestTCPPersistRestartE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, err := NewNode(victim, tree, ownedBy[victim], ownerOf, Options{
-		Seed:   99,
-		Shards: *testShards,
+		Seed: 99,
 		Membership: &MembershipOptions{
 			Protocol: churnProto(int(victim) + 50),
 			Servers:  n,
@@ -223,27 +221,16 @@ func TestTCPPersistRestartE2E(t *testing.T) {
 	if rs == nil || !rs.HasState() {
 		t.Fatalf("restart recovered no durable state: %+v", rs)
 	}
-	hosted := 0
-	for i := 0; i < fresh.Shards(); i++ {
-		hosted += len(fresh.ShardPeer(i).HostedIDs())
-	}
+	hosted := len(fresh.Peer().HostedIDs())
 	if hosted < len(ownedBy[victim]) {
 		t.Fatalf("replay restored %d hosted nodes, want at least the %d owned", hosted, len(ownedBy[victim]))
 	}
 	for _, nd := range probes {
-		var meta core.Meta
-		var data []byte
-		found := false
-		for i := 0; i < fresh.Shards(); i++ {
-			p := fresh.ShardPeer(i)
-			if m, ok := p.MetaOf(nd); ok && m.Attrs["probe"] != "" {
-				meta, found = m, true
-				data, _ = p.DataOf(nd)
-			}
-		}
+		meta, found := fresh.Peer().MetaOf(nd)
 		if !found || meta.Attrs["probe"] != fmt.Sprint(nd) {
 			t.Fatalf("node %d metadata not recovered from replay (found=%v, meta=%+v)", nd, found, meta)
 		}
+		data, _ := fresh.Peer().DataOf(nd)
 		if string(data) != fmt.Sprintf("payload-%d", nd) {
 			t.Fatalf("node %d data not recovered from replay: %q", nd, data)
 		}

@@ -183,7 +183,9 @@ func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 
 // Serve begins accepting inbound connections, delivering decoded messages to
 // n. It returns immediately; accepting happens on background goroutines.
-// Serve (or ServeFunc) must be called before the first Send.
+// Call it after n.Start (StartTCPNode does). A client-role transport must
+// call ServeFunc before its first Send: replies arrive on the dialed
+// connection.
 func (t *TCPTransport) Serve(n *Node) {
 	t.node = n
 	t.acceptLoop()
@@ -987,9 +989,11 @@ func StartTCPNode(n *Node, transport *TCPTransport) {
 
 // StartTCPNodeVia is StartTCPNode with the outbound path routed through send
 // — typically a FaultTransport wrapping transport — while inbound frames are
-// still served by transport itself.
+// still served by transport itself. The node starts before the transport
+// serves it: inbound frames wait in the listener's backlog until Start has
+// returned, so delivery never races Start's setup.
 func StartTCPNodeVia(n *Node, transport *TCPTransport, send Transport) {
 	n.SetTransport(send)
-	transport.Serve(n)
 	n.Start()
+	transport.Serve(n)
 }

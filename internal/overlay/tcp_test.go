@@ -2,12 +2,14 @@ package overlay
 
 import (
 	"context"
+	"maps"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"terradir/internal/core"
+	"terradir/internal/membership"
 	"terradir/internal/wire"
 )
 
@@ -19,8 +21,8 @@ func startTCPPair(t *testing.T, opts TCPTransportOptions) ([]*Node, []*TCPTransp
 	return startTCPPairNodes(t, opts, Options{})
 }
 
-// startTCPPairNodes is startTCPPair with node options; each node's Seed and
-// Shards are set here.
+// startTCPPairNodes is startTCPPair with node options; each node's Seed is
+// set here.
 func startTCPPairNodes(t *testing.T, opts TCPTransportOptions, nodeOpts Options) ([]*Node, []*TCPTransport, map[core.ServerID]string) {
 	t.Helper()
 	tree := testTree()
@@ -43,7 +45,7 @@ func startTCPPairNodes(t *testing.T, opts TCPTransportOptions, nodeOpts Options)
 	nodes := make([]*Node, 2)
 	for i := 0; i < 2; i++ {
 		o := nodeOpts
-		o.Seed, o.Shards = uint64(i)+1, *testShards
+		o.Seed = uint64(i) + 1
 		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, o)
 		if err != nil {
 			t.Fatal(err)
@@ -58,6 +60,86 @@ func startTCPPairNodes(t *testing.T, opts TCPTransportOptions, nodeOpts Options)
 		}
 	})
 	return nodes, transports, addrs
+}
+
+// TestTCPStartWhileProbed starts a node while a peer is already probing it,
+// so membership frames wait on the new node's listener before it starts.
+// Delivery must not race Start: under -race, a read loop delivering into the
+// node while Start set up its membership service was reported as a data
+// race.
+func TestTCPStartWhileProbed(t *testing.T) {
+	tree := testTree()
+	owner := Assign(tree, 2, 7)
+	ownerOf := func(nd core.NodeID) core.ServerID { return owner[nd] }
+	ownedBy := make([][]core.NodeID, 2)
+	for nd, s := range owner {
+		ownedBy[s] = append(ownedBy[s], core.NodeID(nd))
+	}
+	// Every transport and membership service gets its own address map:
+	// membership teaches its transport addresses at runtime.
+	addrs := map[core.ServerID]string{}
+	transports := make([]*TCPTransport, 2)
+	for i := range transports {
+		tr, err := NewTCPTransportOpts(core.ServerID(i), "127.0.0.1:0", map[core.ServerID]string{}, TCPTransportOptions{Seed: uint64(i) + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transports[i] = tr
+		addrs[core.ServerID(i)] = tr.Addr()
+	}
+	for _, tr := range transports {
+		for id, a := range addrs {
+			tr.SetAddr(id, a)
+		}
+	}
+	nodes := make([]*Node, 2)
+	start := func(i int) {
+		proto := membership.Options{
+			ProbeInterval:    2 * time.Millisecond,
+			ProbeTimeout:     time.Millisecond,
+			SuspicionTimeout: time.Minute, // the late starter must not be declared dead
+			Seed:             uint64(i) + 1,
+		}
+		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, Options{
+			Seed:       uint64(i) + 1,
+			Membership: &MembershipOptions{Protocol: proto, Servers: 2, SelfAddr: addrs[core.ServerID(i)], Peers: maps.Clone(addrs)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		StartTCPNode(n, transports[i])
+	}
+	t.Cleanup(func() {
+		for i := range nodes {
+			if nodes[i] != nil {
+				nodes[i].Stop()
+			}
+			transports[i].Close()
+		}
+	})
+
+	start(0)
+	counter := func(n *Node, name string) float64 { return snapshotPrefix(n.Registry().Snapshot(), name) }
+	waitFor(t, 5*time.Second, func() bool { return counter(nodes[0], "terradir_membership_probes_total") >= 20 })
+	start(1)
+	waitFor(t, 5*time.Second, func() bool { return counter(nodes[0], "terradir_membership_acks_total") > 0 })
+}
+
+// TestLocalStartWhileProbed is TestTCPStartWhileProbed in process:
+// NewLocalCluster starts its nodes one after another, so the first ones
+// probe the rest, and deliver into them, before those have started.
+func TestLocalStartWhileProbed(t *testing.T) {
+	proto := membership.Options{
+		ProbeInterval:    100 * time.Microsecond,
+		ProbeTimeout:     50 * time.Microsecond,
+		SuspicionTimeout: time.Minute,
+	}
+	c := startLocal(t, 16, func(o *LocalClusterOptions) { o.Membership = &proto })
+	last := c.Node(c.Servers() - 1)
+	waitFor(t, 5*time.Second, func() bool {
+		return snapshotPrefix(last.Registry().Snapshot(), "terradir_membership_acks_total") > 0
+	})
 }
 
 // ownedByServer returns a node owned by the given server.

@@ -62,8 +62,8 @@ const (
 	recHeaderLen = 8 // u32 length + u32 crc
 
 	// flushThreshold bounds the group-commit buffer: appendLocked writes the
-	// pending records through once they exceed this, so a shard batch that
-	// journals heavily cannot grow the buffer without bound between flushes.
+	// pending records through once they exceed this, so an event-loop batch
+	// that journals heavily cannot grow the buffer without bound between flushes.
 	flushThreshold = 64 << 10
 
 	// maxPendingCap releases an unusually large pending buffer (a MaxRecord
@@ -175,12 +175,12 @@ func (rs *ReplayState) HasState() bool {
 }
 
 // Store is the open durability tier of one peer. Append may be called from
-// multiple shard event loops concurrently (records are serialized under an
-// internal mutex); Mark/WriteSnapshot/Close coordinate with appends the same
+// several goroutines concurrently (records are serialized under an internal
+// mutex); Mark/WriteSnapshot/Close coordinate with appends the same
 // way.
 //
 // Appends group-commit: records are framed into a pending buffer and written
-// through with one write(2) per Flush (the shard loops flush once per drained
+// through with one write(2) per Flush (the event loop flushes once per drained
 // batch), per flushThreshold overflow, or per append under SyncAlways — so
 // the WAL write amplification scales with batches, not mutations, while
 // SyncAlways still means fsync-per-record and SyncInterval still loses at
@@ -277,7 +277,7 @@ func (s *Store) AppendIncarnation(inc uint64) error {
 	}); err != nil {
 		return err
 	}
-	// Journaled from the membership goroutine, not a shard loop: no batch
+	// Journaled from the membership goroutine, not the event loop: no batch
 	// drain group-commits on its behalf, so write it through immediately.
 	return s.flushSyncLocked()
 }
@@ -363,7 +363,7 @@ func (s *Store) flushSyncLocked() error {
 }
 
 // Flush group-commits buffered records: one write(2) for everything appended
-// since the last flush, then the interval sync policy. Shard event loops call
+// since the last flush, then the interval sync policy. The event loop calls
 // it once per drained batch and maintenance tick, so a record never waits in
 // user space longer than the batch that journaled it.
 func (s *Store) Flush() error {

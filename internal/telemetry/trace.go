@@ -26,9 +26,6 @@ const (
 	HopResolve
 	// HopFail: the server terminated the lookup (TTL exceeded or no route).
 	HopFail
-	// HopOwner: forwarded straight to the destination's authoritative owner
-	// — the sharded overlay's escape when partition-local context stalls.
-	HopOwner
 )
 
 func (r HopReason) String() string {
@@ -45,8 +42,6 @@ func (r HopReason) String() string {
 		return "resolve"
 	case HopFail:
 		return "fail"
-	case HopOwner:
-		return "owner"
 	}
 	return "none"
 }
