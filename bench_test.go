@@ -2,9 +2,9 @@
 // reduced scale (exp.BenchEnv: 50 servers, rates and durations scaled so the
 // whole suite completes in minutes). Each benchmark prints the regenerated
 // rows once (-v) via b.Log of the summary line; full tables come from
-// cmd/terradir-bench. Run the paper-scale versions with:
+// cmd/terradir-exp. Run the paper-scale versions with:
 //
-//	go run ./cmd/terradir-bench -scale 1 -out results/
+//	go run ./cmd/terradir-exp -scale 1 -out results/
 package terradir_test
 
 import (

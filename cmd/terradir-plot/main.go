@@ -1,4 +1,4 @@
-// Command terradir-plot renders an experiment TSV (from terradir-bench) as
+// Command terradir-plot renders an experiment TSV (from terradir-exp) as
 // an ASCII chart in the terminal.
 //
 //	terradir-plot results/fig3.tsv                 # all numeric series vs first column

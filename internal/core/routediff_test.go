@@ -22,8 +22,8 @@ var diffTree = namespace.NewBalanced(2, 7) // 127 nodes, depth 0..6
 
 const diffServers = 8 // self is 0
 
-// diffWorld builds the peer, its clock, a query, and a result hint for seed.
-func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg, NodeMap) {
+// diffWorld builds the peer, its clock and a query for seed.
+func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg) {
 	tb.Helper()
 	g := rng.New(seed)
 	pick := func(xs ...int) int { return xs[g.Intn(len(xs))] }
@@ -180,11 +180,7 @@ func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg, NodeMap)
 			q.Spans = append(q.Spans, telemetry.Span{Seq: int32(k), Server: int32(server())})
 		}
 	}
-	var hint NodeMap
-	if g.Intn(3) == 0 {
-		hint = randMap()
-	}
-	return p, env, q, hint
+	return p, env, q
 }
 
 func cloneQuery(q *QueryMsg) *QueryMsg {
@@ -222,11 +218,11 @@ func checkRouteDecision(t *testing.T, seed uint64) {
 }
 
 // checkViews runs the decision on the live view and on its frozen copy with
-// RNG, cursor, hint, skip set and attempt pinned: the copy must decide as the
+// RNG, cursor, skip set and attempt pinned: the copy must decide as the
 // original does, including the unusable-candidate and exhausted-attempts
 // outcomes the fast executor never reaches.
 func checkViews(t *testing.T, seed uint64) {
-	p, _, q, hint := diffWorld(t, seed)
+	p, _, q := diffWorld(t, seed)
 	p.PublishSnapshot()
 	live, frozen := &p.routeView, &p.RoutingSnapshot().view
 	base, final := live.decide(q)
@@ -239,8 +235,8 @@ func checkViews(t *testing.T, seed uint64) {
 	}
 	var skip map[NodeID]bool
 	for _, attempt := range []int{0, 1, maxRouteAttempts} {
-		a := live.route(q, base, rng.New(seed), q.QueryID*7, hint, skip, attempt)
-		b := frozen.route(q, base, rng.New(seed), q.QueryID*7, hint, skip, attempt)
+		a := live.route(q, base, rng.New(seed), q.QueryID*7, skip, attempt)
+		b := frozen.route(q, base, rng.New(seed), q.QueryID*7, skip, attempt)
 		if (a.candMap == nil) != (b.candMap == nil) || (a.candMap != nil && !reflect.DeepEqual(*a.candMap, *b.candMap)) {
 			t.Fatalf("seed %d attempt %d: candidate maps diverge: live %+v frozen %+v", seed, attempt, a.candMap, b.candMap)
 		}
@@ -260,8 +256,8 @@ func checkViews(t *testing.T, seed uint64) {
 // PrevDist, hop reason, path extension, result Map/Meta, fail reason), the
 // same weights after folding, and the same counters.
 func checkExecutors(t *testing.T, seed uint64) {
-	a, envA, q, _ := diffWorld(t, seed)
-	b, envB, _, _ := diffWorld(t, seed)
+	a, envA, q := diffWorld(t, seed)
+	b, envB, _ := diffWorld(t, seed)
 	a.PublishSnapshot()
 
 	seq := fastSeq.Load()
@@ -274,7 +270,7 @@ func checkExecutors(t *testing.T, seed uint64) {
 			t.Fatalf("seed %d: fallback after %d sends, %d absorbs", seed, len(envA.sent), len(riders))
 		}
 		base, final := b.decide(q)
-		if !b.IsCold(q.Dest) && (final || b.route(q, base, rng.New(1), q.QueryID*7, NodeMap{}, nil, 0).kind != routeUnusable) {
+		if !b.IsCold(q.Dest) && (final || b.route(q, base, rng.New(1), q.QueryID*7, nil, 0).kind != routeUnusable) {
 			t.Fatalf("seed %d: fast path declined, but the destination is not cold and the loop's first attempt is usable", seed)
 		}
 		return

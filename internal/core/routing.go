@@ -142,26 +142,16 @@ func (d *routeDecision) charged() *hostedNode {
 // src supplies every random choice, in a fixed order: digest shortcut, then
 // map pick. cursor positions the rotating digest-scan window (the loop's
 // scanClock; the query ID off the loop, where a shared cursor would be a data
-// race). hint, when non-empty, is an advisory host map for the destination
-// from outside the view (the overlay's result cache). skip excludes
-// candidates already found unusable and attempt counts them: the shortcut
-// search runs on the first attempt only, and from maxRouteAttempts on no
-// candidate is considered.
-func (v *routeView) route(q *QueryMsg, base routeDecision, src *rng.Source, cursor uint64, hint NodeMap, skip map[NodeID]bool, attempt int) routeDecision {
+// race). skip excludes candidates already found unusable and attempt counts
+// them: the shortcut search runs on the first attempt only, and from
+// maxRouteAttempts on no candidate is considered.
+func (v *routeView) route(q *QueryMsg, base routeDecision, src *rng.Source, cursor uint64, skip map[NodeID]bool, attempt int) routeDecision {
 	d := base
 	cand, candMap, candDist, viaCache, closest := v.bestCandidate(q.Dest, skip)
 	if attempt >= maxRouteAttempts {
 		candMap = nil
 	}
 	d.kind, d.closest = routeForward, closest
-	if hint.Len() > 0 {
-		if t := hint.Pick(src, v.self, v.keepFor(q.Dest)); t != NoServer {
-			// Direct hop to a remembered host of the destination — the same
-			// decision a cache hit would make, at distance zero.
-			d.target, d.node, d.newDist, d.reason = t, q.Dest, 0, telemetry.HopCache
-			return d
-		}
-	}
 	// Digest shortcut discovery (§3.6.1): a hit on a node even closer to the
 	// destination than the best candidate redirects the forward.
 	if attempt == 0 && v.cfg.DigestsEnabled && (v.OracleHosts != nil || len(v.digestList) > 0) {
@@ -585,7 +575,7 @@ func (p *Peer) HandleQuery(q *QueryMsg) {
 		base := d
 		var skip map[NodeID]bool
 		for attempt := 0; ; attempt++ {
-			d = p.route(q, base, p.src, uint64(p.scanClock+7), NodeMap{}, skip, attempt)
+			d = p.route(q, base, p.src, uint64(p.scanClock+7), skip, attempt)
 			if d.scanned {
 				p.scanClock += 7 // advance the rotating window each hop (odd stride)
 			}

@@ -186,7 +186,7 @@ func (p *Peer) PublishSnapshot() {
 	if p.tel != nil {
 		start = p.env.Now()
 	}
-	// Scalars, tree, cold bitmap, oracle and owner hint carry over as they
+	// Scalars, tree, cold bitmap and oracle carry over as they
 	// are; every container the loop mutates is replaced by a frozen one.
 	s := &RouteSnapshot{view: p.routeView, stats: &p.fast, tel: p.tel}
 	s.piggy = p.piggyback() // loop context; also rebuilds a dirty digest
@@ -310,11 +310,9 @@ func (p *Peer) foldFastTouches() {
 // FastFallback nothing has been sent or absorbed and the caller must run q
 // through the loop.
 //
-// hint, when non-empty, is an advisory host map for q.Dest from outside the
-// snapshot (the overlay's result cache); a usable hint forwards directly to a
-// host, bridging the gap until the loop absorbs the same result. An unusable
-// hint is simply ignored. Passed by value to keep it off the heap.
-func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, hint NodeMap, send func(ServerID, Message), absorb func(Piggyback, []PathEntry)) FastOutcome {
+// The NodeMap argument is ignored. It is kept only so existing callers
+// compile, and goes when they are updated.
+func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, _ NodeMap, send func(ServerID, Message), absorb func(Piggyback, []PathEntry)) FastOutcome {
 	v := &s.view
 	if v.cold.has(q.Dest) {
 		// Hosted here, but on disk: the loop parks the query and a loader
@@ -328,7 +326,7 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, hint NodeMap, 
 	if !final {
 		var src rng.Source
 		src.Seed(q.QueryID ^ uint64(uint32(v.self))<<32 ^ fastSeq.Add(0x9e3779b97f4a7c15))
-		d = v.route(q, d, &src, q.QueryID*7, hint, nil, 0)
+		d = v.route(q, d, &src, q.QueryID*7, nil, 0)
 		if d.kind == routeUnusable {
 			// The loop prunes the candidate and retries; the fast path has no
 			// mutation budget, so it declines.

@@ -258,7 +258,7 @@ func TestQueueWaitMeasuredFromEnqueue(t *testing.T) {
 	}
 	// The drain itself must have been batched: the depth histogram saw the
 	// pile-up as (at least) one multi-envelope batch.
-	if depth := snapshotPrefix(snap, "terradir_shard_batch_depth_sum"); depth < queries {
+	if depth := snapshotPrefix(snap, "terradir_loop_batch_depth_sum"); depth < queries {
 		t.Fatalf("batch depth sum = %.0f, want >= %d", depth, queries)
 	}
 }

@@ -262,3 +262,62 @@ func TestTCPChurnE2E(t *testing.T) {
 		t.Fatalf("post-rejoin success rate %d/%d, want ≥99%%", ok, final)
 	}
 }
+
+// TestRepeatLookupAfterOwnerCrash resolves a node, crashes its owner, and
+// repeats the lookup from the same server once membership declares the owner
+// dead: the repeat must succeed and must not name the crashed server, even
+// though the first result put it in the source's own maps.
+func TestRepeatLookupAfterOwnerCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs real-time failure detection")
+	}
+	proto := churnProto(3)
+	c := startLocal(t, 5, func(o *LocalClusterOptions) {
+		o.Fault = &FaultOptions{}
+		o.Membership = &proto
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	const victim = core.ServerID(2)
+	var dest core.NodeID
+	found := false
+	for nd := 0; nd < c.Tree().Len(); nd++ {
+		if c.OwnerOf(core.NodeID(nd)) == victim {
+			dest, found = core.NodeID(nd), true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("server %d owns nothing", victim)
+	}
+
+	res, err := c.Lookup(ctx, 0, dest)
+	if err != nil || !res.OK {
+		t.Fatalf("warm lookup failed: %+v, %v", res, err)
+	}
+
+	c.Fault().Crash(victim)
+	c.Node(int(victim)).Stop()
+
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if st, _ := c.Node(0).Membership().StateOf(victim); st == membership.Dead {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for server 0 to declare the victim dead")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	res, err = c.Lookup(ctx, 0, dest)
+	if err != nil || !res.OK {
+		t.Fatalf("post-crash repeat lookup failed: %+v, %v", res, err)
+	}
+	for _, h := range res.Hosts {
+		if h == victim {
+			t.Fatalf("repeat lookup result names the crashed server: %+v", res.Hosts)
+		}
+	}
+}

@@ -127,11 +127,9 @@ func (n *Node) finishColdLoad(dest core.NodeID, rec *core.HostedMutation) {
 		// The stored self-map predates current liveness knowledge: drop
 		// servers membership currently considers dead, exactly as PurgeServer
 		// would have done were the entry resident.
-		n.resMu.RLock()
-		for sv := range n.deadSrv {
-			rec.Map.Remove(sv)
+		if n.ownership != nil {
+			rec.Map.Prune(n.ownership.Alive)
 		}
-		n.resMu.RUnlock()
 		installed = n.peer.InstallFromIndex(rec, n.effectiveOwner)
 	}
 	if installed {

@@ -9,26 +9,32 @@ import (
 	"time"
 
 	"terradir/internal/core"
+	"terradir/internal/membership"
 )
 
 // startColdNode builds and starts a single-server overlay hosting the whole
 // test namespace with a hot cache capped at capEntries — the larger-than-RAM
-// configuration, with the namespace ~10x the cache.
-func startColdNode(t *testing.T, dir string, capEntries int) (*Node, *LocalTransport) {
+// configuration, with the namespace ~10x the cache. tweak, if given, edits
+// the options before the node is built.
+func startColdNode(t *testing.T, dir string, capEntries int, tweak ...func(*Options)) (*Node, *LocalTransport) {
 	t.Helper()
 	tree := testTree()
 	all := make([]core.NodeID, tree.Len())
 	for i := range all {
 		all[i] = core.NodeID(i)
 	}
-	nd, err := NewNode(0, tree, all, func(core.NodeID) core.ServerID { return 0 }, Options{
+	opts := Options{
 		Seed: 7,
 		Persist: &PersistOptions{
 			Dir:              dir,
 			SnapshotInterval: time.Hour, // snapshots are forced explicitly
 			HotCacheEntries:  capEntries,
 		},
-	})
+	}
+	for _, f := range tweak {
+		f(&opts)
+	}
+	nd, err := NewNode(0, tree, all, func(core.NodeID) core.ServerID { return 0 }, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +288,70 @@ func TestColdLoadConcurrentBarriers(t *testing.T) {
 	}
 	if n.idxMisses.Value() == 0 {
 		t.Fatal("no cold misses observed; the race never exercised the load path")
+	}
+}
+
+// TestColdLoadDropsDeadServers checks that a cold load does not bring back a
+// server membership has declared dead. Every hosted self-map names server 1
+// before the snapshot, so the index records name it too. Server 1 is then
+// declared dead, which purges only the resident entries. A node loaded from
+// the index afterwards must come back without it.
+func TestColdLoadDropsDeadServers(t *testing.T) {
+	const capEntries, dead = 24, core.ServerID(1)
+	n, tr := startColdNode(t, t.TempDir(), capEntries, func(o *Options) {
+		o.Membership = &MembershipOptions{
+			// Server 1 never runs, and probing is slow enough that the
+			// detector stays out of the test; the death is declared below.
+			Protocol: membership.Options{ProbeInterval: time.Hour},
+			Servers:  2,
+			Peers:    map[core.ServerID]string{0: "", 1: ""},
+		}
+	})
+	defer func() {
+		n.Stop()
+		tr.Close()
+	}()
+	entries := make([]core.PathEntry, n.tree.Len())
+	for i := range entries {
+		entries[i] = core.PathEntry{Node: core.NodeID(i), Map: core.SingleServerMap(dead)}
+	}
+	n.Inspect(func(p *core.Peer) { p.LearnMaps(entries) })
+	drainToCap(t, n, capEntries)
+
+	var cold []core.NodeID
+	n.Inspect(func(p *core.Peer) { cold = p.ColdIDs() })
+	if len(cold) < 2 {
+		t.Fatalf("%d cold nodes after the drain, want at least 2", len(cold))
+	}
+	hosts := func(id core.NodeID) []core.ServerID {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := n.Lookup(ctx, id)
+		if err != nil || !res.OK || res.Node != id {
+			t.Fatalf("lookup of cold node %d: %v %+v", id, err, res)
+		}
+		return res.Hosts
+	}
+	names := func(hs []core.ServerID) bool {
+		for _, h := range hs {
+			if h == dead {
+				return true
+			}
+		}
+		return false
+	}
+	// While server 1 is alive, a cold load installs the stored map as is.
+	if hs := hosts(cold[0]); !names(hs) {
+		t.Fatalf("test setup: node %d loaded from the index with hosts %v, want server %d among them", cold[0], hs, dead)
+	}
+
+	n.handleMembershipEvent(membership.Event{
+		Member: membership.Member{ID: dead, State: membership.Dead},
+		Prev:   membership.Alive,
+	})
+	if hs := hosts(cold[1]); names(hs) {
+		t.Fatalf("node %d loaded after server %d died still names it: hosts %v", cold[1], dead, hs)
 	}
 }
 

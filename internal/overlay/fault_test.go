@@ -172,6 +172,10 @@ func TestFaultOverLocalClusterKill(t *testing.T) {
 			t.Fatalf("warm lookup %d: %v %+v", nd, err, res)
 		}
 	}
+	// A result wakes its caller before server 0's loop absorbs it, and the
+	// fast path routes on the loop's last publish. Inspect queues behind the
+	// absorptions and holds the fast path closed until the loop republishes.
+	c.Node(0).Inspect(func(*core.Peer) {})
 	// Kill the victim. Cached soft state on server 0 must keep the same
 	// destinations resolvable without ever touching the dead peer.
 	c.KillServer(victim)

@@ -135,10 +135,6 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 	switch ev.State {
 	case membership.Dead:
 		changes := n.ownership.SetAlive(ev.ID, false)
-		// The result cache may hold maps naming the dead server; scrub it
-		// outside the park (it has its own lock) and mark the server dead so
-		// in-flight results cannot re-insert it.
-		n.purgeResults(ev.ID)
 		// Soft-state repair: drop every cached/replicated reference to the
 		// dead server, reseeding emptied maps from the post-handoff owner.
 		n.inspect(true, func(p *core.Peer) {
@@ -147,7 +143,6 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 		})
 	case membership.Alive:
 		changes := n.ownership.SetAlive(ev.ID, true)
-		n.reviveResults(ev.ID)
 		// A member that advertised durable state restores itself by local
 		// replay and pulls only its delta (MembershipReconcile); pushing it
 		// a full warmup stream would be redundant bytes.

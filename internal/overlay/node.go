@@ -265,21 +265,10 @@ type Node struct {
 	// fast path declines queries, which routes them through the loop behind
 	// the pending learns (control drains before queries) — sequential
 	// callers get exactly the loop's read-your-writes ordering.
-	fastEnabled bool
-	learnSeq    atomic.Uint64
-	learnPub    atomic.Uint64
-	absorbFn    func(core.Piggyback, []core.PathEntry)
-	// resMaps remembers the host maps of recently completed local lookups so
-	// the fast path sees its own results immediately, without waiting for the
-	// loop to absorb them into the next snapshot (read-your-writes for the
-	// common case). Bounded by resCap; advisory only. deadSrv marks servers
-	// currently considered dead by membership: entries naming them are
-	// dropped and late results naming them are filtered, so a cached result
-	// can never replay a purged server to callers.
-	resMu           sync.RWMutex
-	resMaps         map[core.NodeID]core.NodeMap
-	resCap          int
-	deadSrv         map[core.ServerID]struct{}
+	fastEnabled     bool
+	learnSeq        atomic.Uint64
+	learnPub        atomic.Uint64
+	absorbFn        func(core.Piggyback, []core.PathEntry)
 	sendFn          func(core.ServerID, core.Message)
 	fastResolved    *telemetry.Counter
 	fastForwarded   *telemetry.Counter
@@ -308,7 +297,6 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		queries:     make(chan *core.QueryMsg, opts.QueueCap),
 		control:     make(chan envelope, 1024),
 		done:        make(chan struct{}),
-		deadSrv:     make(map[core.ServerID]struct{}),
 		pending:     make(map[uint64]chan LookupResult),
 		pendingData: make(map[uint64]chan *core.DataReply),
 		fastEnabled: opts.ServiceDelay == 0, // see Options.ServiceDelay
@@ -335,8 +323,8 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		"Queries dropped because the server's bounded request queue was full.", server...)
 	n.queueWaitHist = n.reg.Histogram("terradir_queue_wait_seconds",
 		"Time queries spent in the request queue before service.", latencyLayout, server...)
-	n.batchDepthHist = n.reg.Histogram("terradir_shard_batch_depth",
-		"Envelopes drained per event-loop wakeup (at most ingestBatch).",
+	n.batchDepthHist = n.reg.Histogram("terradir_loop_batch_depth",
+		fmt.Sprintf("Envelopes the server's event loop drained per wakeup (at most %d).", ingestBatch),
 		telemetry.HistogramOpts{Min: 1, Max: 4096, BucketsPerDecade: 8}, server...)
 	n.serviceHist = n.reg.Histogram("terradir_service_seconds",
 		"Per-query service time (protocol handling plus configured delay).", latencyLayout, server...)
@@ -356,9 +344,6 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	n.fastAbsorbDrops = n.reg.Counter("terradir_fastpath_absorb_drops_total",
 		"Fast-path rider/path absorptions dropped because the control queue was full.", server...)
 	n.sendFn = nodeEnv{n}.Send
-	if n.resCap = opts.Config.CacheSlots; n.resCap > 0 {
-		n.resMaps = make(map[core.NodeID]core.NodeMap, n.resCap)
-	}
 	if opts.Membership != nil {
 		if opts.Membership.Servers < 1 {
 			return nil, fmt.Errorf("overlay: MembershipOptions.Servers = %d", opts.Membership.Servers)
@@ -608,7 +593,7 @@ func (n *Node) tryFastServe(q *core.QueryMsg) bool {
 	}
 	now := time.Since(n.epoch).Seconds()
 	q.ServedAt = now
-	switch snap.HandleQueryFast(q, now, n.resultHint(q.Dest), n.sendFn, n.absorbFn) {
+	switch snap.HandleQueryFast(q, now, core.NodeMap{}, n.sendFn, n.absorbFn) {
 	case core.FastResolved:
 		n.fastResolved.Inc()
 	case core.FastForwarded:
@@ -623,87 +608,6 @@ func (n *Node) tryFastServe(q *core.QueryMsg) bool {
 		n.queueWaitHist.Observe(now - q.Enqueued)
 	}
 	return true
-}
-
-// rememberResult records a completed lookup's host map in the node's result
-// cache. Shared storage is safe: host-map slices are read-only once received.
-// Entries naming a server currently marked dead are filtered on the way in —
-// a result that raced a membership death must not resurrect the purged
-// server (see purgeResults).
-func (n *Node) rememberResult(dest core.NodeID, m core.NodeMap) {
-	if n.resCap == 0 {
-		return
-	}
-	n.resMu.Lock()
-	if len(n.deadSrv) > 0 {
-		for _, sv := range m.Servers {
-			if _, dead := n.deadSrv[sv]; dead {
-				m = m.Clone()
-				for dsv := range n.deadSrv {
-					m.Remove(dsv)
-				}
-				break
-			}
-		}
-		if m.Len() == 0 {
-			n.resMu.Unlock()
-			return
-		}
-	}
-	if _, ok := n.resMaps[dest]; !ok && len(n.resMaps) >= n.resCap {
-		for k := range n.resMaps { // random slot, soft state
-			delete(n.resMaps, k)
-			break
-		}
-	}
-	n.resMaps[dest] = m
-	n.resMu.Unlock()
-}
-
-// resultHint returns the remembered host map for dest (zero map if none).
-func (n *Node) resultHint(dest core.NodeID) core.NodeMap {
-	if n.resMaps == nil {
-		return core.NodeMap{}
-	}
-	n.resMu.RLock()
-	m := n.resMaps[dest]
-	n.resMu.RUnlock()
-	return m
-}
-
-// purgeResults scrubs server sv from the lookup result cache and marks it
-// dead so late-arriving results naming it are filtered too. Without this, a
-// cached result naming a purged server could be replayed to callers — and a
-// result already in flight when the death was processed could re-insert it —
-// in the window before ownership republish.
-func (n *Node) purgeResults(sv core.ServerID) {
-	n.resMu.Lock()
-	n.deadSrv[sv] = struct{}{}
-	var emptied []core.NodeID
-	for nd, m := range n.resMaps {
-		if !m.Contains(sv) {
-			continue
-		}
-		c := m.Clone()
-		c.Remove(sv)
-		if c.Len() == 0 {
-			emptied = append(emptied, nd)
-			continue
-		}
-		n.resMaps[nd] = c
-	}
-	for _, nd := range emptied {
-		delete(n.resMaps, nd)
-	}
-	n.resMu.Unlock()
-}
-
-// reviveResults clears sv's dead mark once membership declares it alive
-// again.
-func (n *Node) reviveResults(sv core.ServerID) {
-	n.resMu.Lock()
-	delete(n.deadSrv, sv)
-	n.resMu.Unlock()
 }
 
 // serveQuery services one query on the loop.
@@ -774,8 +678,8 @@ func (n *Node) deliver(m core.Message, now float64) {
 			// after Lookup returns observes the absorbed result, then wake the
 			// waiting caller without a loop round trip. HandleResult only
 			// reads the message, so the concurrent completeLookup is safe.
-			// The result cache (not the snapshot) gives the caller's next
-			// lookup immediate visibility of this result.
+			// The loop publishes after the batch that absorbs it, and from
+			// then on the fast path routes on the learned map.
 			select {
 			case n.control <- envelope{fn: func() { n.peer.HandleResult(msg) }}:
 			case <-n.stop:
@@ -850,17 +754,9 @@ func (n *Node) completeLookup(r *core.ResultMsg) {
 		Trace:   append([]telemetry.Span(nil), r.Spans...),
 	}
 	res.Hosts = append(res.Hosts, r.Map.Servers...)
-	if n.fastEnabled && r.OK && len(r.Map.Servers) > 0 {
-		// Insert before waking the caller so their next lookup sees it.
-		n.rememberResult(r.Dest, r.Map)
-	}
 	n.latencyHist.Observe(res.Latency.Seconds())
 	n.hopsHist.Observe(float64(res.Hops))
 	n.traces.Complete(r.TraceID, r.Spans, r.OK, r.Hops)
-	// Complete copies spans by value and res.Trace is a fresh copy, so this
-	// node — the lookup's originator — is the buffer's final owner.
-	core.RecycleSpanBuf(r.Spans)
-	r.Spans = nil
 	ch <- res
 }
 
@@ -903,9 +799,8 @@ func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, erro
 		// Budget: the full route plus the resolving hop, with one spare for
 		// the rare route that ends exactly at MaxHops.
 		q.SpanBudget = int32(n.opts.Config.MaxHops) + 2
-		// Pre-reserve the whole budget from the pool so per-hop appends never
-		// reallocate; completeLookup recycles the buffer.
-		q.Spans = core.NewSpanBuf(int(q.SpanBudget))
+		// Pre-reserve the whole budget so per-hop appends never reallocate.
+		q.Spans = make([]telemetry.Span, 0, q.SpanBudget)
 	}
 	if !n.fastEnabled || !n.tryFastServe(q) {
 		select {
