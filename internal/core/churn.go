@@ -121,7 +121,6 @@ func (p *Peer) AdoptOwnership(node NodeID, ownerOf func(NodeID) ServerID) bool {
 		p.ownedCount++
 		p.ensureSelf(p.editSelfMap(hn))
 		p.markDirty(hn)
-		p.journalKind(MutAdopt, node)
 		p.Stats.OwnershipAdopts++
 		if p.tel != nil {
 			p.tel.adoptions.Inc()
@@ -169,7 +168,6 @@ func (p *Peer) ReleaseOwnership(node NodeID) bool {
 	hn.data = nil
 	p.ownedCount--
 	p.markDirty(hn)
-	p.journalKind(MutRelease, node)
 	p.Stats.OwnershipReleases++
 	if p.tel != nil {
 		p.tel.releases.Inc()

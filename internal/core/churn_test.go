@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"terradir/internal/bloom"
@@ -125,6 +126,26 @@ func TestAdoptAndReleaseOwnership(t *testing.T) {
 	if p.Stats.OwnershipAdopts != 2 || p.Stats.OwnershipReleases != 2 {
 		t.Errorf("adoption stats = %d/%d, want 2/2",
 			p.Stats.OwnershipAdopts, p.Stats.OwnershipReleases)
+	}
+}
+
+// TestAdoptionJournalsOnlyTheReplica checks that provisional ownership writes
+// nothing to the journal: replay never restores an adoption, so a record of
+// one (or of its release) would replay as a no-op. A fresh adoption journals
+// the one upsert that replays as a plain replica.
+func TestAdoptionJournalsOnlyTheReplica(t *testing.T) {
+	tree, ids := paperTree()
+	p := newTestPeer(t, tree, 0, []NodeID{ids["/u/pub"]}, 1, DefaultConfig(), &fakeEnv{})
+	var kinds []MutationKind
+	p.SetJournal(func(mu *HostedMutation) { kinds = append(kinds, mu.Kind) })
+	ownerOf := func(NodeID) ServerID { return 1 }
+	target := ids["/u/priv"]
+	if !p.AdoptOwnership(target, ownerOf) || !p.ReleaseOwnership(target) ||
+		!p.AdoptOwnership(target, ownerOf) || !p.ReleaseOwnership(target) {
+		t.Fatal("adopt/release sequence rejected")
+	}
+	if !slices.Equal(kinds, []MutationKind{MutUpsert}) {
+		t.Fatalf("journaled %v, want only the fresh adoption's upsert", kinds)
 	}
 }
 

@@ -19,9 +19,12 @@ const (
 	MutUpsert MutationKind = iota + 1
 	// MutDelete removes a hosted replica (eviction).
 	MutDelete
-	// MutAdopt promotes an already-hosted entry to provisional ownership.
+	// MutAdopt promoted an already-hosted entry to provisional ownership.
+	// No longer written; replays as a no-op (adoption is not durable).
 	MutAdopt
-	// MutRelease demotes an adopted entry back to a plain replica.
+	// MutRelease demoted an adopted entry back to a plain replica. No longer
+	// written; replays as a no-op (replay never restores an adoption to
+	// release).
 	MutRelease
 	// MutMeta replaces a hosted node's metadata.
 	MutMeta
@@ -115,8 +118,9 @@ func (p *Peer) ExportHosted() []HostedMutation {
 // Provisional (adopted) ownership is deliberately not durable: it derives
 // from a liveness view that is stale by the time we restart, so adopted
 // entries come back as plain replicas (the membership layer re-adopts if the
-// original owner is still dead). MutAdopt records therefore replay as no-ops
-// and MutUpsert strips the adopted/owned flags of adopted entries.
+// original owner is still dead). MutUpsert therefore strips the adopted/owned
+// flags of adopted entries, and the MutAdopt and MutRelease records older
+// builds wrote replay as no-ops.
 //
 // It reports whether the record changed peer state.
 func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) bool {
@@ -177,21 +181,6 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 			p.resident.bytes -= int64(hn.size)
 		}
 		p.digestDirty = true
-		return true
-	case MutAdopt:
-		// Not durable (see above).
-		return false
-	case MutRelease:
-		hn, ok := p.hosted[rec.Node]
-		if !ok || !hn.owned || !hn.adopted {
-			return false
-		}
-		hn.owned = false
-		hn.adopted = false
-		hn.hasData = false
-		hn.data = nil
-		p.ownedCount--
-		p.markDirty(hn)
 		return true
 	case MutMeta:
 		hn, ok := p.hosted[rec.Node]

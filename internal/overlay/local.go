@@ -3,7 +3,7 @@ package overlay
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"terradir/internal/core"
@@ -14,46 +14,18 @@ import (
 // LocalTransport delivers messages between nodes of one process by direct
 // inbox injection, optionally after a simulated network delay. Message
 // values follow the core ownership-transfer conventions, so no copying is
-// needed between goroutines. Delayed delivery runs on one shared
-// delay-queue goroutine rather than one time.AfterFunc timer per message:
-// the delay is constant, so arrival order is due-time order and a FIFO
-// plus a single timer replaces per-message timer allocations (and their
-// runtime-timer-heap churn) entirely.
+// needed between goroutines. A delayed message gets its own timer, as
+// FaultTransport's latency does.
 type LocalTransport struct {
-	nodes []*Node
-	delay time.Duration
-
-	mu         sync.Mutex
-	pending    []delayedMsg
-	scratch    []delayedMsg   // reused due-batch buffer (delay goroutine only)
-	msgScratch []core.Message // reused same-dst run buffer (delay goroutine only)
-	closed     bool
-	wake       chan struct{}
-	stop       chan struct{}
-	done       chan struct{}
-}
-
-type delayedMsg struct {
-	due time.Time
-	dst *Node
-	m   core.Message
+	nodes  []*Node
+	delay  time.Duration
+	closed atomic.Bool
 }
 
 // NewLocalTransport creates a transport over the given (positionally
 // ID-ordered) nodes with an optional per-message delay.
 func NewLocalTransport(delay time.Duration) *LocalTransport {
-	t := &LocalTransport{
-		delay: delay,
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	if delay > 0 {
-		go t.runDelay()
-	} else {
-		close(t.done)
-	}
-	return t
+	return &LocalTransport{delay: delay}
 }
 
 // Register adds a node; nodes must be registered in server-ID order.
@@ -69,105 +41,18 @@ func (t *LocalTransport) Send(from, to core.ServerID, m core.Message) error {
 		dst.Deliver(m)
 		return nil
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil // in-flight loss after close; soft state tolerates it
-	}
-	t.pending = append(t.pending, delayedMsg{due: time.Now().Add(t.delay), dst: dst, m: m})
-	t.mu.Unlock()
-	select {
-	case t.wake <- struct{}{}:
-	default:
-	}
+	time.AfterFunc(t.delay, func() {
+		if !t.closed.Load() { // in-flight loss after close; soft state tolerates it
+			dst.Deliver(m)
+		}
+	})
 	return nil
 }
 
-// runDelay is the shared delivery goroutine: it sleeps until the queue head
-// is due, then delivers every due message. The constant per-message delay
-// makes the FIFO due-time-ordered, so no priority queue is needed — and a
-// Send while the timer sleeps can only append a later due time, so the
-// sleep never needs to be shortened.
-func (t *LocalTransport) runDelay() {
-	defer close(t.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		t.mu.Lock()
-		if len(t.pending) == 0 {
-			t.mu.Unlock()
-			select {
-			case <-t.wake:
-				continue
-			case <-t.stop:
-				return
-			}
-		}
-		head := t.pending[0].due
-		t.mu.Unlock()
-		if wait := time.Until(head); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-t.stop:
-				timer.Stop()
-				return
-			}
-		}
-		t.mu.Lock()
-		now := time.Now()
-		n := 0
-		for n < len(t.pending) && !t.pending[n].due.After(now) {
-			n++
-		}
-		batch := append(t.scratch[:0], t.pending[:n]...)
-		rest := copy(t.pending, t.pending[n:])
-		for i := rest; i < len(t.pending); i++ {
-			t.pending[i] = delayedMsg{}
-		}
-		t.pending = t.pending[:rest]
-		t.mu.Unlock()
-		// Deliver consecutive same-destination runs as one batch: each run
-		// shares a single wall-clock read and inbox wakeup on the receiving
-		// node, matching the TCP read path's batch delivery.
-		msgs := t.msgScratch
-		for start := 0; start < len(batch); {
-			dst := batch[start].dst
-			msgs = msgs[:0]
-			end := start
-			for end < len(batch) && batch[end].dst == dst {
-				msgs = append(msgs, batch[end].m)
-				end++
-			}
-			dst.DeliverBatch(msgs)
-			start = end
-		}
-		msgs = msgs[:cap(msgs)]
-		for i := range msgs { // drop message references held by the scratch
-			msgs[i] = nil
-		}
-		t.msgScratch = msgs[:0]
-		for i := range batch {
-			batch[i] = delayedMsg{}
-		}
-		t.scratch = batch[:0]
-	}
-}
-
-// Close implements Transport: it stops the delay goroutine (dropping any
-// undelivered delayed messages, which soft state tolerates). Idempotent.
+// Close implements Transport: delayed messages still in flight are dropped,
+// which soft state tolerates. Idempotent.
 func (t *LocalTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.stop)
-	<-t.done
+	t.closed.Store(true)
 	return nil
 }
 
@@ -301,7 +186,7 @@ func (c *LocalCluster) LookupName(ctx context.Context, source int, name string) 
 	return c.nodes[source].LookupName(ctx, name)
 }
 
-// StopAll shuts every node down and stops the transport's delay goroutine.
+// StopAll shuts every node down and closes the transport.
 func (c *LocalCluster) StopAll() {
 	for _, n := range c.nodes {
 		if n != nil {

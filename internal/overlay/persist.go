@@ -22,7 +22,7 @@ import (
 // node needs the on-disk base state materialized first.
 func partialMutation(kind core.MutationKind) bool {
 	switch kind {
-	case core.MutMeta, core.MutData, core.MutMap, core.MutRelease, core.MutAdopt:
+	case core.MutMeta, core.MutData, core.MutMap:
 		return true
 	}
 	return false
