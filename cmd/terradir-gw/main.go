@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -31,8 +30,8 @@ import (
 	"terradir"
 	"terradir/internal/core"
 	"terradir/internal/gateway"
+	"terradir/internal/namespace"
 	"terradir/internal/overlay"
-	"terradir/internal/telemetry"
 )
 
 func main() {
@@ -46,21 +45,11 @@ func main() {
 		httpAddr = flag.String("http", ":8200", "HTTP/JSON listen address; empty disables")
 		wireAddr = flag.String("wire", ":7200", "binary wire-protocol listen address (also the upstream transport)")
 
-		rate  = flag.Float64("rate", 0, "per-tenant admission rate, requests/sec (0 = unlimited)")
-		burst = flag.Float64("burst", 0, "per-tenant admission burst (default max(rate,1))")
-
-		hedgeAfter = flag.Duration("hedge-after", 0, "fixed hedge delay (0 = adaptive p99-derived)")
-		noHedge    = flag.Bool("no-hedge", false, "disable hedged requests")
-		upTimeout  = flag.Duration("upstream-timeout", 0, "per-lookup upstream budget (0 = default 3s)")
-
-		probeInterval = flag.Duration("probe-interval", 0, "upstream liveness probe period (0 = default 500ms)")
-		probeTimeout  = flag.Duration("probe-timeout", 0, "per-probe reply deadline (0 = default 250ms)")
-		cacheSize     = flag.Int("cache-size", 0, "routing cache entries (0 = default 4096)")
-		drainTimeout  = flag.Duration("drain-timeout", 0, "graceful drain budget on SIGTERM (0 = default 5s)")
+		rate = flag.Float64("rate", 0, "per-tenant admission rate, requests/sec, burst max(rate,1) (0 = unlimited)")
 	)
 	flag.Parse()
 
-	tree, err := buildNamespace(*nsKind, *seed)
+	tree, err := namespace.ParseSpec(*nsKind, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -102,29 +91,18 @@ func main() {
 		}
 	}
 
-	hedge := *hedgeAfter
-	if *noHedge {
-		hedge = -1
-	}
 	gw, err := gateway.New(gateway.Options{
-		Tree:            tree,
-		Self:            self,
-		Peers:           peers,
-		Wire:            transport,
-		UpstreamTimeout: *upTimeout,
-		HedgeAfter:      hedge,
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
+		Tree:  tree,
+		Self:  self,
+		Peers: peers,
+		Wire:  transport,
 		ProbeDest: func(s core.ServerID) core.NodeID {
 			if nd, ok := probeDest[s]; ok {
 				return nd
 			}
 			return tree.Root()
 		},
-		AdmissionRate:  *rate,
-		AdmissionBurst: *burst,
-		CacheSize:      *cacheSize,
-		DrainTimeout:   *drainTimeout,
+		AdmissionRate: *rate,
 	})
 	if err != nil {
 		fatal(err)
@@ -138,7 +116,7 @@ func main() {
 		fmt.Printf("terradir-gw: http surface on %s (/lookup /healthz /metrics)\n", bound)
 	}
 	if *rate > 0 {
-		fmt.Printf("terradir-gw: admission control: %.1f req/s per tenant (burst %.0f)\n", *rate, *burst)
+		fmt.Printf("terradir-gw: admission control: %.1f req/s per tenant (burst %.0f)\n", *rate, max(*rate, 1))
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -150,40 +128,7 @@ func main() {
 	fmt.Printf("terradir-gw: drained in %s, shutting down\n", time.Since(start).Round(time.Millisecond))
 	gw.Close()
 	transport.Close()
-	dumpMetrics(gw.Registry())
-}
-
-func dumpMetrics(reg *telemetry.Registry) {
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name, v := range snap {
-		if v != 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("terradir-gw: metric %s = %g\n", name, snap[name])
-	}
-}
-
-func buildNamespace(spec string, seed uint64) (*terradir.Tree, error) {
-	switch {
-	case strings.HasPrefix(spec, "balanced:"):
-		var arity, levels int
-		if _, err := fmt.Sscanf(spec, "balanced:%d:%d", &arity, &levels); err != nil {
-			return nil, fmt.Errorf("bad namespace spec %q", spec)
-		}
-		return terradir.NewBalancedNamespace(arity, levels), nil
-	case strings.HasPrefix(spec, "fs:"):
-		var nodes int
-		if _, err := fmt.Sscanf(spec, "fs:%d", &nodes); err != nil {
-			return nil, fmt.Errorf("bad namespace spec %q", spec)
-		}
-		return terradir.NewFileSystemNamespace(seed, nodes), nil
-	default:
-		return nil, fmt.Errorf("unknown namespace spec %q", spec)
-	}
+	gw.Registry().DumpNonZero(os.Stdout, "terradir-gw")
 }
 
 func fatal(err error) {

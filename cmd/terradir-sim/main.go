@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"terradir"
+	"terradir/internal/namespace"
 	"terradir/internal/rng"
 	"terradir/internal/workload"
 )
@@ -20,7 +21,7 @@ import (
 func main() {
 	var (
 		servers  = flag.Int("servers", 1000, "number of servers")
-		nsKind   = flag.String("namespace", "ns", "namespace: 'ns' (balanced binary), 'nc' (file-system), or 'balanced:<arity>:<levels>'")
+		nsKind   = flag.String("namespace", "ns", "namespace: 'ns' (balanced binary), 'nc' (file-system), 'balanced:<arity>:<levels>' or 'fs:<nodes>'")
 		nodes    = flag.Int("nodes", 0, "node count for -namespace nc (default 70000)")
 		rate     = flag.Float64("rate", 20000, "global query arrival rate (queries/s)")
 		alpha    = flag.Float64("alpha", -1, "Zipf exponent; negative = uniform destinations")
@@ -39,23 +40,17 @@ func main() {
 	)
 	flag.Parse()
 
-	var tree *terradir.Tree
-	switch {
-	case *nsKind == "ns":
-		tree = terradir.NewBalancedNamespace(2, 15)
-	case *nsKind == "nc":
-		n := *nodes
-		if n == 0 {
-			n = 70000
-		}
-		tree = terradir.NewFileSystemNamespace(*seed, n)
-	default:
-		var arity, levels int
-		if _, err := fmt.Sscanf(*nsKind, "balanced:%d:%d", &arity, &levels); err != nil {
-			fmt.Fprintf(os.Stderr, "terradir-sim: bad -namespace %q\n", *nsKind)
-			os.Exit(2)
-		}
-		tree = terradir.NewBalancedNamespace(arity, levels)
+	spec := *nsKind
+	switch spec {
+	case "ns":
+		spec = "balanced:2:15"
+	case "nc":
+		spec = fmt.Sprintf("fs:%d", *nodes)
+	}
+	tree, err := namespace.ParseSpec(spec, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "terradir-sim: -namespace: %v\n", err)
+		os.Exit(2)
 	}
 
 	p := terradir.DefaultSimParams(tree, *servers)

@@ -22,13 +22,13 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"terradir"
 	"terradir/internal/core"
+	"terradir/internal/namespace"
 	"terradir/internal/overlay"
 	"terradir/internal/persist"
 	"terradir/internal/telemetry"
@@ -43,12 +43,6 @@ func main() {
 		peerList = flag.String("peers", "", "comma-separated peer addresses, index = server ID")
 		nsKind   = flag.String("namespace", "balanced:2:10", "namespace spec: 'balanced:<arity>:<levels>' or 'fs:<nodes>'")
 		seed     = flag.Uint64("seed", 1, "deployment seed (must match across peers)")
-		svcDelay = flag.Duration("service-delay", 0, "artificial per-query processing cost")
-
-		queueDepth   = flag.Int("queue-depth", 0, "per-peer outbound queue depth (0 = default)")
-		dialTimeout  = flag.Duration("dial-timeout", 0, "peer dial timeout (0 = default)")
-		writeTimeout = flag.Duration("write-timeout", 0, "per-frame write deadline (0 = default)")
-		backoffMax   = flag.Duration("backoff-max", 0, "reconnect backoff cap (0 = default)")
 
 		faultDrop    = flag.Float64("fault-drop", 0, "inject: drop this fraction of outbound messages")
 		faultLatency = flag.Duration("fault-latency", 0, "inject: delay every outbound message by this much")
@@ -60,7 +54,6 @@ func main() {
 		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "period between hosted-state snapshots (requires -data-dir)")
 		walSync      = flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | none")
 		cacheEntries = flag.Int("hosted-cache-entries", 0, "cap on resident hosted entries; the rest lives in the on-disk node index (requires -data-dir; 0 = unbounded)")
-		cacheBytes   = flag.Int64("hosted-cache-bytes", 0, "cap on resident hosted bytes; the rest lives in the on-disk node index (requires -data-dir; 0 = unbounded)")
 
 		join          = flag.String("join", "", "bootstrap off one live peer's address instead of requiring the full -peers list")
 		advertise     = flag.String("advertise", "", "address other peers dial to reach this one (default: the bound listen address; set this when -listen is a wildcard)")
@@ -70,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 
-	tree, err := buildNamespace(*nsKind, *seed)
+	tree, err := namespace.ParseSpec(*nsKind, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,13 +106,7 @@ func main() {
 	ownerOf := func(nd core.NodeID) core.ServerID { return owner[nd] }
 
 	transport, err := overlay.NewTCPTransportOpts(core.ServerID(*id), *listen, addrs,
-		terradir.TCPTransportOptions{
-			QueueDepth:   *queueDepth,
-			DialTimeout:  *dialTimeout,
-			WriteTimeout: *writeTimeout,
-			BackoffMax:   *backoffMax,
-			Seed:         *seed + uint64(*id),
-		})
+		terradir.TCPTransportOptions{Seed: *seed + uint64(*id)})
 	if err != nil {
 		fatal(err)
 	}
@@ -129,9 +116,8 @@ func main() {
 		sample = -1 // Options reads 0 as DefaultTraceSample; negative disables
 	}
 	nodeOpts := overlay.Options{
-		Seed:         *seed + uint64(*id)*7919,
-		ServiceDelay: *svcDelay,
-		TraceSample:  sample,
+		Seed:        *seed + uint64(*id)*7919,
+		TraceSample: sample,
 	}
 	if !*noMembership && (*servers > 1 || *join != "") {
 		selfAddr := *advertise
@@ -154,11 +140,11 @@ func main() {
 			JoinAddr: *join,
 		}
 	}
-	if *dataDir == "" && (*cacheEntries > 0 || *cacheBytes > 0) {
-		fatal(fmt.Errorf("-hosted-cache-entries/-hosted-cache-bytes bound the hot cache over the on-disk node index and require -data-dir"))
+	if *dataDir == "" && *cacheEntries > 0 {
+		fatal(fmt.Errorf("-hosted-cache-entries bounds the hot cache over the on-disk node index and requires -data-dir"))
 	}
-	if *cacheEntries < 0 || *cacheBytes < 0 {
-		fatal(fmt.Errorf("-hosted-cache-entries and -hosted-cache-bytes must be >= 0"))
+	if *cacheEntries < 0 {
+		fatal(fmt.Errorf("-hosted-cache-entries must be >= 0"))
 	}
 	if *dataDir != "" {
 		// Fail fast on a durability misconfiguration: a peer that silently ran
@@ -178,7 +164,6 @@ func main() {
 			SnapshotInterval: *snapInterval,
 			SyncPolicy:       policy,
 			HotCacheEntries:  *cacheEntries,
-			HotCacheBytes:    *cacheBytes,
 		}
 	}
 	node, err := overlay.NewNode(core.ServerID(*id), tree, owned, ownerOf, nodeOpts)
@@ -246,43 +231,9 @@ func main() {
 	}
 	node.Stop()
 	transport.Close()
-	dumpMetrics(node.Registry())
-}
-
-// dumpMetrics prints the final registry snapshot, one metric per line in
-// name order — the shutdown report now comes from the same counter system
-// the admin endpoint scrapes, instead of a hand-formatted subset.
-func dumpMetrics(reg *telemetry.Registry) {
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name, v := range snap {
-		if v != 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("terradird: metric %s = %g\n", name, snap[name])
-	}
-}
-
-func buildNamespace(spec string, seed uint64) (*terradir.Tree, error) {
-	switch {
-	case strings.HasPrefix(spec, "balanced:"):
-		var arity, levels int
-		if _, err := fmt.Sscanf(spec, "balanced:%d:%d", &arity, &levels); err != nil {
-			return nil, fmt.Errorf("bad namespace spec %q", spec)
-		}
-		return terradir.NewBalancedNamespace(arity, levels), nil
-	case strings.HasPrefix(spec, "fs:"):
-		var nodes int
-		if _, err := fmt.Sscanf(spec, "fs:%d", &nodes); err != nil {
-			return nil, fmt.Errorf("bad namespace spec %q", spec)
-		}
-		return terradir.NewFileSystemNamespace(seed, nodes), nil
-	default:
-		return nil, fmt.Errorf("unknown namespace spec %q", spec)
-	}
+	// The shutdown report comes from the same counter system the admin
+	// endpoint scrapes.
+	node.Registry().DumpNonZero(os.Stdout, "terradird")
 }
 
 // serveClients answers a minimal line protocol:

@@ -1,7 +1,9 @@
 package terradir_test
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"terradir"
 )
@@ -70,4 +72,51 @@ func ExampleRunExperiment() {
 	// Replicated
 	// Neighboring
 	// Cached
+}
+
+// ExampleNewLocalOverlay is README's quickstart: a live in-process overlay
+// over the paper's Ns resolving a name to its hosting servers (§2.1).
+func ExampleNewLocalOverlay() {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	ns := terradir.NewBalancedNamespace(2, 15) // the paper's Ns: 32,767 nodes
+	ov, err := terradir.NewLocalOverlay(ns, terradir.OverlayOptions{Servers: 16})
+	if err != nil {
+		panic(err)
+	}
+	defer ov.StopAll()
+
+	res, err := ov.LookupName(ctx, 0, ns.Name(12345)) // route through the overlay
+	fmt.Println(err == nil, res.OK, len(res.Hosts) > 0)
+	// Output: true true true
+}
+
+// ExampleFaultTransport is README's fault-injection snippet: a crashed
+// server and a partition, injected without touching protocol code.
+func ExampleFaultTransport() {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	ns := terradir.NewBalancedNamespace(2, 10)
+	ov, err := terradir.NewLocalOverlay(ns, terradir.OverlayOptions{
+		Servers: 16, Fault: &terradir.FaultOptions{Seed: 7},
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer ov.StopAll()
+	ov.KillServer(3) // fail-stop: loop halted, traffic dropped
+	ov.Fault().Partition([]terradir.ServerID{0, 1}, []terradir.ServerID{2})
+
+	// A node server 0 owns resolves whatever the rest of the overlay does.
+	dest := terradir.InvalidNode
+	for nd := 0; nd < ns.Len() && dest == terradir.InvalidNode; nd++ {
+		if ov.OwnerOf(terradir.NodeID(nd)) == 0 {
+			dest = terradir.NodeID(nd)
+		}
+	}
+	res, err := ov.Lookup(ctx, 0, dest)
+	fmt.Println(err == nil, res.OK, ov.Fault().Crashed(3))
+	// Output: true true true
 }

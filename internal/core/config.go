@@ -105,7 +105,6 @@ type Config struct {
 	ReplicationEnabled bool // R in Fig. 5
 	DigestsEnabled     bool // §3.6 machinery
 	PathPropagation    bool // §2.4; false caches only the query endpoints
-	AdvertiseReplicas  bool // §3.7 new-replica advertisement
 }
 
 // DefaultConfig returns the configuration used by the paper's evaluation
@@ -136,7 +135,6 @@ func DefaultConfig() Config {
 		ReplicationEnabled:   true,
 		DigestsEnabled:       true,
 		PathPropagation:      true,
-		AdvertiseReplicas:    true,
 	}
 }
 

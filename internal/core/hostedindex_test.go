@@ -106,7 +106,7 @@ func checkHostedIndex(t *testing.T, seed uint64) {
 	}
 	// Residency on, so that nodes can go cold; the cap bites only where a cold
 	// install enforces it (the add-then-demote sequence).
-	p.SetResidency(2+g.Intn(12), 0, nil)
+	p.SetResidency(2+g.Intn(12), nil)
 	ownerOf := func(n NodeID) ServerID { return ServerID(1 + int(n)%7) }
 	node := func() NodeID { return NodeID(g.Intn(tree.Len())) }
 	resident := func() *hostedNode { return p.hostedList[g.Intn(len(p.hostedList))] }

@@ -177,9 +177,6 @@ func (p *Peer) ImportHosted(rec *HostedMutation, ownerOf func(NodeID) ServerID) 
 		}
 		p.dropHosted(hn)
 		p.releaseNeighbors(hn)
-		if p.cold != nil {
-			p.resident.bytes -= int64(hn.size)
-		}
 		p.digestDirty = true
 		return true
 	case MutMeta:

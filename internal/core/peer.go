@@ -68,10 +68,7 @@ type Stats struct {
 }
 
 type hostedNode struct {
-	id NodeID
-	// size is the approximate resident size last accounted (resident.go). It
-	// and the flags below sit together so the struct stays in its size class.
-	size    int32
+	id      NodeID
 	owned   bool
 	adopted bool // provisional ownership taken over from a dead server
 	hasData bool // owners keep node data (Table 1); replicas do not
@@ -748,9 +745,6 @@ func (p *Peer) evictReplica(node NodeID) bool {
 	}
 	p.dropHosted(hn)
 	p.releaseNeighbors(hn)
-	if p.cold != nil {
-		p.resident.bytes -= int64(hn.size)
-	}
 	p.digestDirty = true
 	p.journalKind(MutDelete, node)
 	p.Stats.ReplicaEvictions++

@@ -202,7 +202,7 @@ func newPubWorld(tb testing.TB, seed uint64) *pubWorld {
 	}
 	p.FinishSetup(w.ownerOf)
 	if g.Intn(2) == 0 {
-		p.SetResidency(3+g.Intn(6), 0, nil)
+		p.SetResidency(3+g.Intn(6), nil)
 	}
 	return w
 }

@@ -414,15 +414,14 @@ func (p *Peer) handleReplicateReply(msg *ReplicateReply) {
 				p.journal(&HostedMutation{Kind: MutMap, Node: node, Map: hn.selfMap})
 			}
 		}
-		if p.cfg.AdvertiseReplicas {
-			p.recentAdverts = append(p.recentAdverts, advertRecord{
-				node:    node,
-				servers: []ServerID{dest},
-				created: p.env.Now(),
-			})
-			if len(p.recentAdverts) > p.cfg.MapSize {
-				p.recentAdverts = p.recentAdverts[len(p.recentAdverts)-p.cfg.MapSize:]
-			}
+		// §3.7: advertise the new replica on outgoing messages.
+		p.recentAdverts = append(p.recentAdverts, advertRecord{
+			node:    node,
+			servers: []ServerID{dest},
+			created: p.env.Now(),
+		})
+		if len(p.recentAdverts) > p.cfg.MapSize {
+			p.recentAdverts = p.recentAdverts[len(p.recentAdverts)-p.cfg.MapSize:]
 		}
 	}
 	if msg.Load < ls {

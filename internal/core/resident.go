@@ -122,34 +122,28 @@ func (cs *coldSet) ids() []NodeID {
 // cold bitmaps themselves are routing-read state: routeView.cold).
 type residencyState struct {
 	maxEntries int
-	maxBytes   int64
-	bytes      int64 // approximate resident footprint
-	hand       int   // CLOCK cursor into hostedList
+	hand       int // CLOCK cursor into hostedList
 	mutGen     uint64
 	stuck      bool // a full sweep found no clean victim; wait for the next epoch
 	onEvict    func(NodeID)
 }
 
-// SetResidency bounds the resident hosted map to maxEntries entries and/or
-// maxBytes approximate bytes (≤0 disables that cap; both ≤0 leaves residency
-// off). onEvict, when non-nil, observes each demotion to cold. Call from the
-// loop context before message handling starts — the overlay enables this only
-// when the persistence tier maintains a node index, because evicted entries
-// are re-read from it.
-func (p *Peer) SetResidency(maxEntries int, maxBytes int64, onEvict func(NodeID)) {
-	if maxEntries <= 0 && maxBytes <= 0 {
+// SetResidency bounds the resident hosted map to maxEntries entries (≤0
+// leaves residency off). onEvict, when non-nil, observes each demotion to
+// cold. Call from the loop context before message handling starts — the
+// overlay enables this only when the persistence tier maintains a node index,
+// because evicted entries are re-read from it.
+func (p *Peer) SetResidency(maxEntries int, onEvict func(NodeID)) {
+	if maxEntries <= 0 {
 		return
 	}
 	p.resident.maxEntries = maxEntries
-	p.resident.maxBytes = maxBytes
 	p.resident.onEvict = onEvict
 	p.cold = newColdSet(p.tree.Len())
 	p.pub.stale = true // the view gains its cold set
 	for _, hn := range p.hostedList {
 		// Nothing resident is in any index generation yet.
 		hn.dirtyGen = p.resident.mutGen
-		p.resident.bytes += int64(hostedSize(hn))
-		hn.size = int32(hostedSize(hn))
 	}
 }
 
@@ -158,9 +152,6 @@ func (p *Peer) ResidencyEnabled() bool { return p.cold != nil }
 
 // ResidentCount returns the number of hosted entries currently in memory.
 func (p *Peer) ResidentCount() int { return len(p.hostedList) }
-
-// ResidentBytes returns the approximate resident hosted footprint.
-func (p *Peer) ResidentBytes() int64 { return p.resident.bytes }
 
 // ColdCount returns the number of hosted nodes currently on disk only.
 func (p *Peer) ColdCount() int {
@@ -218,17 +209,11 @@ func (p *Peer) ClearCold(node NodeID) {
 }
 
 // markDirty stamps hn with the current mutation epoch (its durable state is
-// newer than the last indexed snapshot) and refreshes its size accounting.
-// Durable state includes everything a routing snapshot publishes of hn, so
-// the published copy goes stale with it.
+// newer than the last indexed snapshot). Durable state includes everything a
+// routing snapshot publishes of hn, so the published copy goes stale with it.
 func (p *Peer) markDirty(hn *hostedNode) {
 	p.staleHosted(hn)
 	hn.dirtyGen = p.resident.mutGen
-	if p.cold != nil {
-		sz := int32(hostedSize(hn))
-		p.resident.bytes += int64(sz - hn.size)
-		hn.size = sz
-	}
 }
 
 // MarkCleanEpoch opens a clean epoch at a snapshot barrier: it returns the
@@ -282,25 +267,18 @@ func (p *Peer) InstallFromIndex(rec *HostedMutation, ownerOf func(NodeID) Server
 }
 
 // EnforceResidency evicts clean, unreferenced entries (CLOCK second-chance)
-// until the resident set fits the configured caps, or until no evictable
+// until the resident set fits the configured cap, or until no evictable
 // entry remains (everything dirty or referenced — retried after the next
 // clean epoch). Loop context.
 func (p *Peer) EnforceResidency() {
 	if p.cold == nil || p.resident.stuck {
 		return
 	}
-	for p.overCap() {
+	for len(p.hostedList) > p.resident.maxEntries {
 		if !p.evictOneCold() {
 			return
 		}
 	}
-}
-
-func (p *Peer) overCap() bool {
-	if p.resident.maxEntries > 0 && len(p.hostedList) > p.resident.maxEntries {
-		return true
-	}
-	return p.resident.maxBytes > 0 && p.resident.bytes > p.resident.maxBytes
 }
 
 // evictOneCold runs the CLOCK hand until it demotes one entry, clearing
@@ -356,20 +334,7 @@ func (p *Peer) demoteToCold(i int) {
 		p.ownedCount--
 	}
 	p.cold.set(hn.id, hn.owned)
-	p.resident.bytes -= int64(hn.size)
 	if p.resident.onEvict != nil {
 		p.resident.onEvict(hn.id)
 	}
-}
-
-// hostedSize approximates one resident entry's memory footprint: struct and
-// container overhead plus its variable-length payloads.
-func hostedSize(hn *hostedNode) int {
-	n := 192 // struct, map slot, list slot, neighbor refs
-	n += len(hn.data)
-	for k, v := range hn.meta.Attrs {
-		n += len(k) + len(v) + 32
-	}
-	n += (len(hn.selfMap.Servers) + len(hn.neighborIDs)) * 8
-	return n
 }

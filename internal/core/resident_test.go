@@ -23,7 +23,7 @@ func newResidentPeer(t *testing.T, nLeaves, capEntries int) (*Peer, []NodeID, *f
 	tree, ids := residentTree(nLeaves)
 	env := &fakeEnv{now: 1}
 	p := newTestPeer(t, tree, 0, ids, 1, DefaultConfig(), env)
-	p.SetResidency(capEntries, 0, nil)
+	p.SetResidency(capEntries, nil)
 	return p, ids, env
 }
 
@@ -84,22 +84,6 @@ func TestResidencyCapInvariant(t *testing.T) {
 	}
 	if resident != cap {
 		t.Fatalf("map holds %d entries, want %d", resident, cap)
-	}
-}
-
-func TestResidencyBytesCap(t *testing.T) {
-	tree, ids := residentTree(10)
-	env := &fakeEnv{now: 1}
-	p := newTestPeer(t, tree, 0, ids, 1, DefaultConfig(), env)
-	perEntry := int64(hostedSize(p.hostedList[0]))
-	p.SetResidency(0, 4*perEntry, nil)
-	cleanEpoch(p)
-	p.EnforceResidency()
-	if p.ResidentBytes() > 4*perEntry {
-		t.Fatalf("resident bytes %d exceed cap %d", p.ResidentBytes(), 4*perEntry)
-	}
-	if p.ResidentCount()+p.ColdCount() != len(ids) {
-		t.Fatalf("lost entries: resident=%d cold=%d total=%d", p.ResidentCount(), p.ColdCount(), len(ids))
 	}
 }
 

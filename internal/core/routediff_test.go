@@ -129,7 +129,7 @@ func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg) {
 
 	var cold []NodeID
 	if g.Intn(4) == 0 {
-		p.SetResidency(1000, 0, nil)
+		p.SetResidency(1000, nil)
 		for k := 1 + g.Intn(2); k > 0 && len(p.hostedList) > 1; k-- {
 			hn := p.hostedList[g.Intn(len(p.hostedList))]
 			cold = append(cold, hn.id)

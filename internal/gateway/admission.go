@@ -5,15 +5,17 @@ import (
 	"time"
 )
 
-// maxTenants bounds the bucket table; crossing it sweeps full (idle)
-// buckets so an unbounded tenant-ID stream cannot grow memory forever.
+// maxTenants bounds the bucket table. Reaching it sweeps full (idle)
+// buckets; if none is idle, requests from tenants not already in the table
+// are shed, so an unbounded tenant-ID stream can neither grow memory nor
+// mint itself fresh tokens.
 const maxTenants = 16384
 
 // admission is per-tenant token-bucket admission control. Each tenant (an
 // X-Tenant header, a client IP, or a wire client ID) refills at rate
-// tokens/second up to burst; a request takes one token or is shed with a
-// retry-after hint of when the next token lands. rate <= 0 admits
-// everything.
+// tokens/second up to burst = max(rate, 1); a request takes one token or is
+// shed with a retry-after hint of when the next token lands. rate <= 0
+// admits everything.
 type admission struct {
 	rate  float64
 	burst float64
@@ -28,16 +30,10 @@ type bucket struct {
 	last   time.Time
 }
 
-func newAdmission(rate, burst float64) *admission {
-	if burst < 1 {
-		burst = 1
-	}
-	if burst < rate {
-		burst = rate
-	}
+func newAdmission(rate float64) *admission {
 	return &admission{
 		rate:    rate,
-		burst:   burst,
+		burst:   max(rate, 1),
 		now:     time.Now,
 		buckets: make(map[string]*bucket),
 	}
@@ -56,6 +52,9 @@ func (a *admission) allow(tenant string) (bool, time.Duration) {
 	if !ok {
 		if len(a.buckets) >= maxTenants {
 			a.sweepLocked(now)
+			if len(a.buckets) >= maxTenants {
+				return false, time.Duration(float64(time.Second) / a.rate)
+			}
 		}
 		b = &bucket{tokens: a.burst, last: now}
 		a.buckets[tenant] = b

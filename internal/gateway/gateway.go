@@ -55,8 +55,6 @@ type Options struct {
 	// Send overrides the upstream send path (default: Wire). Tests wrap the
 	// transport in an overlay.FaultTransport here.
 	Send overlay.Transport
-	// Registry receives gateway metrics (default: a fresh registry).
-	Registry *telemetry.Registry
 
 	// UpstreamTimeout bounds one coalesced flight end to end, hedge
 	// included. Default 3s.
@@ -90,17 +88,16 @@ type Options struct {
 	ProbeDest func(core.ServerID) core.NodeID
 
 	// AdmissionRate is the per-tenant token refill rate in requests/second
-	// (0 = unlimited); AdmissionBurst is the bucket depth (default
-	// max(rate, 1)).
-	AdmissionRate  float64
-	AdmissionBurst float64
+	// (0 = unlimited); each tenant's bucket holds max(rate, 1) tokens.
+	AdmissionRate float64
 
-	// CacheSize bounds the routing cache (default 4096 entries).
-	CacheSize int
 	// DrainTimeout bounds how long Drain waits for in-flight requests.
 	// Default 5s.
 	DrainTimeout time.Duration
 }
+
+// routeCacheSize bounds the routing cache.
+const routeCacheSize = 4096
 
 func (o *Options) fill() error {
 	if o.Tree == nil {
@@ -117,9 +114,6 @@ func (o *Options) fill() error {
 	}
 	if o.Send == nil {
 		o.Send = o.Wire
-	}
-	if o.Registry == nil {
-		o.Registry = telemetry.NewRegistry()
 	}
 	if o.UpstreamTimeout <= 0 {
 		o.UpstreamTimeout = 3 * time.Second
@@ -151,9 +145,6 @@ func (o *Options) fill() error {
 	if o.ProbeDest == nil {
 		root := o.Tree.Root()
 		o.ProbeDest = func(core.ServerID) core.NodeID { return root }
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 4096
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
@@ -240,10 +231,10 @@ func New(opts Options) (*Gateway, error) {
 		tree:    opts.Tree,
 		wire:    opts.Wire,
 		send:    opts.Send,
-		reg:     opts.Registry,
+		reg:     telemetry.NewRegistry(),
 		pool:    newPool(opts.Peers),
-		cache:   newRouteCache(opts.CacheSize),
-		adm:     newAdmission(opts.AdmissionRate, opts.AdmissionBurst),
+		cache:   newRouteCache(routeCacheSize),
+		adm:     newAdmission(opts.AdmissionRate),
 		pending: make(map[uint64]pendingAttempt),
 		flights: make(map[core.NodeID]*flight),
 		stop:    make(chan struct{}),

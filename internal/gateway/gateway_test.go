@@ -16,7 +16,7 @@ import (
 )
 
 func TestAdmissionBucket(t *testing.T) {
-	a := newAdmission(2, 2)
+	a := newAdmission(2)
 	now := time.Unix(1000, 0)
 	a.now = func() time.Time { return now }
 
@@ -41,7 +41,7 @@ func TestAdmissionBucket(t *testing.T) {
 		t.Fatal("fresh tenant shed")
 	}
 	// rate <= 0 admits everything.
-	u := newAdmission(0, 0)
+	u := newAdmission(0)
 	for i := 0; i < 100; i++ {
 		if ok, _ := u.allow("x"); !ok {
 			t.Fatal("unlimited admission shed")
@@ -50,7 +50,7 @@ func TestAdmissionBucket(t *testing.T) {
 }
 
 func TestAdmissionSweep(t *testing.T) {
-	a := newAdmission(1000, 1)
+	a := newAdmission(1000)
 	now := time.Unix(1000, 0)
 	a.now = func() time.Time { return now }
 	for i := 0; i < maxTenants; i++ {
@@ -65,6 +65,40 @@ func TestAdmissionSweep(t *testing.T) {
 	a.mu.Unlock()
 	if n > 1 {
 		t.Fatalf("sweep left %d buckets, want 1", n)
+	}
+}
+
+// TestAdmissionTableBounded streams distinct tenants faster than any bucket
+// refills (the clock never moves), so no sweep can free a slot: the table
+// must stop at maxTenants and shed the rest instead of admitting them on a
+// fresh bucket.
+func TestAdmissionTableBounded(t *testing.T) {
+	a := newAdmission(1)
+	now := time.Unix(1000, 0)
+	a.now = func() time.Time { return now }
+	shed := 0
+	for i := 0; i < 2*maxTenants; i++ {
+		ok, wait := a.allow(fmt.Sprintf("t%d", i))
+		if !ok {
+			shed++
+			if wait != time.Second {
+				t.Fatalf("retry-after for a shed unknown tenant = %v, want 1/rate = 1s", wait)
+			}
+		}
+	}
+	a.mu.Lock()
+	n := len(a.buckets)
+	a.mu.Unlock()
+	if n > maxTenants {
+		t.Fatalf("bucket table grew to %d, bound is %d", n, maxTenants)
+	}
+	if shed != maxTenants {
+		t.Fatalf("shed %d unknown tenants, want %d", shed, maxTenants)
+	}
+	// A tenant already in the table is still served from its own bucket.
+	now = now.Add(time.Second)
+	if ok, _ := a.allow("t0"); !ok {
+		t.Fatal("known tenant shed after its bucket refilled")
 	}
 }
 

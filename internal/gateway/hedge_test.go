@@ -20,7 +20,7 @@ func TestHedgeSlowPeerWinsAndCancels(t *testing.T) {
 	// Everything peer 0 sends — forwarded queries and its own replies — is
 	// delayed well past the hedge trigger (but under the probe timeout, so
 	// the prober keeps it healthy and pickable).
-	c.faults[0].SetLatency(100*time.Millisecond, 0)
+	c.faults[0].SetLatency(100 * time.Millisecond)
 	g := c.startGateway(func(o *Options) {
 		o.HedgeAfter = 10 * time.Millisecond
 		o.ProbeTimeout = 300 * time.Millisecond
@@ -95,7 +95,7 @@ func TestHedgeSlowPeerWinsAndCancels(t *testing.T) {
 // just makes the lookup slow — no hedge fires.
 func TestHedgeDisabled(t *testing.T) {
 	c := startCluster(t, 2, false, 0)
-	c.faults[0].SetLatency(50*time.Millisecond, 0)
+	c.faults[0].SetLatency(50 * time.Millisecond)
 	g := c.startGateway(func(o *Options) {
 		o.HedgeAfter = -1
 		o.ProbeTimeout = 300 * time.Millisecond

@@ -69,6 +69,14 @@ type Event struct {
 	Joined bool
 }
 
+const (
+	// indirectProbes is the number of helpers asked to probe an unresponsive
+	// member (SWIM's k).
+	indirectProbes = 2
+	// maxUpdatesPerMessage bounds the piggybacked delta count.
+	maxUpdatesPerMessage = 8
+)
+
 // Options tunes the failure detector. Zero fields take the documented
 // defaults.
 type Options struct {
@@ -78,14 +86,9 @@ type Options struct {
 	// ProbeTimeout bounds the wait for a direct ack before indirect probing.
 	// Default ProbeInterval/3.
 	ProbeTimeout time.Duration
-	// IndirectProbes is the number of helpers asked to probe an unresponsive
-	// member (SWIM's k). Default 2.
-	IndirectProbes int
 	// SuspicionTimeout is how long a suspect has to refute before being
 	// declared dead. Default 4×ProbeInterval.
 	SuspicionTimeout time.Duration
-	// MaxUpdatesPerMessage bounds the piggybacked delta count. Default 8.
-	MaxUpdatesPerMessage int
 	// RetransmitFactor scales each delta's retransmit budget:
 	// RetransmitFactor × ⌈log₂(members+1)⌉ piggybacks. Default 3.
 	RetransmitFactor int
@@ -104,14 +107,8 @@ func (o *Options) fill() {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = o.ProbeInterval / 3
 	}
-	if o.IndirectProbes <= 0 {
-		o.IndirectProbes = 2
-	}
 	if o.SuspicionTimeout <= 0 {
 		o.SuspicionTimeout = 4 * o.ProbeInterval
-	}
-	if o.MaxUpdatesPerMessage <= 0 {
-		o.MaxUpdatesPerMessage = 8
 	}
 	if o.RetransmitFactor <= 0 {
 		o.RetransmitFactor = 3
@@ -405,7 +402,7 @@ func (s *Service) onDirectTimeout(seq uint64) {
 		return
 	}
 	delete(s.pending, seq)
-	helpers := s.pickHelpersLocked(pr.target, s.cfg.IndirectProbes)
+	helpers := s.pickHelpersLocked(pr.target, indirectProbes)
 	if len(helpers) == 0 {
 		s.suspectLocked(pr.target)
 		s.mu.Unlock()
@@ -628,7 +625,7 @@ func (s *Service) buildLocked(kind uint8, seq uint64, from, target core.ServerID
 				break
 			}
 		}
-		if !already && len(m.Updates) < s.cfg.MaxUpdatesPerMessage {
+		if !already && len(m.Updates) < maxUpdatesPerMessage {
 			m.Updates = append(m.Updates, qu.u)
 			qu.left--
 		}

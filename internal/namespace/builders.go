@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"fmt"
+	"strings"
 
 	"terradir/internal/rng"
 )
@@ -27,6 +28,39 @@ func NewBalanced(arity, levels int) *Tree {
 		frontier = next
 	}
 	return b.Build()
+}
+
+// ParseSpec builds the namespace a deployment names on its command line:
+// "balanced:<arity>:<levels>" (NewBalanced) or "fs:<nodes>" (BuildFileSystem
+// from seed, targeting nodes; 0 keeps the default 70,000). Every process of a
+// deployment must parse the same spec and seed.
+func ParseSpec(spec string, seed uint64) (*Tree, error) {
+	switch {
+	case strings.HasPrefix(spec, "balanced:"):
+		var arity, levels int
+		if _, err := fmt.Sscanf(spec, "balanced:%d:%d", &arity, &levels); err != nil {
+			return nil, fmt.Errorf("bad namespace spec %q", spec)
+		}
+		return NewBalanced(arity, levels), nil
+	case strings.HasPrefix(spec, "fs:"):
+		var nodes int
+		if _, err := fmt.Sscanf(spec, "fs:%d", &nodes); err != nil {
+			return nil, fmt.Errorf("bad namespace spec %q", spec)
+		}
+		return NewFileSystem(seed, nodes), nil
+	default:
+		return nil, fmt.Errorf("unknown namespace spec %q", spec)
+	}
+}
+
+// NewFileSystem builds the default file-system shape (BuildFileSystem) from
+// seed, targeting targetNodes nodes (≤0 keeps the default 70,000).
+func NewFileSystem(seed uint64, targetNodes int) *Tree {
+	p := DefaultFileSystemParams()
+	if targetNodes > 0 {
+		p.TargetNodes = targetNodes
+	}
+	return BuildFileSystem(rng.New(seed), p)
 }
 
 // BalancedBinaryNodes returns the node count of a balanced binary tree with

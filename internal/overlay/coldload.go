@@ -50,17 +50,7 @@ func (n *Node) setupResidency() {
 		telemetry.HistogramOpts{Min: 1e-6, Max: 1e3, BucketsPerDecade: 8}, server...)
 	n.pendingCold = make(map[core.NodeID]*coldPending)
 	n.loadCh = make(chan core.NodeID, 256)
-	n.peer.SetResidency(po.HotCacheEntries, po.HotCacheBytes, func(core.NodeID) { n.idxEvictions.Inc() })
-}
-
-// residencyFull reports whether the hot cache is at (or past) its configured
-// bounds — the restart streaming cutoff for keeping index entries resident.
-func (n *Node) residencyFull() bool {
-	po := n.opts.Persist
-	if po.HotCacheEntries > 0 && n.peer.ResidentCount() >= po.HotCacheEntries {
-		return true
-	}
-	return po.HotCacheBytes > 0 && n.peer.ResidentBytes() >= po.HotCacheBytes
+	n.peer.SetResidency(po.HotCacheEntries, func(core.NodeID) { n.idxEvictions.Inc() })
 }
 
 // parkCold parks w until dest's index record is installed, scheduling a load

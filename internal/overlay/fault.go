@@ -16,10 +16,8 @@ import (
 type FaultOptions struct {
 	// DropProb drops each message independently with this probability.
 	DropProb float64
-	// Latency delays every delivered message by this much, plus a uniform
-	// extra in [0, Jitter).
+	// Latency delays every delivered message by this much.
 	Latency time.Duration
-	Jitter  time.Duration
 	// Seed seeds the deterministic fault RNG stream (default 1).
 	Seed uint64
 }
@@ -142,11 +140,10 @@ func (f *FaultTransport) SetDropFilter(filter func(from, to core.ServerID, m cor
 	f.mu.Unlock()
 }
 
-// SetLatency changes the added delivery latency and jitter.
-func (f *FaultTransport) SetLatency(latency, jitter time.Duration) {
+// SetLatency changes the added delivery latency.
+func (f *FaultTransport) SetLatency(latency time.Duration) {
 	f.mu.Lock()
 	f.opts.Latency = latency
-	f.opts.Jitter = jitter
 	f.mu.Unlock()
 }
 
@@ -162,9 +159,6 @@ func (f *FaultTransport) Send(from, to core.ServerID, m core.Message) error {
 		return nil // loss is normal under soft state
 	}
 	delay := f.opts.Latency
-	if f.opts.Jitter > 0 {
-		delay += time.Duration(f.src.Float64() * float64(f.opts.Jitter))
-	}
 	f.mu.Unlock()
 	if delay <= 0 {
 		return f.inner.Send(from, to, m)

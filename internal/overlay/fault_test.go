@@ -132,7 +132,7 @@ func TestFaultLatencyDefersDelivery(t *testing.T) {
 	if f.Delayed() != 1 {
 		t.Fatalf("delayed counter = %d, want 1", f.Delayed())
 	}
-	f.SetLatency(0, 0)
+	f.SetLatency(0)
 	_ = f.Send(0, 1, probe())
 	if inner.count() != 2 {
 		t.Fatal("zero latency no longer synchronous")

@@ -69,10 +69,15 @@ type LocalCluster struct {
 
 // LocalClusterOptions configures NewLocalCluster.
 type LocalClusterOptions struct {
-	Servers  int
-	Seed     uint64
+	// Servers is the number of live peers (required).
+	Servers int
+	// Seed fixes ownership assignment and per-node RNG streams (default 1).
+	Seed uint64
+	// NetDelay delays every message by this much (default 0).
 	NetDelay time.Duration
-	Node     Options
+	// Node configures every peer. Its Seed is replaced per peer, and so is
+	// its Membership when the Membership field below is set.
+	Node Options
 	// Fault, when non-nil, wraps the cluster's transport in a FaultTransport
 	// with these options (retrieve it with Fault for runtime fault control).
 	Fault *FaultOptions
@@ -85,6 +90,9 @@ type LocalClusterOptions struct {
 
 // NewLocalCluster builds and starts a local overlay over the namespace.
 func NewLocalCluster(tree *namespace.Tree, opts LocalClusterOptions) (*LocalCluster, error) {
+	if tree == nil {
+		return nil, fmt.Errorf("overlay: nil namespace")
+	}
 	if opts.Servers < 1 {
 		return nil, fmt.Errorf("overlay: Servers = %d", opts.Servers)
 	}

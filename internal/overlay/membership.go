@@ -27,13 +27,6 @@ type MembershipOptions struct {
 	// JoinAddr bootstraps membership off one live peer instead of Peers
 	// (requires a transport with SendTo, i.e. TCPTransport).
 	JoinAddr string
-	// WarmupEntries bounds the hosted-map entries streamed to a newly
-	// admitted member. 0 means the default 32; negative disables warmup.
-	WarmupEntries int
-	// ReconcileEntries bounds the hosted entries streamed to a restarted
-	// member during delta reconciliation (see PersistOptions). 0 means the
-	// default 256; negative disables answering reconcile offers.
-	ReconcileEntries int
 }
 
 // AddrSetter is implemented by transports that can learn peer addresses at
@@ -51,8 +44,12 @@ type AddrSender interface {
 }
 
 const (
-	defaultWarmupEntries    = 32
-	defaultReconcileEntries = 256
+	// warmupEntries bounds the hosted-map entries streamed to a newly
+	// admitted member.
+	warmupEntries = 32
+	// reconcileEntries bounds the hosted entries streamed to a restarted
+	// member during delta reconciliation (see PersistOptions).
+	reconcileEntries = 256
 )
 
 // setupOwnership builds the node's versioned ownership table from the static
@@ -147,17 +144,13 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 		// replay and pulls only its delta (MembershipReconcile); pushing it
 		// a full warmup stream would be redundant bytes.
 		warm := (ev.Joined || ev.Prev == membership.Dead) && !ev.HasState
-		max := n.opts.Membership.WarmupEntries
-		if max == 0 {
-			max = defaultWarmupEntries
-		}
 		// Build the warmup slice with the loop parked, then send it after
 		// the loop resumes.
 		var entries []core.PathEntry
 		n.inspect(true, func(p *core.Peer) {
 			n.applyReassignments(p, changes)
 			if warm {
-				entries = p.BuildWarmup(max)
+				entries = p.BuildWarmup(warmupEntries)
 			}
 		})
 		if len(entries) > 0 {

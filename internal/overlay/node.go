@@ -40,24 +40,15 @@ type Options struct {
 	// snapshot fast path: delayed service models loop occupancy, which is
 	// exactly what the fast path bypasses.
 	ServiceDelay time.Duration
-	// LoadWindow is the busy-fraction measurement window Ω. Default 500 ms.
-	LoadWindow time.Duration
 	// DataTimeout bounds data-retrieval round trips (Get) when the caller's
 	// context carries no earlier deadline. Default 5 s.
 	DataTimeout time.Duration
 	// Seed seeds the node's deterministic RNG stream.
 	Seed uint64
-	// Registry receives the node's metrics (labeled server="<id>"). Nodes of
-	// one process may share a registry; nil allocates a private one
-	// (reachable via Node.Registry).
-	Registry *telemetry.Registry
 	// TraceSample is the fraction of lookups initiated at this node that
 	// carry a distributed trace. 0 means DefaultTraceSample; negative
 	// disables tracing.
 	TraceSample float64
-	// TraceCap bounds the node's retained trace records
-	// (telemetry.DefaultTraceCap if 0).
-	TraceCap int
 	// Membership, when non-nil, runs the gossip membership subsystem: SWIM
 	// failure detection, versioned ownership handoff, soft-state purging of
 	// dead servers, and join/warmup admission. See MembershipOptions.
@@ -77,6 +68,10 @@ type Options struct {
 // §8).
 const DefaultTraceSample = 1.0 / 64
 
+// loadWindow is the busy-fraction measurement window Ω (§3.1), the same
+// 0.5 s the simulator uses.
+const loadWindow = 500 * time.Millisecond
+
 func (o *Options) fill(id core.ServerID) {
 	if o.Config.MapSize == 0 {
 		o.Config = core.DefaultConfig()
@@ -84,17 +79,11 @@ func (o *Options) fill(id core.ServerID) {
 	if o.QueueCap <= 0 {
 		o.QueueCap = 64
 	}
-	if o.LoadWindow <= 0 {
-		o.LoadWindow = 500 * time.Millisecond
-	}
 	if o.DataTimeout <= 0 {
 		o.DataTimeout = 5 * time.Second
 	}
 	if o.Seed == 0 {
 		o.Seed = uint64(id) + 1
-	}
-	if o.Registry == nil {
-		o.Registry = telemetry.NewRegistry()
 	}
 	if o.TraceSample == 0 {
 		o.TraceSample = DefaultTraceSample
@@ -293,7 +282,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		opts:        opts,
 		epoch:       time.Now(),
 		stop:        make(chan struct{}),
-		meter:       sim.NewLoadMeter(opts.LoadWindow.Seconds()),
+		meter:       sim.NewLoadMeter(loadWindow.Seconds()),
 		queries:     make(chan *core.QueryMsg, opts.QueueCap),
 		control:     make(chan envelope, 1024),
 		done:        make(chan struct{}),
@@ -311,8 +300,8 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	peer.FinishSetup(ownerOf)
 	n.peer = peer
 	n.absorbFn = n.fastAbsorb
-	n.reg = opts.Registry
-	n.traces = telemetry.NewTraceStore(opts.TraceCap)
+	n.reg = telemetry.NewRegistry()
+	n.traces = telemetry.NewTraceStore(telemetry.DefaultTraceCap)
 	server := []string{"server", fmt.Sprint(id)}
 	peer.AttachTelemetry(n.reg, server...)
 	latencyLayout := telemetry.HistogramOpts{Min: 1e-6, Max: 1e3, BucketsPerDecade: 8}
@@ -358,7 +347,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	}
 	if opts.Persist != nil {
 		n.ownerOf = ownerOf
-		if opts.Persist.coldEnabled() {
+		if opts.Persist.HotCacheEntries > 0 {
 			// Residency must be live before replay: the restart stream marks
 			// beyond-cap entries cold instead of materializing them.
 			n.setupResidency()
@@ -373,8 +362,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	return n, nil
 }
 
-// Registry returns the node's metrics registry (shared when Options.Registry
-// was set).
+// Registry returns the node's metrics registry.
 func (n *Node) Registry() *telemetry.Registry { return n.reg }
 
 // Traces returns the node's trace store: the assembled span chains of

@@ -42,23 +42,12 @@ type PersistOptions struct {
 	// SyncPolicy picks the WAL fsync discipline (persist.SyncInterval,
 	// persist.SyncAlways, persist.SyncNone). Default SyncInterval.
 	SyncPolicy persist.SyncPolicy
-	// SyncInterval bounds data loss under the default policy: appends fsync
-	// at most once per interval. Default 100ms.
-	SyncInterval time.Duration
 	// HotCacheEntries, when positive, bounds the hosted entries the node
 	// keeps in memory; the rest of its hosted partition lives in the
 	// persistence tier's on-disk node index and is loaded on demand by a
 	// loader goroutine (DESIGN.md §14). The namespace a node can host is then
 	// bounded by disk, not RAM.
 	HotCacheEntries int
-	// HotCacheBytes, when positive, bounds the approximate resident hosted
-	// bytes per node. Either bound (or both) enables larger-than-RAM hosting.
-	HotCacheBytes int64
-}
-
-// coldEnabled reports whether the hot-cache residency bounds are active.
-func (o *PersistOptions) coldEnabled() bool {
-	return o.HotCacheEntries > 0 || o.HotCacheBytes > 0
 }
 
 func (o *PersistOptions) fill() {
@@ -77,11 +66,10 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 		return fmt.Errorf("overlay: PersistOptions.Dir is required")
 	}
 	st, rs, err := persist.Open(po.Dir, persist.Options{
-		SyncPolicy:   po.SyncPolicy,
-		SyncInterval: po.SyncInterval,
-		NodeIndex:    po.coldEnabled(),
-		Registry:     n.reg,
-		Labels:       []string{"server", fmt.Sprint(n.id)},
+		SyncPolicy: po.SyncPolicy,
+		NodeIndex:  po.HotCacheEntries > 0,
+		Registry:   n.reg,
+		Labels:     []string{"server", fmt.Sprint(n.id)},
 	})
 	if err != nil {
 		return err
@@ -100,7 +88,7 @@ func (n *Node) setupPersist(ownerOf func(core.NodeID) core.ServerID) error {
 		}
 		defer ix.Release()
 		err := ix.EachEntry(func(node core.NodeID, owned, adopted bool, payload []byte) error {
-			if n.peer.ResidencyEnabled() && n.residencyFull() {
+			if n.peer.ResidencyEnabled() && n.peer.ResidentCount() >= po.HotCacheEntries {
 				// Adopted ownership is not durable (see ImportHosted): a cold
 				// adopted entry counts as a plain replica.
 				n.peer.MarkCold(node, owned && !adopted)
@@ -374,17 +362,10 @@ func (n *Node) buildReconcileDigest() *bloom.Filter {
 // --- delta reconcile: the successor side ---
 
 // handleReconcile answers a rejoiner's digest with the hosted entries the
-// digest misses, bounded by ReconcileEntries. Runs on its own goroutine
+// digest misses, bounded by reconcileEntries. Runs on its own goroutine
 // (Deliver must not block on parking the loop).
 func (n *Node) handleReconcile(msg *core.MembershipMsg) {
 	if n.membership == nil {
-		return
-	}
-	max := n.opts.Membership.ReconcileEntries
-	if max == 0 {
-		max = defaultReconcileEntries
-	}
-	if max < 0 {
 		return
 	}
 	var entries []core.PathEntry
@@ -398,8 +379,8 @@ func (n *Node) handleReconcile(msg *core.MembershipMsg) {
 			entries = append(entries, e)
 		}
 	})
-	if len(entries) > max {
-		entries = entries[:max]
+	if len(entries) > reconcileEntries {
+		entries = entries[:reconcileEntries]
 	}
 	if n.reconcileSent != nil {
 		n.reconcileSent.Add(uint64(len(entries)))

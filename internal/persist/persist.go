@@ -78,7 +78,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type SyncPolicy uint8
 
 const (
-	// SyncInterval fsyncs at most once per Options.SyncInterval, amortizing
+	// SyncInterval fsyncs at most once per syncInterval (100 ms), amortizing
 	// the fsync cost across appends; a crash loses at most one interval's
 	// records. The default.
 	SyncInterval SyncPolicy = iota
@@ -116,8 +116,7 @@ func (p SyncPolicy) String() string {
 // Options configures a Store. The zero value is usable.
 type Options struct {
 	SyncPolicy   SyncPolicy
-	SyncInterval time.Duration // default 100ms (SyncInterval policy only)
-	SegmentBytes int64         // WAL segment roll size, default 64 MiB
+	SegmentBytes int64 // WAL segment roll size, default 64 MiB
 	Registry     *telemetry.Registry
 	Labels       []string // label k/v pairs for registered metrics
 	Logf         func(format string, args ...any)
@@ -129,10 +128,10 @@ type Options struct {
 	NodeIndex bool
 }
 
+// syncInterval bounds what a machine crash can lose under SyncInterval.
+const syncInterval = 100 * time.Millisecond
+
 func (o *Options) fill() {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -344,7 +343,7 @@ func (s *Store) flushLocked() error {
 }
 
 // flushSyncLocked is flushLocked plus the interval sync policy: under
-// SyncInterval an fsync happens here at most once per Options.SyncInterval,
+// SyncInterval an fsync happens here at most once per syncInterval,
 // so "-wal-sync interval" keeps its bound of losing at most one interval's
 // records to a machine crash.
 func (s *Store) flushSyncLocked() error {
@@ -352,7 +351,7 @@ func (s *Store) flushSyncLocked() error {
 		return err
 	}
 	if s.opts.SyncPolicy == SyncInterval {
-		if now := time.Now(); now.Sub(s.lastSync) >= s.opts.SyncInterval {
+		if now := time.Now(); now.Sub(s.lastSync) >= syncInterval {
 			if err := s.f.Sync(); err != nil {
 				return fmt.Errorf("persist: wal sync: %w", err)
 			}

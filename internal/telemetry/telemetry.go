@@ -288,6 +288,22 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
+// DumpNonZero writes every non-zero Snapshot entry to w, one per line in name
+// order, each line led by prefix: the daemons' shutdown report.
+func (r *Registry) DumpNonZero(w io.Writer, prefix string) {
+	snap := r.Snapshot()
+	names := make([]string, 0, len(snap))
+	for name, v := range snap {
+		if v != 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "%s: metric %s = %g\n", prefix, name, snap[name])
+	}
+}
+
 // PublishExpvar exposes the registry's Snapshot under the given expvar name
 // (served at /debug/vars). Publishing the same name twice is a no-op (expvar
 // itself panics on duplicates, so the check matters for restarted

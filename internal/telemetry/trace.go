@@ -118,15 +118,11 @@ type TraceStore struct {
 	now  func() time.Time
 }
 
-// DefaultTraceCap bounds a store created with capacity ≤ 0.
+// DefaultTraceCap is the number of traces a live node retains.
 const DefaultTraceCap = 256
 
-// NewTraceStore creates a store retaining up to cap traces (≤ 0 selects
-// DefaultTraceCap).
+// NewTraceStore creates a store retaining up to cap traces.
 func NewTraceStore(cap int) *TraceStore {
-	if cap <= 0 {
-		cap = DefaultTraceCap
-	}
 	return &TraceStore{
 		cap:  cap,
 		recs: make(map[uint64]*TraceRecord, cap),

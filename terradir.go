@@ -13,8 +13,8 @@
 //     transport (NewLocalOverlay) — the same protocol state machine, run
 //     for real.
 //   - Live TCP overlay: nodes in separate processes over length-prefixed
-//     binary frames (see cmd/terradird and the overlay package building
-//     blocks re-exported here).
+//     binary frames (see cmd/terradird; TCPTransport and its options are
+//     re-exported here).
 //
 // Quickstart:
 //
@@ -34,9 +34,7 @@ import (
 	"terradir/internal/membership"
 	"terradir/internal/namespace"
 	"terradir/internal/overlay"
-	"terradir/internal/persist"
 	"terradir/internal/rng"
-	"terradir/internal/telemetry"
 	"terradir/internal/workload"
 )
 
@@ -61,10 +59,6 @@ type (
 	Config = core.Config
 	// ServerID identifies a participating server.
 	ServerID = core.ServerID
-	// Meta is application-supplied node metadata.
-	Meta = core.Meta
-	// Peer is the transport-agnostic protocol state machine.
-	Peer = core.Peer
 )
 
 // DefaultConfig returns the paper's protocol configuration.
@@ -81,11 +75,7 @@ func NewBalancedNamespace(arity, levels int) *Tree {
 // approximately targetNodes nodes (the stand-in for the paper's Coda-trace
 // namespace Nc; see DESIGN.md §2).
 func NewFileSystemNamespace(seed uint64, targetNodes int) *Tree {
-	p := namespace.DefaultFileSystemParams()
-	if targetNodes > 0 {
-		p.TargetNodes = targetNodes
-	}
-	return namespace.BuildFileSystem(rng.New(seed), p)
+	return namespace.NewFileSystem(seed, targetNodes)
 }
 
 // ParseNamespace builds a namespace from parallel parent/label arrays
@@ -100,8 +90,6 @@ type (
 	Simulation = cluster.Cluster
 	// SimParams configures a Simulation.
 	SimParams = cluster.Params
-	// SimMetrics aggregates everything the experiments measure.
-	SimMetrics = cluster.Metrics
 	// Workload is a composed query stream (uniform / Zipf phases with
 	// popularity-shift events).
 	Workload = workload.Workload
@@ -143,8 +131,6 @@ type (
 	OverlayNode = overlay.Node
 	// NodeOptions configures a live node.
 	NodeOptions = overlay.Options
-	// LookupResult is a client-facing lookup outcome.
-	LookupResult = overlay.LookupResult
 	// TCPTransport carries protocol messages between processes over
 	// per-peer asynchronous outbound queues with reconnect/backoff.
 	TCPTransport = overlay.TCPTransport
@@ -160,120 +146,19 @@ type (
 	FaultTransport = overlay.FaultTransport
 	// FaultOptions configures a FaultTransport.
 	FaultOptions = overlay.FaultOptions
-)
-
-// Membership types: the dynamic-membership subsystem (SWIM-style gossip
-// failure detection, versioned ownership handoff, join/warmup).
-type (
-	// Membership is a running gossip failure detector.
-	Membership = membership.Service
-	// MembershipProtocolOptions tunes the probe/suspicion cycle (probe
-	// interval and timeout, indirect probe fan-out, suspicion timeout,
-	// piggyback budget); zero values mean defaults.
+	// OverlayOptions configures NewLocalOverlay: server count, seed, per-node
+	// options, and optional fault injection (retrieve it with Overlay.Fault)
+	// and gossip membership.
+	OverlayOptions = overlay.LocalClusterOptions
+	// MembershipProtocolOptions tunes the gossip failure detector's
+	// probe/suspicion cycle; zero values mean defaults.
 	MembershipProtocolOptions = membership.Options
-	// MembershipOptions enables the membership subsystem on a live node.
-	MembershipOptions = overlay.MembershipOptions
-	// MemberState is a member's liveness state (Alive, Suspect, Dead).
-	MemberState = membership.State
-	// Member is one row of the membership table.
-	Member = membership.Member
-	// MembershipEvent reports a member's state transition.
-	MembershipEvent = membership.Event
-	// OwnershipTable maps namespace nodes to their current effective owner,
-	// re-pointing each dead owner's partition at its ring successor.
-	OwnershipTable = membership.OwnershipTable
 )
-
-// Persistence types: the durability tier (WAL + snapshots of hosted state,
-// fast restart, delta-only rejoin; DESIGN.md §13).
-type (
-	// PersistOptions enables the durability tier on a live node.
-	PersistOptions = overlay.PersistOptions
-	// PersistStore is an open WAL + snapshot store.
-	PersistStore = persist.Store
-	// PersistReplayState is what a restart recovered from disk.
-	PersistReplayState = persist.ReplayState
-	// WALSyncPolicy picks the WAL fsync discipline.
-	WALSyncPolicy = persist.SyncPolicy
-)
-
-// WAL fsync policies.
-const (
-	WALSyncInterval = persist.SyncInterval
-	WALSyncAlways   = persist.SyncAlways
-	WALSyncNone     = persist.SyncNone
-)
-
-// Member liveness states.
-const (
-	MemberAlive   = membership.Alive
-	MemberSuspect = membership.Suspect
-	MemberDead    = membership.Dead
-)
-
-// Telemetry types: the observability subsystem of the live overlay (metrics
-// registry, per-lookup hop tracing, admin HTTP endpoint).
-type (
-	// Registry is a concurrency-safe metrics registry: counters, gauges and
-	// streaming histograms, exportable as Prometheus text and expvar.
-	Registry = telemetry.Registry
-	// HistogramOpts fixes a streaming histogram's log-spaced bucket layout.
-	HistogramOpts = telemetry.HistogramOpts
-	// Span is one hop's record in a per-lookup distributed trace.
-	Span = telemetry.Span
-	// HopReason classifies why a traced hop forwarded (parent/child context,
-	// cached pointer, digest shortcut) or terminated (resolve, fail).
-	HopReason = telemetry.HopReason
-	// TraceRecord is the assembled state of one lookup trace.
-	TraceRecord = telemetry.TraceRecord
-	// TraceStore collects lookup traces at the initiating server, including
-	// truncated traces of queries lost mid-route.
-	TraceStore = telemetry.TraceStore
-	// AdminServer is a running admin HTTP listener (/metrics, /debug/vars,
-	// /debug/pprof, /trace/<id>).
-	AdminServer = telemetry.AdminServer
-)
-
-// NewRegistry creates an empty metrics registry.
-func NewRegistry() *Registry { return telemetry.NewRegistry() }
-
-// StartAdmin serves a registry and trace store over HTTP on addr (traces may
-// be nil). Close the returned server to stop it.
-func StartAdmin(addr string, reg *Registry, traces *TraceStore) (*AdminServer, error) {
-	return telemetry.StartAdmin(addr, reg, traces)
-}
-
-// OverlayOptions configures NewLocalOverlay.
-type OverlayOptions struct {
-	// Servers is the number of live peers (required).
-	Servers int
-	// Seed fixes ownership assignment and per-node RNG streams.
-	Seed uint64
-	// Node tunes each peer (protocol config, queue bound, service delay).
-	Node NodeOptions
-	// Fault, when non-nil, wraps the overlay's transport in a
-	// FaultTransport with these options; retrieve it with Overlay.Fault to
-	// crash peers or partition the deployment at runtime.
-	Fault *FaultOptions
-	// Membership, when non-nil, runs the gossip membership subsystem on
-	// every peer with these protocol options. Combine with Fault to watch
-	// failure detection and ownership handoff in-process.
-	Membership *MembershipProtocolOptions
-}
 
 // NewLocalOverlay builds and starts a live in-process overlay over the
 // namespace. Stop it with StopAll.
 func NewLocalOverlay(tree *Tree, opts OverlayOptions) (*Overlay, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("terradir: nil namespace")
-	}
-	return overlay.NewLocalCluster(tree, overlay.LocalClusterOptions{
-		Servers:    opts.Servers,
-		Seed:       opts.Seed,
-		Node:       opts.Node,
-		Fault:      opts.Fault,
-		Membership: opts.Membership,
-	})
+	return overlay.NewLocalCluster(tree, opts)
 }
 
 // AssignOwners deterministically maps namespace nodes to servers; all
