@@ -93,11 +93,6 @@ func runLiveA3(env Env, tree *namespace.Tree, p liveA3Params, frac float64, repl
 	cfg := core.DefaultConfig()
 	cfg.ReplicationEnabled = repl
 	cfg.ReplicationCooldown = 0.05
-	// At this scale the sequential client goroutines self-throttle, so even
-	// the Zipf-hot owner peaks near 0.5 busy-fraction; lower the high-water
-	// mark so the replication protocol engages as it would at paper load and
-	// the Zipf head gets replicated before the kill.
-	cfg.Thigh = 0.25
 	c, err := overlay.NewLocalCluster(tree, overlay.LocalClusterOptions{
 		Servers: p.servers,
 		Seed:    env.Seed,

@@ -203,6 +203,17 @@ func TestTCPBatchDeliveryVsPurgeBarrier(t *testing.T) {
 	})
 }
 
+// holdLoop parks n's event loop on a learn-marked envelope until the returned
+// release is called. The pending learning also closes the fast path, so
+// every query meanwhile queues for the loop.
+func holdLoop(n *Node) (release func()) {
+	n.learnSeq.Add(1)
+	blocked, held := make(chan struct{}), make(chan struct{})
+	n.control <- envelope{fn: func() { close(blocked); <-held }, learn: true}
+	<-blocked
+	return func() { close(held) }
+}
+
 // snapshotPrefix sums every snapshot entry whose key starts with prefix
 // (labels vary by server ID).
 func snapshotPrefix(snap map[string]float64, prefix string) float64 {
@@ -219,10 +230,7 @@ func TestQueueWaitMeasuredFromEnqueue(t *testing.T) {
 	// The batch-drain loop must keep charging queue wait from ENQUEUE time,
 	// not from when its batch started draining: block the event loop, let
 	// queries pile up, and require the recorded wait to cover the blockage.
-	cluster, err := NewLocalCluster(testTree(), LocalClusterOptions{
-		Servers: 1,
-		Node:    Options{ServiceDelay: time.Millisecond}, // a service delay keeps queries on the loop
-	})
+	cluster, err := NewLocalCluster(testTree(), LocalClusterOptions{Servers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,20 +239,14 @@ func TestQueueWaitMeasuredFromEnqueue(t *testing.T) {
 
 	const blockFor = 150 * time.Millisecond
 	const queries = 8
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	n.control <- envelope{fn: func() {
-		close(blocked)
-		<-release
-	}}
-	<-blocked
+	release := holdLoop(n)
 	batch := make([]core.Message, queries)
 	for i := range batch {
 		batch[i] = &core.QueryMsg{QueryID: uint64(i) + 1, Dest: core.NodeID(i + 1), Source: 0}
 	}
 	n.DeliverBatch(batch) // all 8 sit in the queue while the loop is blocked
 	time.Sleep(blockFor)
-	close(release)
+	release()
 
 	waitFor(t, 5*time.Second, func() bool {
 		return snapshotPrefix(n.Registry().Snapshot(), "terradir_queue_wait_seconds_count") >= queries

@@ -165,12 +165,11 @@ func (n *Node) Snapshot() Snapshot {
 		ID:      n.id,
 		Dropped: n.dropped.Load(),
 	}
-	now := time.Since(n.epoch).Seconds()
 	collect := func(p *core.Peer) {
 		s.Owned = p.OwnedCount()
 		s.Replicas = p.ReplicaCount()
 		s.Cache = p.CacheLen()
-		s.Load = n.meter.Load(now)
+		s.Load = n.load()
 		s.Stats = p.StatsView()
 	}
 	if !n.inspect(false, collect) {

@@ -20,12 +20,14 @@ type nodeEnv struct{ n *Node }
 
 func (e nodeEnv) Now() float64 { return time.Since(e.n.epoch).Seconds() }
 
-// Load is the node's live meter reading. It is also stored in loadEst for
-// the terradir_server_load gauge, which reads it from other goroutines; the
-// meter itself belongs to the loop.
-func (e nodeEnv) Load() float64 {
-	n := e.n
-	l := n.meter.Load(time.Since(n.epoch).Seconds())
+func (e nodeEnv) Load() float64 { return e.n.load() }
+
+// load folds the fast path's pending service time into the loop-owned meter
+// and reads it (DESIGN.md §10), storing the reading in loadEst too.
+func (n *Node) load() float64 {
+	now := time.Since(n.epoch).Seconds()
+	n.meter.Charge(now, time.Duration(n.fastBusy.Swap(0)).Seconds())
+	l := n.meter.Load(now)
 	n.loadEst.Store(math.Float64bits(l))
 	return l
 }
@@ -103,26 +105,21 @@ func (n *Node) loop() {
 	maintain := time.NewTicker(time.Duration(n.opts.Config.MaintainInterval * float64(time.Second)))
 	defer maintain.Stop()
 	var learnExec uint64
-	publish := func() {
-		if n.fastEnabled {
-			n.peer.PublishSnapshot()
-		}
-	}
 	handle := func(env envelope) {
 		n.handleControl(env)
 		if env.learn {
 			// Publish before advancing learnPub: a reader that observes
 			// learnPub == learnSeq must find the learning in the snapshot.
 			learnExec++
-			publish()
+			n.peer.PublishSnapshot()
 			n.learnPub.Store(learnExec)
 		}
 	}
 	tick := func() {
 		n.peer.Maintain()
-		n.loadEst.Store(math.Float64bits(n.meter.Load(time.Since(n.epoch).Seconds())))
+		n.load()
 		n.flushJournal() // age-based evictions journal deletes
-		publish()
+		n.peer.PublishSnapshot()
 	}
 	// drainControl services env plus up to ingestBatch-1 more already-queued
 	// control envelopes, returning the batch depth.
@@ -163,7 +160,7 @@ func (n *Node) loop() {
 	finishBatch := func(depth int) {
 		n.batchDepthHist.Observe(float64(depth))
 		n.flushJournal()
-		publish()
+		n.peer.PublishSnapshot()
 	}
 	for {
 		// Control traffic and timers take priority over queued queries

@@ -3,10 +3,10 @@
 // simulator uses, over a pluggable Transport (in-process channels for local
 // clusters, length-prefixed binary frames over TCP for real deployments).
 //
-// Each node owns its peer exclusively: every message, timer callback and
-// client lookup is funneled through the node's event loop, so the core
-// (which is not concurrency-safe by design) never sees two frames at once —
-// the same discipline the simulator's event loop provides.
+// Each node owns its peer exclusively: every mutation runs on the node's
+// event loop, so the core (not concurrency-safe by design) never sees two
+// writers at once, as in the simulator. Queries are decided off the loop on
+// published snapshots of the peer's routing state (DESIGN.md §10).
 package overlay
 
 import (
@@ -36,9 +36,8 @@ type Options struct {
 	QueueCap int
 	// ServiceDelay is an artificial per-query processing cost, letting small
 	// demos generate enough load to exercise the replication protocol.
-	// Default 0 (process at full speed). A non-zero delay disables the
-	// snapshot fast path: delayed service models loop occupancy, which is
-	// exactly what the fast path bypasses.
+	// Default 0. Whichever executor serves a query pays it and charges it to
+	// the load meter (DESIGN.md §10).
 	ServiceDelay time.Duration
 	// DataTimeout bounds data-retrieval round trips (Get) when the caller's
 	// context carries no earlier deadline. Default 5 s.
@@ -203,9 +202,11 @@ type Node struct {
 	control chan envelope
 	done    chan struct{}
 
-	// loadEst is the Float64bits of the last meter reading, for readers
-	// outside the loop (the terradir_server_load gauge).
-	loadEst atomic.Uint64
+	// fastBusy is fast-path service time (ns) the loop has yet to fold into
+	// the meter. loadEst is the Float64bits of the last meter reading, for
+	// readers outside the loop (the terradir_server_load gauge).
+	fastBusy atomic.Int64
+	loadEst  atomic.Uint64
 
 	nextQID atomic.Uint64
 	dropped atomic.Int64
@@ -254,7 +255,6 @@ type Node struct {
 	// fast path declines queries, which routes them through the loop behind
 	// the pending learns (control drains before queries) — sequential
 	// callers get exactly the loop's read-your-writes ordering.
-	fastEnabled     bool
 	learnSeq        atomic.Uint64
 	learnPub        atomic.Uint64
 	absorbFn        func(core.Piggyback, []core.PathEntry)
@@ -288,7 +288,6 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		done:        make(chan struct{}),
 		pending:     make(map[uint64]chan LookupResult),
 		pendingData: make(map[uint64]chan *core.DataReply),
-		fastEnabled: opts.ServiceDelay == 0, // see Options.ServiceDelay
 	}
 	peer, err := core.NewPeer(id, tree, opts.Config, nodeEnv{n}, rng.New(opts.Seed))
 	if err != nil {
@@ -306,7 +305,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	peer.AttachTelemetry(n.reg, server...)
 	latencyLayout := telemetry.HistogramOpts{Min: 1e-6, Max: 1e3, BucketsPerDecade: 8}
 	n.reg.GaugeFunc("terradir_server_load",
-		"Server load estimate: the event loop's last load-meter reading.",
+		"Server load estimate: busy seconds per second over both executors, clamped at 1, as the event loop last read it.",
 		func() float64 { return math.Float64frombits(n.loadEst.Load()) }, server...)
 	n.inboxDrops = n.reg.Counter("terradir_inbox_query_drops_total",
 		"Queries dropped because the server's bounded request queue was full.", server...)
@@ -316,7 +315,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		fmt.Sprintf("Envelopes the server's event loop drained per wakeup (at most %d).", ingestBatch),
 		telemetry.HistogramOpts{Min: 1, Max: 4096, BucketsPerDecade: 8}, server...)
 	n.serviceHist = n.reg.Histogram("terradir_service_seconds",
-		"Per-query service time (protocol handling plus configured delay).", latencyLayout, server...)
+		"Per-query service time on either executor (protocol handling plus configured delay).", latencyLayout, server...)
 	n.latencyHist = n.reg.Histogram("terradir_lookup_latency_seconds",
 		"End-to-end latency of lookups initiated at this server.", latencyLayout, server...)
 	n.hopsHist = n.reg.Histogram("terradir_lookup_hops",
@@ -405,11 +404,7 @@ func (n *Node) Start() {
 		panic("overlay: Start before SetTransport")
 	}
 	n.registerTransportMetrics()
-	if n.fastEnabled {
-		// Publish before the loop runs so early arrivals see a snapshot
-		// instead of falling back.
-		n.peer.PublishSnapshot()
-	}
+	n.peer.PublishSnapshot() // early arrivals see a snapshot, not a fallback
 	go n.loop()
 	if n.loadCh != nil {
 		n.loaderDone = make(chan struct{})
@@ -527,17 +522,6 @@ func (n *Node) handleControl(env envelope) {
 		return
 	}
 	switch m := env.msg.(type) {
-	case *core.ResultMsg:
-		n.peer.HandleResult(m)
-		n.completeLookup(m)
-		return
-	case *core.TraceSpanMsg:
-		// A hop on one of our lookups' routes reported its span; fold it into
-		// the trace store (this is what survives a lost query), then let the
-		// peer absorb the piggybacked rider.
-		n.traces.AddSpan(m.TraceID, m.Span)
-		n.peer.HandleControl(m)
-		return
 	case *core.DataRequest:
 		if n.pendingCold != nil && n.peer.IsCold(m.Node) &&
 			n.parkCold(m.Node, coldWaiter{msg: m}) {
@@ -562,25 +546,38 @@ func (n *Node) handleControl(env envelope) {
 	n.peer.HandleControl(env.msg)
 }
 
-// tryFastServe attempts to serve q on the published routing snapshot,
-// entirely on the calling goroutine — no event-loop round trip, no locks.
-// It reports whether the query was fully handled; false means the caller must
-// queue it for the loop (no snapshot yet, hooks active, or the route needs a
-// mutation only the loop may perform).
+// tryFastServe serves q on the published snapshot, or reports false so the
+// caller queues it for the loop. A ServiceDelay defers the serve to a timer
+// goroutine, never stalling the delivering one (a TCP read loop, or an
+// upstream serve under a zero-delay LocalTransport).
 func (n *Node) tryFastServe(q *core.QueryMsg) bool {
-	if n.learnPub.Load() != n.learnSeq.Load() {
-		// Learnings are still in flight to the snapshot; serve through the
-		// loop, which drains them first (read-your-writes).
-		n.fastFallbacks.Inc()
-		return false
+	start := time.Since(n.epoch).Seconds()
+	if d := n.opts.ServiceDelay; d > 0 {
+		time.AfterFunc(d, func() {
+			if !n.fastServe(q, start, time.Since(n.epoch).Seconds()) {
+				n.enqueue(q)
+			}
+		})
+		return true
 	}
-	snap := n.peer.RoutingSnapshot()
+	return n.fastServe(q, start, start)
+}
+
+// fastServe runs q's routing decision on the snapshot on the calling
+// goroutine, declining when none is published, learnings are pending, or the
+// route needs a mutation only the loop may perform. A serve charges the time
+// since start (its delay included) to the load meter and service histogram.
+func (n *Node) fastServe(q *core.QueryMsg, start, now float64) bool {
+	// Learn gate (see Node.learnSeq) first, then the snapshot it guards.
+	var snap *core.RouteSnapshot
+	if n.learnPub.Load() == n.learnSeq.Load() {
+		snap = n.peer.RoutingSnapshot()
+	}
 	if snap == nil {
 		n.fastFallbacks.Inc()
 		return false
 	}
-	now := time.Since(n.epoch).Seconds()
-	q.ServedAt = now
+	q.ServedAt = start
 	switch snap.HandleQueryFast(q, now, core.NodeMap{}, n.sendFn, n.absorbFn) {
 	case core.FastResolved:
 		n.fastResolved.Inc()
@@ -592,8 +589,11 @@ func (n *Node) tryFastServe(q *core.QueryMsg) bool {
 		n.fastFallbacks.Inc()
 		return false
 	}
-	if q.Enqueued > 0 && now >= q.Enqueued {
-		n.queueWaitHist.Observe(now - q.Enqueued)
+	busy := time.Since(n.epoch).Seconds() - start
+	n.serviceHist.Observe(busy)
+	n.fastBusy.Add(int64(busy * 1e9))
+	if q.Enqueued > 0 && start >= q.Enqueued {
+		n.queueWaitHist.Observe(start - q.Enqueued)
 	}
 	return true
 }
@@ -611,13 +611,24 @@ func (n *Node) serveQuery(q *core.QueryMsg) {
 		// replays the query. Queue wait is already observed above.
 		return
 	}
-	if n.opts.ServiceDelay > 0 {
-		time.Sleep(n.opts.ServiceDelay)
-	}
+	time.Sleep(n.opts.ServiceDelay) // returns at once when zero
 	n.peer.HandleQuery(q)
 	end := time.Since(n.epoch).Seconds()
 	n.serviceHist.Observe(end - start)
 	n.meter.AddBusy(start, end)
+}
+
+// enqueue queues q for the loop, dropping it (and reporting false) when the
+// bounded request queue is full.
+func (n *Node) enqueue(q *core.QueryMsg) bool {
+	select {
+	case n.queries <- q:
+		return true
+	default:
+		n.dropped.Add(1)
+		n.inboxDrops.Inc()
+		return false
+	}
 }
 
 // toLoop enqueues env onto the control queue, blocking until accepted or the
@@ -651,46 +662,33 @@ func (n *Node) deliver(m core.Message, now float64) {
 	switch msg := m.(type) {
 	case *core.QueryMsg:
 		msg.Enqueued = now
-		if n.fastEnabled && n.tryFastServe(msg) {
-			return
-		}
-		select {
-		case n.queries <- msg:
-		default:
-			n.dropped.Add(1)
-			n.inboxDrops.Inc()
+		if !n.tryFastServe(msg) {
+			n.enqueue(msg)
 		}
 	case *core.ResultMsg:
-		if n.fastEnabled {
-			// Queue the learning first (control is FIFO) so an Inspect issued
-			// after Lookup returns observes the absorbed result, then wake the
-			// waiting caller without a loop round trip. HandleResult only
-			// reads the message, so the concurrent completeLookup is safe.
-			// The loop publishes after the batch that absorbs it, and from
-			// then on the fast path routes on the learned map.
-			select {
-			case n.control <- envelope{fn: func() { n.peer.HandleResult(msg) }}:
-			case <-n.stop:
-				return
-			}
-			n.completeLookup(msg)
+		// Queue the learning first (control is FIFO) so an Inspect issued
+		// after Lookup returns observes the absorbed result, then wake the
+		// waiting caller without a loop round trip. HandleResult only reads
+		// the message, so the concurrent completeLookup is safe. The loop
+		// publishes after the batch that absorbs it, and from then on the
+		// fast path routes on the learned map.
+		select {
+		case n.control <- envelope{fn: func() { n.peer.HandleResult(msg) }}:
+		case <-n.stop:
 			return
 		}
-		n.toLoop(envelope{msg: m})
+		n.completeLookup(msg)
 	case *core.TraceSpanMsg:
-		if n.fastEnabled {
-			// Fold the span in immediately (TraceStore is concurrency-safe);
-			// the piggybacked rider is soft state, absorbed on the loop when
-			// there's room.
-			n.traces.AddSpan(msg.TraceID, msg.Span)
-			select {
-			case n.control <- envelope{fn: func() { n.peer.HandleControl(msg) }}:
-			default:
-				n.fastAbsorbDrops.Inc()
-			}
-			return
+		// A hop on one of our lookups' routes reported its span. Fold it in
+		// immediately (TraceStore is concurrency-safe; this is what survives
+		// a lost query); the piggybacked rider is soft state, absorbed on the
+		// loop when there's room.
+		n.traces.AddSpan(msg.TraceID, msg.Span)
+		select {
+		case n.control <- envelope{fn: func() { n.peer.HandleControl(msg) }}:
+		default:
+			n.fastAbsorbDrops.Inc()
 		}
-		n.toLoop(envelope{msg: m})
 	case *core.MembershipMsg:
 		switch msg.Kind {
 		case core.MembershipWarmup:
@@ -790,18 +788,12 @@ func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, erro
 		// Pre-reserve the whole budget so per-hop appends never reallocate.
 		q.Spans = make([]telemetry.Span, 0, q.SpanBudget)
 	}
-	if !n.fastEnabled || !n.tryFastServe(q) {
-		select {
-		case n.queries <- q:
-		default:
-			n.mu.Lock()
-			delete(n.pending, qid)
-			n.mu.Unlock()
-			lookupChPool.Put(ch)
-			n.dropped.Add(1)
-			n.inboxDrops.Inc()
-			return LookupResult{}, fmt.Errorf("overlay: server %d queue full", n.id)
-		}
+	if !n.tryFastServe(q) && !n.enqueue(q) {
+		n.mu.Lock()
+		delete(n.pending, qid)
+		n.mu.Unlock()
+		lookupChPool.Put(ch)
+		return LookupResult{}, fmt.Errorf("overlay: server %d queue full", n.id)
 	}
 	select {
 	case res := <-ch:

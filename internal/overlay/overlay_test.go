@@ -213,6 +213,87 @@ func TestReplicationUnderLiveLoad(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no live replication despite sustained hot-spot load")
 	}
+	// The owner ran the production executor, not only the loop.
+	if fast := snapshotPrefix(c.Node(int(owner)).Registry().Snapshot(), "terradir_fastpath_resolved_total"); fast == 0 {
+		t.Fatal("owner resolved nothing on the fast path")
+	}
+}
+
+// TestLoadCountsFastPathServes checks that the replication trigger's load
+// sees queries the lock-free fast path serves, with and without a service
+// delay.
+func TestLoadCountsFastPathServes(t *testing.T) {
+	const hot = core.NodeID(200) // a leaf of testTree
+	// hammer looks hot up from every listed server until stop returns true.
+	hammer := func(c *LocalCluster, sources []int, stop func() bool) {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		var wg sync.WaitGroup
+		for _, src := range sources {
+			wg.Add(1)
+			go func(src int) {
+				defer wg.Done()
+				for !stop() && ctx.Err() == nil {
+					_, _ = c.Lookup(ctx, src, hot)
+				}
+			}(src)
+		}
+		wg.Wait()
+	}
+	metric := func(n *Node, name string) float64 {
+		return snapshotPrefix(n.Registry().Snapshot(), name)
+	}
+
+	t.Run("no-delay", func(t *testing.T) {
+		const servers = 6
+		c := startLocal(t, servers, nil)
+		owner := int(c.OwnerOf(hot))
+		var clients, bystanders []int
+		for i := 0; i < servers; i++ {
+			switch {
+			case i == owner:
+			case len(clients) < 3:
+				clients = append(clients, i)
+			default:
+				bystanders = append(bystanders, i)
+			}
+		}
+		deadline := time.Now().Add(500 * time.Millisecond)
+		hammer(c, clients, func() bool { return time.Now().After(deadline) })
+		ownerLoad := metric(c.Node(owner), "terradir_server_load")
+		if ownerLoad <= 0 {
+			t.Fatalf("owner load = %v after serving a hot spot on the fast path", ownerLoad)
+		}
+		for _, b := range bystanders {
+			if l := metric(c.Node(b), "terradir_server_load"); l >= ownerLoad {
+				t.Fatalf("server %d, off the hot route, reads load %v >= owner's %v", b, l, ownerLoad)
+			}
+		}
+	})
+
+	t.Run("delay", func(t *testing.T) {
+		c := startLocal(t, 4, func(o *LocalClusterOptions) {
+			o.Node.ServiceDelay = time.Millisecond
+			cfg := core.DefaultConfig()
+			cfg.ReplicationCooldown = 0.05
+			o.Node.Config = cfg
+		})
+		owner := c.Node(int(c.OwnerOf(hot)))
+		var clients []int
+		for i := 0; i < 4; i++ {
+			if i != int(owner.ID()) {
+				clients = append(clients, i)
+			}
+		}
+		started := func() bool { return owner.Snapshot().Stats.SessionsStarted > 0 }
+		hammer(c, clients, started)
+		if fast := metric(owner, "terradir_fastpath_resolved_total"); fast == 0 {
+			t.Fatal("owner resolved nothing on the fast path")
+		}
+		if !started() {
+			t.Fatal("owner started no replication session under a delayed hot spot")
+		}
+	})
 }
 
 func TestTCPClusterLookup(t *testing.T) {
@@ -289,11 +370,9 @@ func TestNodeStopIdempotentLookupAfterStop(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	c := startLocal(t, 2, func(o *LocalClusterOptions) {
-		o.Node.QueueCap = 1
-		o.Node.ServiceDelay = 50 * time.Millisecond
-	})
+	c := startLocal(t, 2, func(o *LocalClusterOptions) { o.Node.QueueCap = 1 })
 	n := c.Node(0)
+	defer holdLoop(n)()
 	// Flood without waiting: most must be dropped, none may block.
 	for i := 0; i < 50; i++ {
 		n.Deliver(&core.QueryMsg{QueryID: uint64(i) + 1000, Dest: 3, Source: 1})

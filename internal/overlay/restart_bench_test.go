@@ -16,14 +16,16 @@ import (
 
 // BenchmarkWholeClusterRestartRecovery measures what replayed replicas buy
 // after a whole-cluster restart. Eight persistent servers on a 2,047-node
-// tree serve a Zipf(0.9) lookup stream, 32 lookups in flight, with an
-// artificial 2 ms service cost until the cluster holds at least 50 replicas. Every node then writes one snapshot, all stop, and all reopen
-// from their directories. The same stream continues in windows of 500
-// lookups. Iteration i runs seed i+1 and logs the replicas restored, the
-// lookups that died at the hop limit in the first window, and the windows
-// until hops_mean is back within 5 % of the last window before the restart
-// (41 means not within 40 windows). Seeds 1–5, after the framework's
-// one-iteration probe:
+// tree serve a Zipf(0.9) lookup stream, 8 lookups in flight, with an
+// artificial 2 ms service cost until the cluster holds at least 50 replicas.
+// (Fast serves pay the cost in parallel, so with 32 in flight every server
+// reads saturated and none is cool enough to take a replica.) Every node
+// then writes one snapshot, all stop, and all reopen from their
+// directories. The same stream continues in windows of 500 lookups.
+// Iteration i runs seed i+1 and logs the replicas restored, the lookups that
+// died at the hop limit in the first window, and the windows until hops_mean
+// is back within 5 % of the last window before the restart (41 means not
+// within 40 windows). Seeds 1–5, after the framework's one-iteration probe:
 //
 //	go test ./internal/overlay -run '^$' -bench WholeClusterRestartRecovery -benchtime 5x -timeout 0
 func BenchmarkWholeClusterRestartRecovery(b *testing.B) {
@@ -42,7 +44,7 @@ type recoveryRun struct {
 }
 
 func restartRecovery(b *testing.B, seed uint64) recoveryRun {
-	const servers, window, workers = 8, 500, 32
+	const servers, window, workers = 8, 500, 8
 	tree := namespace.NewBalanced(2, 10)
 	owner := Assign(tree, servers, 1)
 	ownerOf := func(nd core.NodeID) core.ServerID { return owner[nd] }

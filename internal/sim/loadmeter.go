@@ -70,6 +70,16 @@ func (m *LoadMeter) AddBusy(from, to Time) {
 	}
 }
 
+// Charge adds busy seconds to the window containing `now`, with no overlap
+// guard: concurrent serves each count in full, and Load clamps at 1.
+func (m *LoadMeter) Charge(now, busy Time) {
+	if busy <= 0 {
+		return
+	}
+	m.roll(now)
+	m.curBusy += busy
+}
+
 // Load returns the load estimate at time `now`, in [0, 1].
 func (m *LoadMeter) Load(now Time) float64 {
 	m.roll(now)

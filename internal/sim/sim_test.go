@@ -176,6 +176,21 @@ func TestLoadMeterIgnoresOverlaps(t *testing.T) {
 	}
 }
 
+func TestLoadMeterChargeSumsConcurrentServes(t *testing.T) {
+	m := NewLoadMeter(1.0)
+	m.AddBusy(0, 0.2)
+	m.Charge(0.5, 0.3) // two serves overlapping each other: both count
+	m.Charge(0.5, 0.3)
+	m.Charge(0.5, 0)
+	if l := m.Load(0.9); math.Abs(l-0.8) > 1e-9 {
+		t.Fatalf("load = %v, want 0.8", l)
+	}
+	m.Charge(0.9, 1.5) // more than one core-equivalent: clamped
+	if l := m.Load(0.95); l != 1 {
+		t.Fatalf("load = %v, want clamp at 1", l)
+	}
+}
+
 func TestLoadMeterRejectsEmptyInterval(t *testing.T) {
 	m := NewLoadMeter(1.0)
 	m.AddBusy(2, 2)
