@@ -42,18 +42,6 @@ func newLRUCache(capacity int) *lruCache {
 // Len returns the number of cached entries.
 func (c *lruCache) Len() int { return len(c.index) }
 
-// Get returns a pointer to the cached map for node and marks the entry most
-// recently used. The pointer is owned by the cache; callers may mutate the
-// map in place (merging) but must not retain it across evictions.
-func (c *lruCache) Get(node NodeID) *NodeMap {
-	slot, ok := c.index[node]
-	if !ok {
-		return nil
-	}
-	c.moveToFront(slot)
-	return c.edit(slot)
-}
-
 // edit hands out slot's map for writing: its published clone goes stale.
 func (c *lruCache) edit(slot int32) *NodeMap {
 	c.stale, c.slots[slot].stale = true, true
@@ -86,17 +74,18 @@ func (c *lruCache) Edit(node NodeID) *NodeMap {
 	return c.edit(slot)
 }
 
-// Put inserts or replaces the entry for node and marks it most recently
-// used, evicting the LRU entry if at capacity. It returns a pointer to the
+// Put inserts or replaces the entry for node with a copy of m and marks it
+// most recently used, evicting the LRU entry if at capacity. The copy reuses
+// the buffer of the entry it replaces or evicts. It returns a pointer to the
 // stored map (for in-place merging) or nil if capacity is zero.
 func (c *lruCache) Put(node NodeID, m NodeMap) *NodeMap {
 	if c.capacity <= 0 {
 		return nil
 	}
 	if slot, ok := c.index[node]; ok {
-		c.slots[slot].m = m
 		c.moveToFront(slot)
-		return c.edit(slot)
+		c.edit(slot).set(&m)
+		return &c.slots[slot].m
 	}
 	var slot int32
 	switch {
@@ -112,10 +101,12 @@ func (c *lruCache) Put(node NodeID, m NodeMap) *NodeMap {
 		c.detach(slot)
 		delete(c.index, c.slots[slot].node)
 	}
-	c.slots[slot] = lruSlot{node: node, m: m, prev: lruNil, next: lruNil, stale: true}
+	s := &c.slots[slot]
+	*s = lruSlot{node: node, m: NodeMap{Servers: s.m.Servers[:0]}, prev: lruNil, next: lruNil, stale: true}
+	s.m.set(&m)
 	c.index[node] = slot
 	c.attachFront(slot)
-	return &c.slots[slot].m
+	return &s.m
 }
 
 // Delete removes the entry for node if present.

@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// get reads node's entry as a cache hit does: touched, then read.
+func get(c *lruCache, node NodeID) *NodeMap {
+	c.Touch(node)
+	return c.Peek(node)
+}
+
 func TestLRUPutGet(t *testing.T) {
 	c := newLRUCache(3)
 	c.Put(1, SingleServerMap(10))
@@ -12,11 +18,11 @@ func TestLRUPutGet(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	m := c.Get(1)
+	m := get(c, 1)
 	if m == nil || !m.Contains(10) {
 		t.Fatalf("Get(1) = %v", m)
 	}
-	if c.Get(99) != nil {
+	if get(c, 99) != nil {
 		t.Fatal("Get of absent key returned entry")
 	}
 }
@@ -25,12 +31,12 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	c := newLRUCache(2)
 	c.Put(1, SingleServerMap(1))
 	c.Put(2, SingleServerMap(2))
-	c.Get(1) // 2 is now LRU
+	get(c, 1) // 2 is now LRU
 	c.Put(3, SingleServerMap(3))
-	if c.Get(2) != nil {
+	if get(c, 2) != nil {
 		t.Fatal("LRU entry 2 survived")
 	}
-	if c.Get(1) == nil || c.Get(3) == nil {
+	if get(c, 1) == nil || get(c, 3) == nil {
 		t.Fatal("wrong entry evicted")
 	}
 }
@@ -41,7 +47,7 @@ func TestLRUPeekDoesNotTouch(t *testing.T) {
 	c.Put(2, SingleServerMap(2))
 	c.Peek(1) // must NOT refresh 1
 	c.Put(3, SingleServerMap(3))
-	if c.Get(1) != nil {
+	if get(c, 1) != nil {
 		t.Fatal("Peek refreshed recency")
 	}
 }
@@ -53,7 +59,7 @@ func TestLRUPutReplaces(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after replace", c.Len())
 	}
-	if m := c.Get(1); !m.Contains(9) || m.Contains(1) {
+	if m := get(c, 1); !m.Contains(9) || m.Contains(1) {
 		t.Fatalf("replace failed: %+v", m)
 	}
 }
@@ -63,7 +69,7 @@ func TestLRUDelete(t *testing.T) {
 	c.Put(1, SingleServerMap(1))
 	c.Put(2, SingleServerMap(2))
 	c.Delete(1)
-	if c.Get(1) != nil || c.Len() != 1 {
+	if get(c, 1) != nil || c.Len() != 1 {
 		t.Fatal("delete failed")
 	}
 	c.Delete(42) // absent: no-op
@@ -80,7 +86,7 @@ func TestLRUZeroCapacity(t *testing.T) {
 	if c.Put(1, SingleServerMap(1)) != nil {
 		t.Fatal("zero-capacity Put returned a slot")
 	}
-	if c.Len() != 0 || c.Get(1) != nil {
+	if c.Len() != 0 || get(c, 1) != nil {
 		t.Fatal("zero-capacity cache stored something")
 	}
 }
@@ -90,7 +96,7 @@ func TestLRUEachOrder(t *testing.T) {
 	for i := NodeID(1); i <= 4; i++ {
 		c.Put(i, SingleServerMap(ServerID(i)))
 	}
-	c.Get(2) // order: 2,4,3,1
+	get(c, 2) // order: 2,4,3,1
 	var got []NodeID
 	c.Each(func(n NodeID, _ *NodeMap) { got = append(got, n) })
 	want := []NodeID{2, 4, 3, 1}
@@ -105,7 +111,7 @@ func TestLRUInPlaceMutation(t *testing.T) {
 	c := newLRUCache(2)
 	m := c.Put(5, SingleServerMap(1))
 	m.AddRegular(2, 8)
-	if got := c.Get(5); !got.Contains(2) {
+	if got := get(c, 5); !got.Contains(2) {
 		t.Fatal("in-place mutation lost")
 	}
 }

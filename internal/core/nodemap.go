@@ -1,6 +1,10 @@
 package core
 
-import "terradir/internal/rng"
+import (
+	"slices"
+
+	"terradir/internal/rng"
+)
 
 // NodeMap associates a node with a bounded, possibly stale and incomplete
 // set of servers hosting it (§3.7). The first NumAdvertised entries are
@@ -103,19 +107,27 @@ func (m *NodeMap) Remove(s ServerID) bool {
 // advertisement has aged out of "recent").
 func (m *NodeMap) Demote() { m.NumAdvertised = 0 }
 
+// mergeStack sizes the fixed arrays Merge builds its lists in; only combined
+// maps larger than it spill to the heap.
+const mergeStack = 32
+
 // Merge folds incoming into m under the paper's merge rule (§3.7): the
 // advertised entries of both maps are preferred (incoming first — they are
 // newer), and the remaining slots are filled with a uniform random choice
 // from the leftover union. keep is an optional predicate: entries for which
-// keep returns false are dropped entirely (digest-based map filtering).
-func (m *NodeMap) Merge(incoming *NodeMap, msize int, src *rng.Source, keep func(ServerID) bool) {
+// keep returns false are dropped entirely (digest-based map filtering). m is
+// written only when the result differs from it, which Merge reports.
+func (m *NodeMap) Merge(incoming *NodeMap, msize int, src *rng.Source, keep func(ServerID) bool) (changed bool) {
 	type cand struct {
 		s   ServerID
 		adv bool
 	}
 	// Maps here are tiny (≤ Msize entries each side), so linear scans beat
-	// any hash structure — this runs on every path-entry absorption.
-	cands := make([]cand, 0, len(incoming.Servers)+len(m.Servers))
+	// any hash structure, and stack arrays keep a merge off the heap — this
+	// runs on every path-entry absorption.
+	var candBuf [mergeStack]cand
+	var advBuf, regBuf [mergeStack]ServerID
+	cands := candBuf[:0]
 	add := func(s ServerID, adv bool) {
 		for i := range cands {
 			if cands[i].s == s {
@@ -137,7 +149,7 @@ func (m *NodeMap) Merge(incoming *NodeMap, msize int, src *rng.Source, keep func
 	}
 	// Partition: advertised (in encounter order: incoming's newest first),
 	// then the rest shuffled.
-	var adv, reg []ServerID
+	adv, reg := advBuf[:0], regBuf[:0]
 	for _, c := range cands {
 		if c.adv {
 			adv = append(adv, c.s)
@@ -153,8 +165,19 @@ func (m *NodeMap) Merge(incoming *NodeMap, msize int, src *rng.Source, keep func
 		src.Shuffle(len(reg), func(i, j int) { reg[i], reg[j] = reg[j], reg[i] })
 		reg = reg[:room]
 	}
+	if m.NumAdvertised == len(adv) && len(m.Servers) == len(adv)+len(reg) &&
+		slices.Equal(m.Servers[:len(adv)], adv) && slices.Equal(m.Servers[len(adv):], reg) {
+		return false
+	}
 	m.Servers = append(append(m.Servers[:0], adv...), reg...)
 	m.NumAdvertised = len(adv)
+	return true
+}
+
+// set makes m a copy of o, reusing m's buffer.
+func (m *NodeMap) set(o *NodeMap) {
+	m.Servers = append(m.Servers[:0], o.Servers...)
+	m.NumAdvertised = o.NumAdvertised
 }
 
 // Pick returns a uniformly random entry passing the keep predicate and not

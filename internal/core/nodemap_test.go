@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,140 @@ func TestSingleServerMap(t *testing.T) {
 	m := SingleServerMap(7)
 	if m.Len() != 1 || !m.Contains(7) || m.NumAdvertised != 0 {
 		t.Fatalf("SingleServerMap wrong: %+v", m)
+	}
+}
+
+// refMerge is the heap-building Merge that the allocation-free one replaced,
+// kept as the reference for its output and its RNG draws.
+func refMerge(m, incoming *NodeMap, msize int, src *rng.Source, keep func(ServerID) bool) {
+	type cand struct {
+		s   ServerID
+		adv bool
+	}
+	cands := make([]cand, 0, len(incoming.Servers)+len(m.Servers))
+	add := func(s ServerID, adv bool) {
+		for i := range cands {
+			if cands[i].s == s {
+				cands[i].adv = cands[i].adv || adv
+				return
+			}
+		}
+		if keep != nil && !keep(s) {
+			return
+		}
+		cands = append(cands, cand{s, adv})
+	}
+	for i, s := range incoming.Servers {
+		add(s, i < incoming.NumAdvertised)
+	}
+	for i, s := range m.Servers {
+		add(s, i < m.NumAdvertised)
+	}
+	var adv, reg []ServerID
+	for _, c := range cands {
+		if c.adv {
+			adv = append(adv, c.s)
+		} else {
+			reg = append(reg, c.s)
+		}
+	}
+	if len(adv) > msize {
+		adv = adv[:msize]
+	}
+	room := msize - len(adv)
+	if room < len(reg) {
+		src.Shuffle(len(reg), func(i, j int) { reg[i], reg[j] = reg[j], reg[i] })
+		reg = reg[:room]
+	}
+	m.Servers = append(append(m.Servers[:0], adv...), reg...)
+	m.NumAdvertised = len(adv)
+}
+
+// randMergeMap draws a well-formed map of up to msize distinct servers out of
+// universe, with a random advertised prefix.
+func randMergeMap(g *rng.Source, msize, universe int) NodeMap {
+	var m NodeMap
+	for k := g.Intn(msize + 1); k > 0; k-- {
+		m.AddRegular(ServerID(g.Intn(universe)), msize)
+	}
+	if m.Len() > 0 {
+		m.NumAdvertised = g.Intn(m.Len() + 1)
+	}
+	return m
+}
+
+func sameMap(a, b *NodeMap) bool {
+	return a.NumAdvertised == b.NumAdvertised && slices.Equal(a.Servers, b.Servers)
+}
+
+// TestMergeMatchesReference: the allocation-free Merge produces the reference
+// merge's map and leaves the RNG where the reference leaves it (the simulator's
+// output depends on both), reports a change exactly when the map differs from
+// before, and allocates nothing at the map sizes the protocol runs.
+func TestMergeMatchesReference(t *testing.T) {
+	g := rng.New(34)
+	for i := 0; i < 100_000; i++ {
+		msize, universe := 1+g.Intn(10), 4+g.Intn(40)
+		if i%10 == 0 {
+			// Combined maps beyond the stack arrays spill to the heap.
+			msize, universe = mergeStack/2+1+g.Intn(mergeStack), 3*mergeStack
+		}
+		m, in := randMergeMap(g, msize, universe), randMergeMap(g, msize, universe)
+		if i%7 == 0 {
+			in = m.Clone() // relearning a known map
+		}
+		var keep func(ServerID) bool
+		if g.Intn(3) == 0 {
+			mask := g.Uint64()
+			keep = func(s ServerID) bool { return mask>>(uint(s)%64)&1 == 1 }
+		}
+		seed := g.Uint64()
+		want, wantSrc := m.Clone(), rng.New(seed)
+		refMerge(&want, &in, msize, wantSrc, keep)
+		got, gotSrc := m.Clone(), rng.New(seed)
+		changed := got.Merge(&in, msize, gotSrc, keep)
+		if !sameMap(&got, &want) {
+			t.Fatalf("case %d: Merge(%+v into %+v, msize %d) = %+v, reference %+v", i, in, m, msize, got, want)
+		}
+		if gotSrc.Uint64() != wantSrc.Uint64() {
+			t.Fatalf("case %d: Merge drew from the RNG differently from the reference", i)
+		}
+		if changed != !sameMap(&want, &m) {
+			t.Fatalf("case %d: changed = %v, but the map went %+v -> %+v", i, changed, m, want)
+		}
+	}
+
+	src := rng.New(1)
+	keep := func(s ServerID) bool { return s != 99 }
+	full := NodeMap{NumAdvertised: 3}
+	other := NodeMap{NumAdvertised: 2}
+	for s := ServerID(0); s < 16; s++ {
+		full.Servers = append(full.Servers, s)
+		other.Servers = append(other.Servers, 100+s)
+	}
+	known := full.Clone()
+	if n := testing.AllocsPerRun(100, func() { known.Merge(&full, 16, src, keep) }); n != 0 {
+		t.Fatalf("a no-op merge allocated %v objects", n)
+	}
+	buf := make([]ServerID, 0, 16)
+	for _, tc := range []struct {
+		name    string
+		from    NodeMap
+		msize   int
+		inbound *NodeMap
+	}{
+		{"fill", NodeMap{Servers: full.Servers[:8]}, 16, &NodeMap{Servers: other.Servers[:8]}},
+		{"shuffle", full, 16, &other},
+	} {
+		m := NodeMap{}
+		merge := func() {
+			m = NodeMap{Servers: append(buf[:0], tc.from.Servers...), NumAdvertised: tc.from.NumAdvertised}
+			if !m.Merge(tc.inbound, tc.msize, src, keep) {
+				t.Fatalf("%s: merge reported no change", tc.name)
+			}
+		}
+		if n := testing.AllocsPerRun(100, merge); n != 0 {
+			t.Fatalf("%s: a changing merge allocated %v objects", tc.name, n)
+		}
 	}
 }

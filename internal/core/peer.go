@@ -180,7 +180,7 @@ type Peer struct {
 	pub  pubState
 	fast fastStats
 
-	scratchPath []NodeID // reusable buffer
+	scratchMap NodeMap // mergeMap's result buffer
 }
 
 // advertTTL is how long (seconds) a newly created replica is piggybacked as
@@ -646,37 +646,57 @@ func (p *Peer) learnMap(node NodeID, incoming *NodeMap) {
 	}
 	keep := p.keepFor(node)
 	if hn, ok := p.hosted[node]; ok {
-		m := p.editSelfMap(hn)
-		m.Merge(incoming, p.cfg.MapSize, p.src, keep)
-		p.ensureSelf(m)
+		if m := p.mergeMap(&hn.selfMap, incoming, keep, true); m != nil {
+			p.editSelfMap(hn).set(m)
+		}
 		return
 	}
 	if e, ok := p.neighborMaps[node]; ok {
-		p.editNeighborMap(e).Merge(incoming, p.cfg.MapSize, p.src, keep)
+		if m := p.mergeMap(&e.m, incoming, keep, false); m != nil {
+			p.editNeighborMap(e).set(m)
+		}
 		return
 	}
 	if !p.cfg.CachingEnabled {
 		return
 	}
-	if m := p.cache.Get(node); m != nil {
-		m.Merge(incoming, p.cfg.MapSize, p.src, keep)
+	if cur := p.cache.Peek(node); cur != nil {
+		p.cache.Touch(node) // recency refreshes on every learn (§2.4)
+		if m := p.mergeMap(cur, incoming, keep, false); m != nil {
+			p.cache.Edit(node).set(m)
+		}
 		return
 	}
-	c := incoming.Clone()
-	c.Truncate(p.cfg.MapSize)
-	p.cache.Put(node, c)
+	if m := p.cache.Put(node, *incoming); m != nil {
+		m.Truncate(p.cfg.MapSize)
+	}
 }
 
-// ensureSelf guarantees the peer appears in a map of a node it hosts.
-func (p *Peer) ensureSelf(m *NodeMap) {
+// mergeMap merges incoming into a scratch copy of cur (§3.7), with the peer
+// kept in it when self is set, and returns the result, or nil when it equals
+// cur. The caller copies a result in through cur's edit accessor, so a merge
+// that changes nothing marks nothing for republication.
+func (p *Peer) mergeMap(cur, incoming *NodeMap, keep func(ServerID) bool, self bool) *NodeMap {
+	m := &p.scratchMap
+	m.set(cur)
+	if changed := m.Merge(incoming, p.cfg.MapSize, p.src, keep); self && p.ensureSelf(m) || changed {
+		return m
+	}
+	return nil
+}
+
+// ensureSelf guarantees the peer appears in a map of a node it hosts,
+// reporting whether it had to add it.
+func (p *Peer) ensureSelf(m *NodeMap) bool {
 	if m.Contains(p.ID) {
-		return
+		return false
 	}
 	if m.Len() >= p.cfg.MapSize && m.Len() > 0 {
 		m.Servers[m.Len()-1] = p.ID // displace the last regular entry
 	} else {
 		m.Servers = append(m.Servers, p.ID)
 	}
+	return true
 }
 
 // outgoingMap builds the bounded map to propagate for node: the stored map,

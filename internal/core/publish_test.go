@@ -477,3 +477,36 @@ func TestPublishNothingDirtyAllocatesNothing(t *testing.T) {
 		t.Fatal("a publish with nothing dirty replaced the snapshot")
 	}
 }
+
+// TestRelearningKnownMapsDirtiesNothing: a result whose path carries exactly
+// the maps the peer holds — its own hosted entry, a neighbor's, and the cache
+// entry at the head of the recency list — changes nothing, so it marks
+// nothing: the next publish re-freezes no entry and every published copy stays.
+func TestRelearningKnownMapsDirtiesNothing(t *testing.T) {
+	tree, ids := paperTree()
+	p := newTestPeer(t, tree, 1, []NodeID{ids["/u/pub"]}, 2, DefaultConfig(), &fakeEnv{now: 1})
+	hosted, neighbor, cached := ids["/u/pub"], ids["/u"], ids["/u/priv/people/staff/Ann"]
+	p.cache.Put(cached, NodeMap{Servers: []ServerID{7, 3}, NumAdvertised: 1})
+	p.PublishSnapshot()
+
+	hn, e, slot := p.hosted[hosted], p.neighborMaps[neighbor], &p.cache.slots[p.cache.index[cached]]
+	hostedPub, neighborPub, cachePub := hn.pub.Load(), e.pub.Load(), &slot.pub.Servers[0]
+	cacheMap := slot.m.Clone()
+	p.HandleResult(&ResultMsg{
+		QueryID: 1, Dest: cached, OK: true, Map: cacheMap,
+		Path: []PathEntry{
+			{Node: hosted, Map: hn.selfMap.Clone()},
+			{Node: neighbor, Map: e.m.Clone()},
+			{Node: cached, Map: cacheMap},
+		},
+		Piggy: Piggyback{From: 2, Load: 0.5},
+	})
+	if p.pub.hosted != nil || p.pub.neighbors != nil || p.cache.stale || slot.stale {
+		t.Fatalf("relearning known maps marked entries for re-freezing: hosted %v, neighbors %v, cache %v, slot %v",
+			p.pub.hosted != nil, p.pub.neighbors != nil, p.cache.stale, slot.stale)
+	}
+	p.PublishSnapshot()
+	if hn.pub.Load() != hostedPub || e.pub.Load() != neighborPub || &slot.pub.Servers[0] != cachePub {
+		t.Fatal("a publish after relearning known maps re-froze an entry")
+	}
+}

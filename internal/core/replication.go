@@ -304,12 +304,14 @@ func (p *Peer) handleReplicateRequest(msg *ReplicateRequest) {
 func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 	if hn, ok := p.hosted[pl.Node]; ok {
 		// Already hosted: refresh soft state (newest meta wins, maps merge).
-		m := p.editSelfMap(hn) // marks hn, so the meta refresh republishes too
+		// Either marks hn for republication only when it changes something.
+		if m := p.mergeMap(&hn.selfMap, &pl.SelfMap, p.keepFor(pl.Node), true); m != nil {
+			p.editSelfMap(hn).set(m)
+		}
 		if pl.Meta.Version > hn.meta.Version {
+			p.editSelfMap(hn) // marks hn, so the meta refresh republishes
 			hn.meta = pl.Meta.Clone()
 		}
-		m.Merge(&pl.SelfMap, p.cfg.MapSize, p.src, p.keepFor(pl.Node))
-		p.ensureSelf(m)
 		return false
 	}
 	max := p.maxReplicas()
@@ -347,8 +349,9 @@ func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 		hn.neighborIDs = append(hn.neighborIDs, nb.Node)
 		if e, ok := p.neighborMaps[nb.Node]; ok {
 			e.refs++
-			inc := nb.Map
-			p.editNeighborMap(e).Merge(&inc, p.cfg.MapSize, p.src, p.keepFor(nb.Node))
+			if m := p.mergeMap(&e.m, &nb.Map, p.keepFor(nb.Node), false); m != nil {
+				p.editNeighborMap(e).set(m)
+			}
 		} else {
 			p.addNeighbor(nb.Node, nb.Map.Clone())
 		}

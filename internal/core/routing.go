@@ -476,9 +476,11 @@ type messageSource interface {
 // carries no digests: §3.6's digests serve routing and map pruning, and a
 // client does neither.
 //
-// Ownership transfer: a received message's path belongs to its handler (the
-// sender built a fresh slice and never retains it; absorbPath only copies
-// values out), so the path is extended in place rather than deep-cloned.
+// Paths are append-only: a handler extends a received path in place, past
+// its length, and pathRoom trims into a fresh slice, so an entry that has been
+// sent on is never written again. Readers of one path — the next hop, a
+// transport encoding it, the loop absorbing a fast-served query — share it
+// without copies.
 func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messageSource, send func(ServerID, Message)) {
 	digests := !IsClient(q.Source)
 	spans := q.Spans
@@ -554,8 +556,9 @@ func (v *routeView) pathRoom(path *[]PathEntry, rep *hostedNode) bool {
 		return false
 	}
 	if len(out) >= v.cfg.MaxPathEntries && len(out) > 1 {
-		copy(out[1:], out[2:]) // keep the source entry, drop the oldest middle
-		out = out[:len(out)-1]
+		// Keep the source entry, drop the oldest middle one; fresh, since
+		// paths are append-only (see emit).
+		out = append(append(make([]PathEntry, 0, len(out)), out[0]), out[2:]...)
 		*path = out
 	}
 	return len(out) < v.cfg.MaxPathEntries || v.cfg.MaxPathEntries == 0

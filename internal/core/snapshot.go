@@ -264,7 +264,8 @@ func (p *Peer) RoutingSnapshot() *RouteSnapshot { return p.snap.Load() }
 
 // FastAbsorb ingests the rider and path of a query the fast path served, and
 // runs the per-query replication trigger the loop would have run. Loop
-// context only — the driver enqueues it behind the fast-path send.
+// context only — the driver queues the served query to its loop after the
+// serve's sends.
 func (p *Peer) FastAbsorb(pb Piggyback, path []PathEntry) {
 	p.absorbPiggy(&pb)
 	p.absorbPath(path)
@@ -304,10 +305,10 @@ func (p *Peer) foldFastTouches() {
 
 // HandleQueryFast attempts to serve q entirely on the snapshot: the off-loop
 // executor of the routing decision. send transmits outgoing messages (safe
-// for concurrent use); absorb, when non-nil, receives the query's rider and a
-// private copy of its path for loop-side ingestion — it is invoked exactly
-// once for any outcome other than FastFallback, before q.Path is mutated. On
-// FastFallback nothing has been sent or absorbed and the caller must run q
+// for concurrent use); absorb, when non-nil, receives the query's rider and
+// its path, which is append-only (see emit) and so safe to read later on the
+// loop — it is invoked exactly once for any outcome other than FastFallback.
+// On FastFallback nothing has been sent or absorbed and the caller must run q
 // through the loop.
 //
 // The NodeMap argument is ignored. It is kept only so existing callers
@@ -334,11 +335,7 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, _ NodeMap, sen
 		}
 	}
 	if absorb != nil {
-		var path []PathEntry
-		if len(q.Path) > 0 {
-			path = append([]PathEntry(nil), q.Path...)
-		}
-		absorb(q.Piggy, path)
+		absorb(q.Piggy, q.Path)
 	}
 	if hn := d.charged(); hn != nil {
 		hn.fastTouch.Add(1)

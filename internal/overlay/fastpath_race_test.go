@@ -104,3 +104,45 @@ func runFastPathRaceStress(t *testing.T) {
 	mutating.Store(false)
 	mutatorWG.Wait()
 }
+
+// TestFastPathPathTrimRace: with MaxPathEntries 2, and no cache or digests to
+// shorten routes, every forward past the first trims the path it received,
+// while the previous hop's loop may still be absorbing that path from the
+// query it served. Paths are append-only, so a trim must build a fresh slice;
+// shifting in place would rewrite an entry that hop is reading. A network
+// delay puts the next hop on another goroutine. Run under -race.
+func TestFastPathPathTrimRace(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.MaxPathEntries = 2
+	cfg.CachingEnabled = false
+	cfg.DigestsEnabled = false
+	c := startLocal(t, 8, func(o *LocalClusterOptions) {
+		o.NetDelay = 20 * time.Microsecond
+		o.Node.Config = cfg
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	var trimmed atomic.Int64
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				dest := core.NodeID((i*104729 + r*7919 + 1) % c.Tree().Len())
+				res, err := c.Lookup(ctx, (i+r)%c.Servers(), dest)
+				if err != nil || !res.OK {
+					t.Errorf("lookup of %d: %+v, %v", dest, res, err)
+					return
+				}
+				if res.Hops >= 2 {
+					trimmed.Add(1)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if trimmed.Load() == 0 {
+		t.Fatal("no route took the two hops a trim needs")
+	}
+}

@@ -191,15 +191,3 @@ func (n *Node) loop() {
 		}
 	}
 }
-
-// fastAbsorb hands a fast-served query's rider and path to the loop for
-// absorption into the peer's soft state. Non-blocking: under control-queue
-// pressure the rider is dropped (it is advisory) rather than stalling the
-// lock-free path.
-func (n *Node) fastAbsorb(pb core.Piggyback, path []core.PathEntry) {
-	select {
-	case n.control <- envelope{fn: func() { n.peer.FastAbsorb(pb, path) }}:
-	default:
-		n.fastAbsorbDrops.Inc()
-	}
-}

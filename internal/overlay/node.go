@@ -248,8 +248,8 @@ type Node struct {
 	latencyHist    *telemetry.Histogram
 	hopsHist       *telemetry.Histogram
 
-	// Lock-free snapshot fast path (see core.RouteSnapshot). sendFn and
-	// absorbFn are bound once so per-query fast serves allocate no closures.
+	// Lock-free snapshot fast path (see core.RouteSnapshot). sendFn is bound
+	// once so per-query fast serves allocate no closure.
 	// Learn gating: learnSeq counts learn-marked envelopes enqueued,
 	// learnPub those whose effects are published. While they differ the
 	// fast path declines queries, which routes them through the loop behind
@@ -257,7 +257,6 @@ type Node struct {
 	// callers get exactly the loop's read-your-writes ordering.
 	learnSeq        atomic.Uint64
 	learnPub        atomic.Uint64
-	absorbFn        func(core.Piggyback, []core.PathEntry)
 	sendFn          func(core.ServerID, core.Message)
 	fastResolved    *telemetry.Counter
 	fastForwarded   *telemetry.Counter
@@ -298,7 +297,6 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	}
 	peer.FinishSetup(ownerOf)
 	n.peer = peer
-	n.absorbFn = n.fastAbsorb
 	n.reg = telemetry.NewRegistry()
 	n.traces = telemetry.NewTraceStore(telemetry.DefaultTraceCap)
 	server := []string{"server", fmt.Sprint(id)}
@@ -522,6 +520,10 @@ func (n *Node) handleControl(env envelope) {
 		return
 	}
 	switch m := env.msg.(type) {
+	case *core.QueryMsg:
+		// A query the fast path served: absorb what it carried.
+		n.peer.FastAbsorb(m.Piggy, m.Path)
+		return
 	case *core.DataRequest:
 		if n.pendingCold != nil && n.peer.IsCold(m.Node) &&
 			n.parkCold(m.Node, coldWaiter{msg: m}) {
@@ -578,7 +580,7 @@ func (n *Node) fastServe(q *core.QueryMsg, start, now float64) bool {
 		return false
 	}
 	q.ServedAt = start
-	switch snap.HandleQueryFast(q, now, core.NodeMap{}, n.sendFn, n.absorbFn) {
+	switch snap.HandleQueryFast(q, now, core.NodeMap{}, n.sendFn, nil) {
 	case core.FastResolved:
 		n.fastResolved.Inc()
 	case core.FastForwarded:
@@ -589,6 +591,10 @@ func (n *Node) fastServe(q *core.QueryMsg, start, now float64) bool {
 		n.fastFallbacks.Inc()
 		return false
 	}
+	// The served query itself carries its rider and path to the loop for
+	// absorption (handleControl). Non-blocking: under control-queue pressure
+	// they are dropped (soft state) rather than stalling the lock-free path.
+	n.toLoopOrDrop(envelope{msg: q})
 	busy := time.Since(n.epoch).Seconds() - start
 	n.serviceHist.Observe(busy)
 	n.fastBusy.Add(int64(busy * 1e9))
@@ -640,6 +646,16 @@ func (n *Node) toLoop(env envelope) {
 	}
 }
 
+// toLoopOrDrop enqueues soft-state env onto the control queue if there is
+// room, counting a drop otherwise.
+func (n *Node) toLoopOrDrop(env envelope) {
+	select {
+	case n.control <- env:
+	default:
+		n.fastAbsorbDrops.Inc()
+	}
+}
+
 // Deliver injects an incoming message (called by transports; safe from any
 // goroutine). Queries beyond the inbox bound are dropped.
 func (n *Node) Deliver(m core.Message) {
@@ -673,7 +689,7 @@ func (n *Node) deliver(m core.Message, now float64) {
 		// publishes after the batch that absorbs it, and from then on the
 		// fast path routes on the learned map.
 		select {
-		case n.control <- envelope{fn: func() { n.peer.HandleResult(msg) }}:
+		case n.control <- envelope{msg: msg}:
 		case <-n.stop:
 			return
 		}
@@ -684,11 +700,7 @@ func (n *Node) deliver(m core.Message, now float64) {
 		// a lost query); the piggybacked rider is soft state, absorbed on the
 		// loop when there's room.
 		n.traces.AddSpan(msg.TraceID, msg.Span)
-		select {
-		case n.control <- envelope{fn: func() { n.peer.HandleControl(msg) }}:
-		default:
-			n.fastAbsorbDrops.Inc()
-		}
+		n.toLoopOrDrop(envelope{msg: msg})
 	case *core.MembershipMsg:
 		switch msg.Kind {
 		case core.MembershipWarmup:
@@ -774,6 +786,7 @@ func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, erro
 		Source:   n.id,
 		OnBehalf: namespace.Invalid,
 		Started:  time.Since(n.epoch).Seconds(),
+		Piggy:    core.Piggyback{From: core.NoServer}, // From 0 would gossip an idle server 0
 		// Reserve a typical route's path entries up front (routes are
 		// tree-depth-bounded, far under the MaxHops TTL): each hop appends
 		// one, and with spare capacity the extensions rarely reallocate.
