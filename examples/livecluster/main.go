@@ -42,10 +42,10 @@ func main() {
 	cfg.ReplicationCooldown = 0.05
 	for i := 0; i < servers; i++ {
 		n, err := overlay.NewNode(core.ServerID(i), ns, ownedBy[i], ownerOf, terradir.NodeOptions{
-			Seed:         uint64(i) + 1,
-			Config:       cfg,
-			ServiceDelay: time.Millisecond, // give queries real weight
-			QueueCap:     256,
+			Seed:        uint64(i) + 1,
+			Config:      cfg,
+			ServiceCost: time.Millisecond, // a 1,000 queries/s server: the hot owner saturates
+			QueueCap:    256,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -124,7 +124,7 @@ func main() {
 	fmt.Printf("\nlive replication result: %s now has %d soft-state replicas on peers %v\n",
 		ns.Name(hot), replicas, hosts)
 	if replicas == 0 {
-		fmt.Println("(no replicas — try a slower machine or raise the per-query service delay)")
+		fmt.Println("(no replicas — raise ServiceCost so the hot owner crosses Thigh)")
 	} else {
 		fmt.Println("the routing load of the hot node has been shed onto colder peers — the")
 		fmt.Println("same adaptive protocol the simulator evaluates, running on real sockets.")

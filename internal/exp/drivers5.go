@@ -22,13 +22,13 @@ func init() {
 // soft state (caches, replicas) forms, fail a fraction of peers abruptly,
 // then measure client-visible lookup completion from the survivors.
 type liveA3Params struct {
-	servers      int
-	warmPer      int           // warm lookups issued by each server
-	measurePer   int           // measured lookups issued by each survivor
-	alpha        float64       // Zipf skew of the query stream
-	attempts     int           // client retry budget per measured lookup
-	timeout      time.Duration // per-attempt deadline
-	serviceDelay time.Duration // artificial per-query cost (drives load high enough to replicate)
+	servers     int
+	warmPer     int           // warm lookups issued by each server
+	measurePer  int           // measured lookups issued by each survivor
+	alpha       float64       // Zipf skew of the query stream
+	attempts    int           // client retry budget per measured lookup
+	timeout     time.Duration // per-attempt deadline
+	serviceCost time.Duration // capacity one query uses (a hot owner crosses Thigh)
 }
 
 // LiveFailureResilience is A3 run against the real concurrent overlay
@@ -43,13 +43,13 @@ type liveA3Params struct {
 // benefit (fewer queue drops on survivors) is largely absent here.
 func LiveFailureResilience(env Env) *Result {
 	p := liveA3Params{
-		servers:      env.Servers(),
-		warmPer:      120,
-		measurePer:   40,
-		alpha:        1.2,
-		attempts:     3,
-		timeout:      200 * time.Millisecond,
-		serviceDelay: time.Millisecond,
+		servers:     env.Servers(),
+		warmPer:     120,
+		measurePer:  40,
+		alpha:       1.2,
+		attempts:    3,
+		timeout:     200 * time.Millisecond,
+		serviceCost: time.Millisecond,
 	}
 	if p.servers > 24 {
 		p.servers = 24 // live peers are goroutine clusters, not sim rows
@@ -98,9 +98,9 @@ func runLiveA3(env Env, tree *namespace.Tree, p liveA3Params, frac float64, repl
 		Seed:    env.Seed,
 		Fault:   &overlay.FaultOptions{Seed: env.Seed + 1},
 		Node: overlay.Options{
-			Config:       cfg,
-			ServiceDelay: p.serviceDelay,
-			QueueCap:     1024,
+			Config:      cfg,
+			ServiceCost: p.serviceCost,
+			QueueCap:    1024,
 		},
 	})
 	if err != nil {

@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// The simulator-driver tests run in parallel: a driver run owns its engine
+// and RNG streams, and the only package state, registry and zipfOrders, is
+// read-only after init. TestA3LiveFailureResilience stays serial because it
+// runs on wall-clock timeouts, and Go runs it before the parallel ones.
+
 // tinyEnv is the smallest environment that still exhibits the protocol
 // dynamics; used so the whole driver suite runs in test time.
 func tinyEnv() Env { return Env{Scale: 0.02, Seed: 3} }
@@ -98,6 +103,7 @@ func TestEnvScaling(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
+	t.Parallel()
 	r := Table1(tinyEnv())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -129,6 +135,7 @@ func TestResultTSV(t *testing.T) {
 }
 
 func TestFig3ShapeSpikesAndRecovery(t *testing.T) {
+	t.Parallel()
 	r := Fig3(tinyEnv())
 	if len(r.Rows) < 40 {
 		t.Fatalf("only %d time rows", len(r.Rows))
@@ -163,6 +170,7 @@ func TestFig3ShapeSpikesAndRecovery(t *testing.T) {
 }
 
 func TestFig5ShapeOrdering(t *testing.T) {
+	t.Parallel()
 	r := Fig5(tinyEnv())
 	if len(r.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10 streams", len(r.Rows))
@@ -189,6 +197,7 @@ func TestFig5ShapeOrdering(t *testing.T) {
 }
 
 func TestFig6ShapeMaxAboveAvg(t *testing.T) {
+	t.Parallel()
 	r := Fig6(tinyEnv())
 	if len(r.Rows) < 40 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -220,6 +229,7 @@ func TestFig6ShapeMaxAboveAvg(t *testing.T) {
 }
 
 func TestFig7ShapeTopHeavy(t *testing.T) {
+	t.Parallel()
 	r := Fig7(midEnv())
 	// Root (level 0) must be replicated far more than the deepest level,
 	// under uniform traffic (hierarchical bottleneck).
@@ -238,6 +248,7 @@ func TestFig7ShapeTopHeavy(t *testing.T) {
 }
 
 func TestFig8ShapeDecay(t *testing.T) {
+	t.Parallel()
 	r := Fig8(Env{Scale: 0.05, Seed: 3, MaxDuration: 300})
 	if len(r.Rows) < 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -270,6 +281,7 @@ func TestFig8ShapeDecay(t *testing.T) {
 }
 
 func TestFig9ShapeScaling(t *testing.T) {
+	t.Parallel()
 	r := Fig9(tinyEnv())
 	if len(r.Rows) < 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -289,6 +301,7 @@ func TestFig9ShapeScaling(t *testing.T) {
 }
 
 func TestE10OracleAtLeastAsAccurate(t *testing.T) {
+	t.Parallel()
 	r := Exp10DigestAccuracy(midEnv())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -308,6 +321,7 @@ func TestE10OracleAtLeastAsAccurate(t *testing.T) {
 }
 
 func TestE11ControlBounded(t *testing.T) {
+	t.Parallel()
 	r := Exp11ControlOverhead(tinyEnv())
 	for i := range r.Rows {
 		ratio := cell(t, r, i, "ratio")
@@ -323,6 +337,7 @@ func TestE11ControlBounded(t *testing.T) {
 }
 
 func TestA1PathBeatsEndpoints(t *testing.T) {
+	t.Parallel()
 	r := AblationPathCaching(midEnv())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -351,6 +366,7 @@ func TestA1PathBeatsEndpoints(t *testing.T) {
 }
 
 func TestA2DigestsHelp(t *testing.T) {
+	t.Parallel()
 	r := AblationDigests(tinyEnv())
 	var withHops, withoutHops float64
 	for i := range r.Rows {
@@ -375,6 +391,7 @@ func TestA2DigestsHelp(t *testing.T) {
 }
 
 func TestA3FailureResilience(t *testing.T) {
+	t.Parallel()
 	r := FailureResilience(Env{Scale: 0.05, Seed: 3})
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -408,6 +425,7 @@ func TestA3FailureResilience(t *testing.T) {
 }
 
 func TestA4StaticVsAdaptive(t *testing.T) {
+	t.Parallel()
 	r := StaticVsAdaptive(midEnv())
 	if len(r.Rows) != 8 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -435,6 +453,7 @@ func TestA4StaticVsAdaptive(t *testing.T) {
 }
 
 func TestFig4ShapeCreationBursts(t *testing.T) {
+	t.Parallel()
 	r := Fig4(tinyEnv())
 	if len(r.Rows) < 40 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -468,6 +487,7 @@ func TestFig4ShapeCreationBursts(t *testing.T) {
 }
 
 func TestE11AdaptiveThighReducesControl(t *testing.T) {
+	t.Parallel()
 	r := Exp11ControlOverhead(Env{Scale: 0.1, Seed: 3})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))

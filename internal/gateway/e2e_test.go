@@ -29,9 +29,9 @@ func TestGatewayE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e: skipping in -short mode")
 	}
-	// 5ms of service time per query keeps flights open long enough for the
-	// flash crowd to coalesce over real HTTP.
-	c := startCluster(t, 3, true, 5*time.Millisecond)
+	// 5ms of latency on the peers' outbound path keeps flights open long
+	// enough for the flash crowd to coalesce over real HTTP.
+	c := startCluster(t, 3, true, peerSetup{latency: 5 * time.Millisecond})
 	g := c.startGateway(func(o *Options) {
 		o.HedgeAfter = 15 * time.Millisecond
 		o.MaxAttempts = 6

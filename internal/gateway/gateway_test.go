@@ -157,7 +157,7 @@ func waitReady(t *testing.T, g *Gateway) {
 }
 
 func TestGatewayLookupBasic(t *testing.T) {
-	c := startCluster(t, 3, false, 0)
+	c := startCluster(t, 3, false, peerSetup{})
 	g := c.startGateway(nil)
 	waitReady(t, g)
 
@@ -207,7 +207,7 @@ func TestGatewayLookupBasic(t *testing.T) {
 }
 
 func TestGatewayWireSurface(t *testing.T) {
-	c := startCluster(t, 3, false, 0)
+	c := startCluster(t, 3, false, peerSetup{})
 	g := c.startGateway(func(o *Options) {
 		o.AdmissionRate = 1 // burst defaults to 1: second immediate request sheds
 	})
@@ -276,7 +276,7 @@ func TestGatewayWireSurface(t *testing.T) {
 }
 
 func TestHTTPAdmissionAndDrain(t *testing.T) {
-	c := startCluster(t, 3, false, 0)
+	c := startCluster(t, 3, false, peerSetup{})
 	g := c.startGateway(func(o *Options) {
 		o.AdmissionRate = 1
 		o.DrainTimeout = 500 * time.Millisecond
@@ -339,9 +339,9 @@ func TestHTTPAdmissionAndDrain(t *testing.T) {
 }
 
 func TestCoalesceFlashCrowd(t *testing.T) {
-	// 20ms of artificial service time per query keeps the leader's flight
+	// 20ms of latency on the peers' outbound path keeps the leader's flight
 	// open long enough that a barrier-released crowd piles onto it.
-	c := startCluster(t, 3, false, 20*time.Millisecond)
+	c := startCluster(t, 3, false, peerSetup{latency: 20 * time.Millisecond})
 	g := c.startGateway(func(o *Options) {
 		o.HedgeAfter = -1 // no hedging: upstream query count isolates coalescing
 	})
@@ -407,7 +407,8 @@ func TestCoalesceFlashCrowd(t *testing.T) {
 // digest: the gateway neither routes nor prunes, so digests would be dead
 // weight on every result.
 func TestGatewayResultsCarryAdvertsNotDigests(t *testing.T) {
-	c := startCluster(t, 3, false, 2*time.Millisecond)
+	// At 2 ms of capacity a query the owner saturates at 500 lookups/s.
+	c := startCluster(t, 3, false, peerSetup{serviceCost: 2 * time.Millisecond})
 	g := c.startGateway(func(o *Options) { o.HedgeAfter = -1 })
 	waitReady(t, g)
 

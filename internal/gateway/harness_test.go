@@ -24,11 +24,19 @@ type testCluster struct {
 	gwTr    *overlay.TCPTransport // the last startGateway's downstream transport
 }
 
+// peerSetup is what a test varies per peer: the capacity one query uses
+// (overlay.Options.ServiceCost; 0 is the default) and the latency the peer's
+// outbound path adds to every message, its results to the gateway included.
+type peerSetup struct {
+	serviceCost time.Duration
+	latency     time.Duration
+}
+
 // startCluster boots n TCP peers (each with its outbound path wrapped in a
 // FaultTransport for targeted fault injection). withMembership enables the
 // accelerated SWIM tuning from the churn e2e tests — needed whenever a test
 // crashes a peer and expects the survivors to keep resolving its nodes.
-func startCluster(t *testing.T, n int, withMembership bool, serviceDelay time.Duration) *testCluster {
+func startCluster(t *testing.T, n int, withMembership bool, setup peerSetup) *testCluster {
 	t.Helper()
 	c := &testCluster{
 		t:       t,
@@ -61,8 +69,8 @@ func startCluster(t *testing.T, n int, withMembership bool, serviceDelay time.Du
 		}
 	}
 	for i := 0; i < n; i++ {
-		c.faults[i] = overlay.NewFaultTransport(c.trs[i], overlay.FaultOptions{Seed: uint64(i) + 1})
-		opts := overlay.Options{Seed: uint64(i) + 1, ServiceDelay: serviceDelay}
+		c.faults[i] = overlay.NewFaultTransport(c.trs[i], overlay.FaultOptions{Seed: uint64(i) + 1, Latency: setup.latency})
+		opts := overlay.Options{Seed: uint64(i) + 1, ServiceCost: setup.serviceCost}
 		if withMembership {
 			opts.Membership = &overlay.MembershipOptions{
 				Protocol: membership.Options{

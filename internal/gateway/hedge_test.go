@@ -16,7 +16,7 @@ import (
 // it is counted late and dropped, and the gateway holds no pending entries or
 // flights afterwards — nothing leaks.
 func TestHedgeSlowPeerWinsAndCancels(t *testing.T) {
-	c := startCluster(t, 3, false, 0)
+	c := startCluster(t, 3, false, peerSetup{})
 	// Everything peer 0 sends — forwarded queries and its own replies — is
 	// delayed well past the hedge trigger (but under the probe timeout, so
 	// the prober keeps it healthy and pickable).
@@ -94,7 +94,7 @@ func TestHedgeSlowPeerWinsAndCancels(t *testing.T) {
 // TestHedgeDisabled pins the negative: with HedgeAfter < 0 a slow upstream
 // just makes the lookup slow — no hedge fires.
 func TestHedgeDisabled(t *testing.T) {
-	c := startCluster(t, 2, false, 0)
+	c := startCluster(t, 2, false, peerSetup{})
 	c.faults[0].SetLatency(50 * time.Millisecond)
 	g := c.startGateway(func(o *Options) {
 		o.HedgeAfter = -1
@@ -124,7 +124,7 @@ func TestHedgeDisabled(t *testing.T) {
 // TestAdaptiveHedgeDelay exercises the p99-derived delay: empty histogram
 // clamps to HedgeMin, observed latency moves it, HedgeMax caps it.
 func TestAdaptiveHedgeDelay(t *testing.T) {
-	c := startCluster(t, 2, false, 0)
+	c := startCluster(t, 2, false, peerSetup{})
 	g := c.startGateway(func(o *Options) {
 		o.HedgeAfter = 0 // adaptive
 		o.HedgeMin = 5 * time.Millisecond

@@ -22,11 +22,12 @@ func (e nodeEnv) Now() float64 { return time.Since(e.n.epoch).Seconds() }
 
 func (e nodeEnv) Load() float64 { return e.n.load() }
 
-// load folds the fast path's pending service time into the loop-owned meter
-// and reads it (DESIGN.md §10), storing the reading in loadEst too.
+// load folds the queries served since the last read, ServiceCost each, into
+// the loop-owned meter and reads it (DESIGN.md §10), storing the reading in
+// loadEst too.
 func (n *Node) load() float64 {
 	now := time.Since(n.epoch).Seconds()
-	n.meter.Charge(now, time.Duration(n.fastBusy.Swap(0)).Seconds())
+	n.meter.Charge(now, float64(n.served.Swap(0))*n.opts.ServiceCost.Seconds())
 	l := n.meter.Load(now)
 	n.loadEst.Store(math.Float64bits(l))
 	return l

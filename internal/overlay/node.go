@@ -34,11 +34,11 @@ type Options struct {
 	// QueueCap bounds the query inbox; arrivals beyond it are dropped, as in
 	// the paper's server model. Default 64.
 	QueueCap int
-	// ServiceDelay is an artificial per-query processing cost, letting small
-	// demos generate enough load to exercise the replication protocol.
-	// Default 0. Whichever executor serves a query pays it and charges it to
-	// the load meter (DESIGN.md §10).
-	ServiceDelay time.Duration
+	// ServiceCost is the share of a provisioned server's capacity one served
+	// query uses: load is served queries in Ω × ServiceCost / Ω, clamped at 1
+	// (DESIGN.md §10). Nothing sleeps; the cost is a count, so load does not
+	// depend on how fast the host runs. Default 20 µs, 50k queries/s.
+	ServiceCost time.Duration
 	// DataTimeout bounds data-retrieval round trips (Get) when the caller's
 	// context carries no earlier deadline. Default 5 s.
 	DataTimeout time.Duration
@@ -71,12 +71,19 @@ const DefaultTraceSample = 1.0 / 64
 // 0.5 s the simulator uses.
 const loadWindow = 500 * time.Millisecond
 
+// defaultServiceCost is Options.ServiceCost when unset: 50k queries/s, the
+// measured CPU cost of one in-process lookup rounded up (DESIGN.md §10).
+const defaultServiceCost = 20 * time.Microsecond
+
 func (o *Options) fill(id core.ServerID) {
 	if o.Config.MapSize == 0 {
 		o.Config = core.DefaultConfig()
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 64
+	}
+	if o.ServiceCost <= 0 {
+		o.ServiceCost = defaultServiceCost
 	}
 	if o.DataTimeout <= 0 {
 		o.DataTimeout = 5 * time.Second
@@ -202,11 +209,12 @@ type Node struct {
 	control chan envelope
 	done    chan struct{}
 
-	// fastBusy is fast-path service time (ns) the loop has yet to fold into
-	// the meter. loadEst is the Float64bits of the last meter reading, for
-	// readers outside the loop (the terradir_server_load gauge).
-	fastBusy atomic.Int64
-	loadEst  atomic.Uint64
+	// served counts queries either executor served that the loop has yet to
+	// fold into the meter (charge, load). loadEst is the Float64bits of the
+	// last meter reading, for readers outside the loop (the
+	// terradir_server_load gauge).
+	served  atomic.Int64
+	loadEst atomic.Uint64
 
 	nextQID atomic.Uint64
 	dropped atomic.Int64
@@ -303,7 +311,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	peer.AttachTelemetry(n.reg, server...)
 	latencyLayout := telemetry.HistogramOpts{Min: 1e-6, Max: 1e3, BucketsPerDecade: 8}
 	n.reg.GaugeFunc("terradir_server_load",
-		"Server load estimate: busy seconds per second over both executors, clamped at 1, as the event loop last read it.",
+		"Server load estimate: queries served on either executor in the window times ServiceCost, over the window, clamped at 1, as the event loop last read it.",
 		func() float64 { return math.Float64frombits(n.loadEst.Load()) }, server...)
 	n.inboxDrops = n.reg.Counter("terradir_inbox_query_drops_total",
 		"Queries dropped because the server's bounded request queue was full.", server...)
@@ -313,7 +321,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		fmt.Sprintf("Envelopes the server's event loop drained per wakeup (at most %d).", ingestBatch),
 		telemetry.HistogramOpts{Min: 1, Max: 4096, BucketsPerDecade: 8}, server...)
 	n.serviceHist = n.reg.Histogram("terradir_service_seconds",
-		"Per-query service time on either executor (protocol handling plus configured delay).", latencyLayout, server...)
+		"Per-query service time on either executor (measured protocol handling).", latencyLayout, server...)
 	n.latencyHist = n.reg.Histogram("terradir_lookup_latency_seconds",
 		"End-to-end latency of lookups initiated at this server.", latencyLayout, server...)
 	n.hopsHist = n.reg.Histogram("terradir_lookup_hops",
@@ -548,28 +556,12 @@ func (n *Node) handleControl(env envelope) {
 	n.peer.HandleControl(env.msg)
 }
 
-// tryFastServe serves q on the published snapshot, or reports false so the
-// caller queues it for the loop. A ServiceDelay defers the serve to a timer
-// goroutine, never stalling the delivering one (a TCP read loop, or an
-// upstream serve under a zero-delay LocalTransport).
-func (n *Node) tryFastServe(q *core.QueryMsg) bool {
-	start := time.Since(n.epoch).Seconds()
-	if d := n.opts.ServiceDelay; d > 0 {
-		time.AfterFunc(d, func() {
-			if !n.fastServe(q, start, time.Since(n.epoch).Seconds()) {
-				n.enqueue(q)
-			}
-		})
-		return true
-	}
-	return n.fastServe(q, start, start)
-}
-
-// fastServe runs q's routing decision on the snapshot on the calling
-// goroutine, declining when none is published, learnings are pending, or the
-// route needs a mutation only the loop may perform. A serve charges the time
-// since start (its delay included) to the load meter and service histogram.
-func (n *Node) fastServe(q *core.QueryMsg, start, now float64) bool {
+// fastServe serves q on the published snapshot on the calling goroutine (a
+// caller's Lookup, a TCP read loop, or an upstream serve under inline
+// LocalTransport delivery), declining when none is published, learnings are
+// pending, or the route needs a mutation only the loop may perform; the
+// caller then queues q for the loop.
+func (n *Node) fastServe(q *core.QueryMsg) bool {
 	// Learn gate (see Node.learnSeq) first, then the snapshot it guards.
 	var snap *core.RouteSnapshot
 	if n.learnPub.Load() == n.learnSeq.Load() {
@@ -579,8 +571,9 @@ func (n *Node) fastServe(q *core.QueryMsg, start, now float64) bool {
 		n.fastFallbacks.Inc()
 		return false
 	}
+	start := time.Since(n.epoch).Seconds()
 	q.ServedAt = start
-	switch snap.HandleQueryFast(q, now, core.NodeMap{}, n.sendFn, nil) {
+	switch snap.HandleQueryFast(q, start, core.NodeMap{}, n.sendFn, nil) {
 	case core.FastResolved:
 		n.fastResolved.Inc()
 	case core.FastForwarded:
@@ -591,37 +584,42 @@ func (n *Node) fastServe(q *core.QueryMsg, start, now float64) bool {
 		n.fastFallbacks.Inc()
 		return false
 	}
-	// The served query itself carries its rider and path to the loop for
-	// absorption (handleControl). Non-blocking: under control-queue pressure
-	// they are dropped (soft state) rather than stalling the lock-free path.
-	n.toLoopOrDrop(envelope{msg: q})
-	busy := time.Since(n.epoch).Seconds() - start
-	n.serviceHist.Observe(busy)
-	n.fastBusy.Add(int64(busy * 1e9))
+	n.charge(start)
 	if q.Enqueued > 0 && start >= q.Enqueued {
 		n.queueWaitHist.Observe(start - q.Enqueued)
 	}
+	// The served query itself carries its rider and path to the loop for
+	// absorption (handleControl), whose trigger check then counts this serve.
+	// Non-blocking: under control-queue pressure they are dropped (soft
+	// state) rather than stalling the lock-free path.
+	n.toLoopOrDrop(envelope{msg: q})
 	return true
 }
 
 // serveQuery services one query on the loop.
 func (n *Node) serveQuery(q *core.QueryMsg) {
 	start := time.Since(n.epoch).Seconds()
-	q.ServedAt = start // spans measure service from here, including the delay
+	q.ServedAt = start
 	if q.Enqueued > 0 && start >= q.Enqueued {
 		n.queueWaitHist.Observe(start - q.Enqueued)
 	}
 	if n.pendingCold != nil && n.peer.IsCold(q.Dest) &&
 		n.parkCold(q.Dest, coldWaiter{q: q}) {
 		// Hosted here, but on disk: the loader materializes the entry and
-		// replays the query. Queue wait is already observed above.
+		// replays the query, which is charged then. Queue wait is already
+		// observed above.
 		return
 	}
-	time.Sleep(n.opts.ServiceDelay) // returns at once when zero
 	n.peer.HandleQuery(q)
-	end := time.Since(n.epoch).Seconds()
-	n.serviceHist.Observe(end - start)
-	n.meter.AddBusy(start, end)
+	n.charge(start)
+}
+
+// charge accounts one query served from start on either executor: its
+// measured service time goes to the histogram, and one ServiceCost to the
+// load meter when the loop next reads load (DESIGN.md §10).
+func (n *Node) charge(start float64) {
+	n.served.Add(1)
+	n.serviceHist.Observe(time.Since(n.epoch).Seconds() - start)
 }
 
 // enqueue queues q for the loop, dropping it (and reporting false) when the
@@ -678,7 +676,7 @@ func (n *Node) deliver(m core.Message, now float64) {
 	switch msg := m.(type) {
 	case *core.QueryMsg:
 		msg.Enqueued = now
-		if !n.tryFastServe(msg) {
+		if !n.fastServe(msg) {
 			n.enqueue(msg)
 		}
 	case *core.ResultMsg:
@@ -801,7 +799,7 @@ func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, erro
 		// Pre-reserve the whole budget so per-hop appends never reallocate.
 		q.Spans = make([]telemetry.Span, 0, q.SpanBudget)
 	}
-	if !n.tryFastServe(q) && !n.enqueue(q) {
+	if !n.fastServe(q) && !n.enqueue(q) {
 		n.mu.Lock()
 		delete(n.pending, qid)
 		n.mu.Unlock()

@@ -178,39 +178,65 @@ func TestAssignDeterministicAndCovering(t *testing.T) {
 	}
 }
 
+// offer looks hot up from every listed server, each at most once per every,
+// until stop returns true or the deadline passes. A fixed offered rate makes
+// a server's load (served queries × ServiceCost / Ω) independent of how fast
+// the host runs; every 0 offers as fast as lookups return.
+func offer(c *LocalCluster, sources []int, hot core.NodeID, every time.Duration, stop func() bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, src := range sources {
+		wg.Add(1)
+		go func(src int) {
+			defer wg.Done()
+			var tick <-chan time.Time
+			if every > 0 {
+				ticker := time.NewTicker(every)
+				defer ticker.Stop()
+				tick = ticker.C
+			}
+			for !stop() && ctx.Err() == nil {
+				_, _ = c.Lookup(ctx, src, hot)
+				if tick != nil {
+					<-tick
+				}
+			}
+		}(src)
+	}
+	wg.Wait()
+}
+
 func TestReplicationUnderLiveLoad(t *testing.T) {
-	// Drive a hot spot with an artificial service cost so the nodes'
-	// measured load crosses Thigh and live replication kicks in.
+	// Every other server offers 200 lookups/s of one hot node at 2 ms of
+	// capacity a query. The owner serves all 600/s and reads saturated; each
+	// source is charged for its own forwards only, 0.4, cool enough to take
+	// a replica.
 	c := startLocal(t, 4, func(o *LocalClusterOptions) {
-		o.Node.ServiceDelay = 2 * time.Millisecond
+		o.Node.ServiceCost = 2 * time.Millisecond
 		o.Node.QueueCap = 256
 		cfg := core.DefaultConfig()
 		cfg.ReplicationCooldown = 0.05
 		o.Node.Config = cfg
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	hot := core.NodeID(123)
 	owner := c.OwnerOf(hot)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				src := g
-				if core.ServerID(src) == owner {
-					src = (src + 1) % 4
-				}
-				_, _ = c.Lookup(ctx, src, hot)
-			}
-		}(g)
+	var sources []int
+	for i := 0; i < 4; i++ {
+		if core.ServerID(i) != owner {
+			sources = append(sources, i)
+		}
 	}
-	wg.Wait()
-	time.Sleep(200 * time.Millisecond)
-	c.StopAll()
-	total := c.TotalReplicas()
-	if total == 0 {
+	replicated := func() bool {
+		for i := 0; i < 4; i++ {
+			if c.Node(i).Snapshot().Replicas > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	offer(c, sources, hot, 5*time.Millisecond, replicated)
+	if !replicated() {
 		t.Fatal("no live replication despite sustained hot-spot load")
 	}
 	// The owner ran the production executor, not only the loop.
@@ -220,31 +246,15 @@ func TestReplicationUnderLiveLoad(t *testing.T) {
 }
 
 // TestLoadCountsFastPathServes checks that the replication trigger's load
-// sees queries the lock-free fast path serves, with and without a service
-// delay.
+// sees queries the lock-free fast path serves, at the default cost and at
+// one that saturates the owner.
 func TestLoadCountsFastPathServes(t *testing.T) {
 	const hot = core.NodeID(200) // a leaf of testTree
-	// hammer looks hot up from every listed server until stop returns true.
-	hammer := func(c *LocalCluster, sources []int, stop func() bool) {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		var wg sync.WaitGroup
-		for _, src := range sources {
-			wg.Add(1)
-			go func(src int) {
-				defer wg.Done()
-				for !stop() && ctx.Err() == nil {
-					_, _ = c.Lookup(ctx, src, hot)
-				}
-			}(src)
-		}
-		wg.Wait()
-	}
 	metric := func(n *Node, name string) float64 {
 		return snapshotPrefix(n.Registry().Snapshot(), name)
 	}
 
-	t.Run("no-delay", func(t *testing.T) {
+	t.Run("default-cost", func(t *testing.T) {
 		const servers = 6
 		c := startLocal(t, servers, nil)
 		owner := int(c.OwnerOf(hot))
@@ -259,7 +269,7 @@ func TestLoadCountsFastPathServes(t *testing.T) {
 			}
 		}
 		deadline := time.Now().Add(500 * time.Millisecond)
-		hammer(c, clients, func() bool { return time.Now().After(deadline) })
+		offer(c, clients, hot, 0, func() bool { return time.Now().After(deadline) })
 		ownerLoad := metric(c.Node(owner), "terradir_server_load")
 		if ownerLoad <= 0 {
 			t.Fatalf("owner load = %v after serving a hot spot on the fast path", ownerLoad)
@@ -271,9 +281,9 @@ func TestLoadCountsFastPathServes(t *testing.T) {
 		}
 	})
 
-	t.Run("delay", func(t *testing.T) {
+	t.Run("cost", func(t *testing.T) {
 		c := startLocal(t, 4, func(o *LocalClusterOptions) {
-			o.Node.ServiceDelay = time.Millisecond
+			o.Node.ServiceCost = time.Millisecond
 			cfg := core.DefaultConfig()
 			cfg.ReplicationCooldown = 0.05
 			o.Node.Config = cfg
@@ -286,12 +296,12 @@ func TestLoadCountsFastPathServes(t *testing.T) {
 			}
 		}
 		started := func() bool { return owner.Snapshot().Stats.SessionsStarted > 0 }
-		hammer(c, clients, started)
+		offer(c, clients, hot, 0, started)
 		if fast := metric(owner, "terradir_fastpath_resolved_total"); fast == 0 {
 			t.Fatal("owner resolved nothing on the fast path")
 		}
 		if !started() {
-			t.Fatal("owner started no replication session under a delayed hot spot")
+			t.Fatal("owner started no replication session under a costly hot spot")
 		}
 	})
 }

@@ -16,16 +16,17 @@ import (
 
 // BenchmarkWholeClusterRestartRecovery measures what replayed replicas buy
 // after a whole-cluster restart. Eight persistent servers on a 2,047-node
-// tree serve a Zipf(0.9) lookup stream, 8 lookups in flight, with an
-// artificial 2 ms service cost until the cluster holds at least 50 replicas.
-// (Fast serves pay the cost in parallel, so with 32 in flight every server
-// reads saturated and none is cool enough to take a replica.) Every node
-// then writes one snapshot, all stop, and all reopen from their
-// directories. The same stream continues in windows of 500 lookups.
-// Iteration i runs seed i+1 and logs the replicas restored, the lookups that
-// died at the hop limit in the first window, and the windows until hops_mean
-// is back within 5 % of the last window before the restart (41 means not
-// within 40 windows). Seeds 1–5, after the framework's one-iteration probe:
+// tree serve a Zipf(0.9) lookup stream offered at one lookup per
+// millisecond by 32 workers, each query costing 3 ms of a server's capacity
+// (Options.ServiceCost), so the mean server reads about 0.7 and the hot
+// ones cross Thigh. The stream runs until the cluster holds at least 50
+// replicas. Every node then writes one snapshot, all stop, and all reopen
+// from their directories. The same stream continues in windows of 500
+// lookups. Iteration i runs seed i+1 and logs the replicas restored, the
+// lookups that died at the hop limit in the first window, and the windows
+// until hops_mean is back within 5 % of the last window before the restart
+// (41 means not within 40 windows). Seeds 1–5, after the framework's
+// one-iteration probe:
 //
 //	go test ./internal/overlay -run '^$' -bench WholeClusterRestartRecovery -benchtime 5x -timeout 0
 func BenchmarkWholeClusterRestartRecovery(b *testing.B) {
@@ -44,7 +45,7 @@ type recoveryRun struct {
 }
 
 func restartRecovery(b *testing.B, seed uint64) recoveryRun {
-	const servers, window, workers = 8, 500, 8
+	const servers, window, workers, every = 8, 500, 32, time.Millisecond
 	tree := namespace.NewBalanced(2, 10)
 	owner := Assign(tree, servers, 1)
 	ownerOf := func(nd core.NodeID) core.ServerID { return owner[nd] }
@@ -60,10 +61,10 @@ func restartRecovery(b *testing.B, seed uint64) recoveryRun {
 			cfg := core.DefaultConfig()
 			cfg.ReplicationCooldown = 0.05
 			n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, Options{
-				Seed:         1 + uint64(i)*7919,
-				ServiceDelay: 2 * time.Millisecond,
-				QueueCap:     256,
-				Config:       cfg,
+				Seed:        1 + uint64(i)*7919,
+				ServiceCost: 3 * time.Millisecond,
+				QueueCap:    256,
+				Config:      cfg,
 				Persist: &PersistOptions{
 					Dir:              filepath.Join(dir, fmt.Sprintf("node%d", i)),
 					SnapshotInterval: time.Hour, // the one snapshot is forced
@@ -101,11 +102,14 @@ func restartRecovery(b *testing.B, seed uint64) recoveryRun {
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		sum, ok := 0, 0
+		tick := time.NewTicker(every)
+		defer tick.Stop()
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(ops); i += workers {
+					<-tick.C
 					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 					res, err := nodes[ops[i].from].Lookup(ctx, ops[i].dest)
 					cancel()
