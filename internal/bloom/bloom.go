@@ -99,11 +99,14 @@ func mix(x uint64) uint64 {
 	return x
 }
 
+// hashes returns key's probes: i at h1 + i·h2 masked to the size, h2 odd.
+func hashes(key uint64) (h1, h2 uint64) {
+	return mix(key), mix(key^0x9e3779b97f4a7c15) | 1
+}
+
 // Add inserts key into the filter.
 func (f *Filter) Add(key uint64) {
-	h1 := mix(key)
-	h2 := mix(key ^ 0x9e3779b97f4a7c15)
-	h2 |= 1 // ensure odd stride so probes cover the (power-of-two) table
+	h1, h2 := hashes(key)
 	for i := uint32(0); i < f.k; i++ {
 		pos := (h1 + uint64(i)*h2) & f.mask
 		f.bits[pos>>6] |= 1 << (pos & 63)
@@ -114,8 +117,7 @@ func (f *Filter) Add(key uint64) {
 // Test reports whether key may be in the set. False positives are possible;
 // false negatives are not.
 func (f *Filter) Test(key uint64) bool {
-	h1 := mix(key)
-	h2 := mix(key^0x9e3779b97f4a7c15) | 1
+	h1, h2 := hashes(key)
 	for i := uint32(0); i < f.k; i++ {
 		pos := (h1 + uint64(i)*h2) & f.mask
 		if f.bits[pos>>6]&(1<<(pos&63)) == 0 {

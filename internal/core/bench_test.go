@@ -115,13 +115,39 @@ func BenchmarkHostedIndexUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkDigestShortcut prices the shortcut search of one forward: on
+// benchPeer's live view, which tests its 32 digests' filters one by one, and
+// on a published view shaped like a wide-unif server's: 63 digests of 8,192
+// and 16,384 bits over the 32,767-node namespace, read off the view's
+// transposed table.
 func BenchmarkDigestShortcut(b *testing.B) {
-	p, tree, _ := benchPeer(b)
-	src := rng.New(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.digestShortcut(NodeID(src.Intn(tree.Len())), 8, p.src, uint64(i)*7)
-	}
+	b.Run("live", func(b *testing.B) {
+		p, tree, _ := benchPeer(b)
+		src := rng.New(10)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.digestShortcut(NodeID(src.Intn(tree.Len())), 8, p.src, uint64(i)*7)
+		}
+	})
+	b.Run("published-63", func(b *testing.B) {
+		p, _, _ := publishPeer(b, 512)
+		src := rng.New(10)
+		for s := ServerID(1); s <= 63; s++ {
+			hosted := 500 + 3*int(s)%24 // either side of 512: 8,192 or 16,384 bits
+			f := bloom.New(uint64(p.cfg.DigestBitsPerNode*hosted), uint32(p.cfg.DigestHashes))
+			for n := 0; n < hosted; n++ {
+				f.Add(NodeKey(NodeID(src.Intn(p.tree.Len()))))
+			}
+			f.SetVersion(2)
+			p.storeDigest(s, f)
+		}
+		p.PublishSnapshot()
+		v := &p.RoutingSnapshot().view
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.digestShortcut(NodeID(src.Intn(p.tree.Len())), 8, p.src, uint64(i)*7)
+		}
+	})
 }
 
 func BenchmarkNodeMapMerge(b *testing.B) {

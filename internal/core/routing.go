@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
+	"terradir/internal/bloom"
 	"terradir/internal/namespace"
 	"terradir/internal/rng"
 	"terradir/internal/telemetry"
@@ -42,8 +44,9 @@ type routeView struct {
 	neighborMaps map[NodeID]*neighborMapEntry // read through neighborMap
 	cache        *lruCache
 
-	digests    map[ServerID]*digestEntry
-	digestList []*digestEntry
+	digests     map[ServerID]*digestEntry
+	digestList  []*digestEntry
+	digestTable *bloom.Table // frozen views only: see digestHits
 
 	// cold, when non-nil, is the peer's cold-set bitmap (resident.go): nodes
 	// hosted on disk only. Written by the loop, read atomically from anywhere;
@@ -207,12 +210,19 @@ func (v *routeView) bestCandidate(dest NodeID, skip map[NodeID]bool) (cand NodeI
 	}
 	// Cached nodes (§2.4): pointers without context; strictly-better only,
 	// so context hops win ties (guaranteed progress beats a stale pointer).
+	// One walk up from dest serves every entry (namespace.RootPath).
+	var path namespace.RootPath
+	v.tree.RootPath(&path, dest)
+	depth := v.tree.Depth(dest)
 	for s := v.cache.head; s != lruNil; s = v.cache.slots[s].next {
 		e := &v.cache.slots[s]
 		if e.m.Len() == 0 || skip[e.node] {
 			continue
 		}
-		if d := v.tree.Distance(e.node, dest); d < dist {
+		if dd := v.tree.Depth(e.node) - depth; dd >= dist || -dd >= dist {
+			continue // the distance is at least the depth difference
+		}
+		if d := path.Distance(e.node); d < dist {
 			cand, m, dist, viaCache = e.node, &e.m, d, true
 		}
 	}
@@ -285,12 +295,16 @@ func (v *routeView) digestShortcut(dest NodeID, limit int, src *rng.Source, curs
 		minDepth = 0
 	}
 	// Scan a rotating window of the digest table (coverage spreads over
-	// consecutive hops; see Config.DigestScanPerHop).
+	// consecutive hops; see Config.DigestScanPerHop), its hits in slot order
+	// from start, wrapping.
 	total := len(v.digestList)
 	scan, start := total, 0
 	if v.cfg.DigestScanPerHop > 0 && v.cfg.DigestScanPerHop < total {
 		scan, start = v.cfg.DigestScanPerHop, int(cursor%uint64(total))
 	}
+	window := [2][2]int{{start, min(start+scan, total)}, {0, start + scan - total}}
+	var buf [4]uint64
+	hits := append(buf[:0], make([]uint64, (total+63)/64)...) // no allocation up to 256 slots
 	node := dest
 	for k := destDepth; k >= minDepth; k-- {
 		if k < destDepth {
@@ -312,10 +326,10 @@ func (v *routeView) digestShortcut(dest NodeID, limit int, src *rng.Source, curs
 				consider(s)
 			}
 		} else {
-			key := NodeKey(node)
-			for i := 0; i < scan; i++ {
-				if e := v.digestList[(start+i)%total]; e.filter.Test(key) {
-					consider(e.server)
+			v.digestHits(NodeKey(node), start, scan, hits)
+			for _, r := range window {
+				for j := nextBit(hits, r[0], r[1]); j < r[1]; j = nextBit(hits, j+1, r[1]) {
+					consider(v.digestList[j].server)
 				}
 			}
 		}
@@ -324,6 +338,32 @@ func (v *routeView) digestShortcut(dest NodeID, limit int, src *rng.Source, curs
 		}
 	}
 	return NoServer, namespace.Invalid, 0
+}
+
+// digestHits sets in hits the slots of the scan window (scan slots from
+// start, wrapping) whose Filter.Test(key) is true: a frozen view reads them,
+// and others, off its table; the live view tests the window's filters.
+func (v *routeView) digestHits(key uint64, start, scan int, hits []uint64) {
+	if v.digestTable != nil {
+		v.digestTable.Hits(key, hits)
+		return
+	}
+	clear(hits)
+	for i := 0; i < scan; i++ {
+		if j := (start + i) % len(v.digestList); v.digestList[j].filter.Test(key) {
+			hits[j>>6] |= 1 << (j & 63)
+		}
+	}
+}
+
+// nextBit returns the first bit set in hits in [from, end), or end.
+func nextBit(hits []uint64, from, end int) int {
+	for ; from < end; from = from | 63 + 1 {
+		if w := hits[from>>6] >> (from & 63); w != 0 {
+			return min(from+bits.TrailingZeros64(w), end)
+		}
+	}
+	return end
 }
 
 // hosts reports whether this server hosts node, resident or cold.

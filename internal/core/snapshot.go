@@ -55,6 +55,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"terradir/internal/bloom"
 	"terradir/internal/rng"
 )
 
@@ -236,17 +237,24 @@ func (p *Peer) PublishSnapshot() {
 	}
 	if full || p.pub.digests {
 		// Digest entries are refreshed in place by the loop: copy them (the
-		// filters themselves are immutable and shared).
+		// filters are immutable and shared), and rewrite the table's columns
+		// whose filter changed.
 		entries := make([]digestEntry, len(p.digestList))
+		filters := make([]*bloom.Filter, len(entries))
 		v.digestList = make([]*digestEntry, len(entries))
 		v.digests = make(map[ServerID]*digestEntry, len(entries))
 		for i, e := range p.digestList {
-			entries[i] = *e
+			entries[i], filters[i] = *e, e.filter
 			v.digestList[i] = &entries[i]
 			v.digests[e.server] = &entries[i]
 		}
+		var base *bloom.Table
+		if prev != nil {
+			base = prev.view.digestTable
+		}
+		v.digestTable = bloom.NewTable(base, filters)
 	} else {
-		v.digests, v.digestList = prev.view.digests, prev.view.digestList
+		v.digests, v.digestList, v.digestTable = prev.view.digests, prev.view.digestList, prev.view.digestTable
 	}
 	p.pub = pubState{tracking: true}
 	p.snap.Store(s)

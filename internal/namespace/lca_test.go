@@ -164,3 +164,39 @@ func BenchmarkLCA(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestRootPathDistance checks RootPath.Distance against Tree.Distance for
+// every pair of small trees — balanced, a path, a star, and a path deeper than
+// the spans a RootPath holds — and for random pairs of the file-system tree.
+func TestRootPathDistance(t *testing.T) {
+	star := make([]int32, 9)
+	labels := make([]string, len(star))
+	star[0] = -1
+	for i := range labels {
+		labels[i] = string(rune('a' + i))
+	}
+	starTree, err := NewFromParents(star, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p RootPath
+	for _, tr := range []*Tree{NewBalanced(2, 7), chainTree(7), starTree, chainTree(3*rootPathSpans + 5)} {
+		for a := NodeID(0); int(a) < tr.Len(); a++ {
+			tr.RootPath(&p, a)
+			for b := NodeID(0); int(b) < tr.Len(); b++ {
+				if got, want := p.Distance(b), tr.Distance(a, b); got != want {
+					t.Fatalf("%d-node tree: distance %d → %d = %d, want %d", tr.Len(), a, b, got, want)
+				}
+			}
+		}
+	}
+	fs := BuildFileSystem(rng.New(1), DefaultFileSystemParams())
+	src := rng.New(2)
+	for i := 0; i < 100000; i++ {
+		a, b := NodeID(src.Intn(fs.Len())), NodeID(src.Intn(fs.Len()))
+		fs.RootPath(&p, a)
+		if got, want := p.Distance(b), fs.Distance(a, b); got != want {
+			t.Fatalf("file system: distance %d → %d = %d, want %d", a, b, got, want)
+		}
+	}
+}

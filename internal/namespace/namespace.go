@@ -258,6 +258,47 @@ func (t *Tree) Distance(a, b NodeID) int {
 	return int(t.depth[a] + t.depth[b] - 2*t.depth[l])
 }
 
+// rootPathSpans is how many of a node's nearest ancestors a RootPath holds.
+const rootPathSpans = 32
+
+// RootPath is a node's ancestor chain a_0 = the node, a_1 its parent, …, held
+// as preorder spans. A node c meets the chain first at the lowest a_k whose
+// span holds c's number, at distance depth(c) − depth(a_0) + 2k; the spans
+// nest, so k is a binary search. It serves many distances from one node with
+// one walk up the tree, where each Distance walks again.
+type RootPath struct {
+	t          *Tree
+	node       NodeID
+	n          int // spans held: the node's depth + 1, at most rootPathSpans
+	first, end [rootPathSpans]int32
+}
+
+// RootPath fills p with node's ancestor chain.
+func (t *Tree) RootPath(p *RootPath, node NodeID) {
+	p.t, p.node, p.n = t, node, 0
+	for a := node; a != Invalid && p.n < rootPathSpans; a = t.parent[a] {
+		p.first[p.n], p.end[p.n] = t.pre[a], t.pre[a]+t.size[a]
+		p.n++
+	}
+}
+
+// Distance returns Tree.Distance from p's node to c.
+func (p *RootPath) Distance(c NodeID) int {
+	num := p.t.pre[c]
+	if top := p.n - 1; num < p.first[top] || num >= p.end[top] {
+		return p.t.Distance(p.node, c) // c meets the chain above the spans held
+	}
+	lo, hi := 0, p.n-1 // the lowest span holding c is in [lo, hi]
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); p.first[mid] <= num && num < p.end[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return int(p.t.depth[c]-p.t.depth[p.node]) + 2*lo
+}
+
 // PreorderSpan returns the half-open interval of preorder numbers that id's
 // subtree occupies; first is id's own number. A node is in the subtree of id
 // exactly when its number falls in the interval, which is what lets a set of

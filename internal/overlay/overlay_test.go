@@ -268,8 +268,16 @@ func TestLoadCountsFastPathServes(t *testing.T) {
 				bystanders = append(bystanders, i)
 			}
 		}
+		// A fixed rate, about 3k lookups/s in all: unthrottled clients on a
+		// fast host push the owner past the default capacity (50k/s), and the
+		// replicas it then places make a bystander hot too.
 		deadline := time.Now().Add(500 * time.Millisecond)
-		offer(c, clients, hot, 0, func() bool { return time.Now().After(deadline) })
+		offer(c, clients, hot, time.Millisecond, func() bool { return time.Now().After(deadline) })
+		for i := 0; i < servers; i++ {
+			if n := c.Node(i).Snapshot().Stats.SessionsStarted; n > 0 {
+				t.Fatalf("server %d started %d replication sessions at the default cost", i, n)
+			}
+		}
 		ownerLoad := metric(c.Node(owner), "terradir_server_load")
 		if ownerLoad <= 0 {
 			t.Fatalf("owner load = %v after serving a hot spot on the fast path", ownerLoad)
