@@ -216,11 +216,11 @@ func publishPeer(b *testing.B, hosted int) (*Peer, *fakeEnv, []NodeID) {
 }
 
 // BenchmarkPublishSnapshot prices one handled message plus the publish that
-// follows it, by what the message changed: nothing the snapshot holds but the
-// rider (clean — the floor every publish pays), one neighbor map (one-dirty),
-// or the hosted set itself (membership-change: a replica installed or
-// evicted). Cost must follow the change, not the hosted count. idle is a
-// publish with no message before it: a no-op.
+// follows it, by what the message changed: nothing the snapshot holds, only
+// the sender's load (clean — the rider reads load from a cell, so the
+// publish is a no-op), one neighbor map (one-dirty), or the hosted set itself
+// (membership-change: a replica installed or evicted). Cost must follow the
+// change, not the hosted count. idle is a publish with no message before it.
 func BenchmarkPublishSnapshot(b *testing.B) {
 	for _, hosted := range []int{512, 2048} {
 		p, env, ids := publishPeer(b, hosted)
@@ -242,7 +242,9 @@ func BenchmarkPublishSnapshot(b *testing.B) {
 		run("idle", func(int) {})
 		run("clean", func(int) { p.FastAbsorb(rider, nil) })
 		run("one-dirty", func(i int) {
-			learned[0].Map.Servers[0] = ServerID(1 + i%31)
+			// Servers 1–31 have empty digests, which filter them out of
+			// every merge; servers past them have none, so the map changes.
+			learned[0].Map.Servers[0] = ServerID(32 + i%31)
 			p.FastAbsorb(rider, learned)
 		})
 		run("membership-change", func(i int) {

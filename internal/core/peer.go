@@ -175,10 +175,13 @@ type Peer struct {
 
 	// snap is the published routing snapshot (see snapshot.go), pub the
 	// loop's record of what changed since it was published; fast is the atomic
-	// counter ledger of queries served on it off-loop.
-	snap atomic.Pointer[RouteSnapshot]
-	pub  pubState
-	fast fastStats
+	// counter ledger of queries served on it off-loop. riderLoad holds the
+	// float64 bits of effLoad as of the last PublishSnapshot call: the
+	// published rider reads its load here, so a load change republishes nothing.
+	snap      atomic.Pointer[RouteSnapshot]
+	pub       pubState
+	fast      fastStats
+	riderLoad atomic.Uint64
 
 	scratchMap NodeMap // mergeMap's result buffer
 }
@@ -556,9 +559,6 @@ func (p *Peer) BatchTick() {
 
 // absorbPiggy ingests a received rider: load gossip, adverts, digests.
 func (p *Peer) absorbPiggy(pb *Piggyback) {
-	// Every handled message passes through here: the load the rider reports
-	// has moved, so the next publish rebuilds the snapshot's rider.
-	p.pub.stale = true
 	now := p.env.Now()
 	if pb.From != NoServer && pb.From != p.ID {
 		p.recordLoad(pb.From, pb.Load, now)
@@ -723,7 +723,6 @@ func (p *Peer) outgoingMap(node NodeID) NodeMap {
 // (§3.5). The driver (cluster or overlay) calls it every
 // cfg.MaintainInterval seconds.
 func (p *Peer) Maintain() {
-	p.pub.stale = true // the hysteresis bias decays: the rider's load moves
 	p.foldFastTouches()
 	now := p.env.Now()
 	if p.cfg.AdaptiveThigh {

@@ -28,8 +28,8 @@ type viewImage struct {
 	Digests   []digestEntry
 	DigestMap map[ServerID]digestEntry
 	Cold      *coldSet
-	Rider     ServerID
-	Adverts   []Advert // held snapshots only: the rider's
+	Rider     Piggyback // the rider without digests: identity, live load, adverts
+	Adverts   []Advert  // held snapshots only: the rider's
 }
 
 // fullFreeze is the oracle: the image of p's live state as the
@@ -42,7 +42,7 @@ func fullFreeze(p *Peer) viewImage {
 		Neighbors: map[NodeID]NodeMap{},
 		DigestMap: map[ServerID]digestEntry{},
 		Cold:      p.cold,
-		Rider:     p.ID,
+		Rider:     p.rider(false),
 	}
 	for _, hn := range p.hostedList {
 		img.HostedIDs = append(img.HostedIDs, hn.id)
@@ -77,7 +77,7 @@ func publishedImage(t testing.TB, p *Peer, s *RouteSnapshot) viewImage {
 		Neighbors: map[NodeID]NodeMap{},
 		DigestMap: map[ServerID]digestEntry{},
 		Cold:      v.cold,
-		Rider:     s.piggy.From,
+		Rider:     s.rider(false),
 	}
 	checkHostedIndexInStep(t, v)
 	if len(v.index.min) > 0 && len(p.index.min) > 0 && &v.index.min[0] == &p.index.min[0] {

@@ -418,6 +418,7 @@ func (p *Peer) handleReplicateReply(msg *ReplicateReply) {
 			}
 		}
 		// §3.7: advertise the new replica on outgoing messages.
+		p.pub.stale = true
 		p.recentAdverts = append(p.recentAdverts, advertRecord{
 			node:    node,
 			servers: []ServerID{dest},

@@ -514,7 +514,9 @@ type messageSource interface {
 // the failure. now closes the span's service time. Riders are drawn span
 // first, message second. A rider addressed to an edge client (IsClient)
 // carries no digests: §3.6's digests serve routing and map pruning, and a
-// client does neither.
+// client does neither. A result for a client carries its answer once: the
+// client caches Dest and Map from the result itself, so the path gets no entry
+// repeating them.
 //
 // Paths are append-only: a handler extends a received path in place, past
 // its length, and pathRoom trims into a fresh slice, so an entry that has been
@@ -522,7 +524,7 @@ type messageSource interface {
 // transport encoding it, the loop absorbing a fast-served query — share it
 // without copies.
 func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messageSource, send func(ServerID, Message)) {
-	digests := !IsClient(q.Source)
+	toServer := !IsClient(q.Source)
 	spans := q.Spans
 	if q.TraceID != 0 {
 		sp := telemetry.Span{Seq: int32(q.Hops), Server: int32(v.self), Node: int32(d.node), Reason: d.reason}
@@ -537,7 +539,7 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 		if q.SpanBudget <= 0 || int32(len(spans)) < q.SpanBudget {
 			spans = append(spans, sp)
 		}
-		send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: from.rider(digests)})
+		send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: from.rider(toServer)})
 	}
 	if d.kind == routeForward {
 		path := q.Path
@@ -576,11 +578,11 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 	}
 	if res.OK {
 		res.Meta, res.Map = from.answer(d.dest)
-		if v.pathRoom(&res.Path, d.dest) {
+		if toServer && v.pathRoom(&res.Path, d.dest) {
 			res.Path = append(res.Path, PathEntry{Node: q.Dest, Map: res.Map})
 		}
 	}
-	res.Piggy = from.rider(digests)
+	res.Piggy = from.rider(toServer)
 	send(q.Source, res)
 }
 

@@ -19,7 +19,10 @@ package core
 // addHosted/dropHosted/demoteToCold and addNeighbor/releaseNeighbors. A publish
 // re-freezes the stale entries only, rebuilds a lookup container only when its
 // key set changed, and shares the rest with the previous snapshot. With nothing
-// changed it is a no-op.
+// changed it is a no-op. The rider's load is not a mark: it moves with every
+// message, so the rider reads it from a cell every publish call refreshes, and
+// the rider is rebuilt only when its adverts or digests change or its oldest
+// advert expires.
 //
 // Concurrency contract — what "snapshot" guarantees:
 //   - A frozen value (a frozenHosted, a neighbor's published NodeMap, a frozen
@@ -94,7 +97,11 @@ type frozenHosted struct {
 // contract above). Safe for unsynchronized use from any goroutine.
 type RouteSnapshot struct {
 	view  routeView
-	piggy Piggyback // prebuilt immutable rider attached to every send
+	piggy Piggyback      // prebuilt immutable rider attached to every send
+	load  *atomic.Uint64 // the peer's riderLoad: piggy's load, kept live
+	// advertsFrom is the creation time of piggy's oldest advert (+Inf with
+	// none): once it is advertTTL old, the next publish rebuilds the rider.
+	advertsFrom float64
 
 	stats *fastStats
 	tel   *peerTelemetry
@@ -114,7 +121,7 @@ type pubState struct {
 	tracking bool
 	// What changed. With none of these set (and the cache and own digest
 	// clean, which keep their own flags) a publish is a no-op.
-	stale   bool // an entry's meta or map, or something the rider reports
+	stale   bool // an entry's meta or map, or the rider's adverts or own digest
 	members bool // the hosted or neighbor key set
 	digests bool // the foreign digest table
 
@@ -178,19 +185,23 @@ func (p *Peer) PublishSnapshot() {
 		p.pub.tracking = false
 		return
 	}
+	p.riderLoad.Store(math.Float64bits(p.effLoad()))
 	prev := p.snap.Load()
+	now := p.env.Now()
 	full := prev == nil || !p.pub.tracking
-	if !full && !p.pub.stale && !p.pub.members && !p.pub.digests && !p.cache.stale && !p.digestDirty {
+	if !full && !p.pub.stale && !p.pub.members && !p.pub.digests && !p.cache.stale && !p.digestDirty &&
+		now-prev.advertsFrom <= advertTTL {
 		return
-	}
-	var start float64
-	if p.tel != nil {
-		start = p.env.Now()
 	}
 	// Scalars, tree, cold bitmap and oracle carry over as they
 	// are; every container the loop mutates is replaced by a frozen one.
-	s := &RouteSnapshot{view: p.routeView, stats: &p.fast, tel: p.tel}
+	s := &RouteSnapshot{view: p.routeView, load: &p.riderLoad, advertsFrom: math.Inf(1), stats: &p.fast, tel: p.tel}
 	s.piggy = p.piggyback() // loop context; also rebuilds a dirty digest
+	for _, a := range p.recentAdverts {
+		if now-a.created <= advertTTL { // as rider filters them
+			s.advertsFrom = math.Min(s.advertsFrom, a.created)
+		}
+	}
 	v := &s.view
 	v.frozen = true
 
@@ -261,7 +272,7 @@ func (p *Peer) PublishSnapshot() {
 	if p.tel != nil {
 		p.tel.publishes.Inc()
 		p.tel.publishDirty.Observe(float64(refrozen))
-		p.tel.publishSeconds.Observe(p.env.Now() - start)
+		p.tel.publishSeconds.Observe(p.env.Now() - now)
 	}
 }
 
@@ -358,6 +369,7 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, _ NodeMap, sen
 
 func (s *RouteSnapshot) rider(digests bool) Piggyback {
 	pb := s.piggy
+	pb.Load = math.Float64frombits(s.load.Load())
 	if !digests {
 		pb.Digests = nil
 	}

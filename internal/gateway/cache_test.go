@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"terradir/internal/core"
@@ -105,4 +106,51 @@ func BenchmarkRouteCacheZipf(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
+// TestFeedCacheMatchesRepeatedAnswer: a result addressed to the gateway no
+// longer repeats its answer as the last path entry, and the route cache ends
+// in the state the repeat left it in — same entries, reference bits and clock
+// hand — over random results and lookups on a cache small enough to evict.
+func TestFeedCacheMatchesRepeatedAnswer(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	node := func() core.NodeID { return core.NodeID(r.Intn(12)) }
+	servers := func() []core.ServerID {
+		s := make([]core.ServerID, 1+r.Intn(3))
+		for i := range s {
+			s[i] = core.ServerID(r.Intn(8))
+		}
+		return s
+	}
+	g := &Gateway{cache: newRouteCache(4)}
+	repeated := newRouteCache(4)
+	for i := 0; i < 5000; i++ {
+		if r.Intn(2) == 0 {
+			n := node()
+			g.cache.get(n)
+			repeated.get(n)
+			continue
+		}
+		res := &core.ResultMsg{Dest: node(), OK: r.Intn(4) > 0, Map: core.NodeMap{Servers: servers()}}
+		// Entries name the hops' own hosted nodes: a hop hosting Dest resolves.
+		for k := r.Intn(4); k > 0; k-- {
+			if n := node(); n != res.Dest {
+				res.Path = append(res.Path, core.PathEntry{Node: n, Map: core.NodeMap{Servers: servers()}})
+			}
+		}
+		g.feedCache(res)
+		// What the gateway did with the same result carrying the repeat.
+		path := res.Path
+		if res.OK {
+			repeated.put(res.Dest, res.Map.Servers)
+			path = append(path[:len(path):len(path)], core.PathEntry{Node: res.Dest, Map: res.Map})
+		}
+		for _, pe := range path {
+			repeated.put(pe.Node, pe.Map.Servers)
+		}
+		c := g.cache
+		if !reflect.DeepEqual(c.slots, repeated.slots) || !reflect.DeepEqual(c.idx, repeated.idx) || c.hand != repeated.hand {
+			t.Fatalf("step %d: cache %+v (hand %d), with the repeated answer %+v (hand %d)", i, c.slots, c.hand, repeated.slots, repeated.hand)
+		}
+	}
 }

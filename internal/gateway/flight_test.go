@@ -1,0 +1,235 @@
+package gateway
+
+import (
+	"context"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"terradir/internal/core"
+	"terradir/internal/namespace"
+	"terradir/internal/overlay"
+)
+
+// scriptedUpstream stands in for the overlay behind a gateway: it records
+// every query the gateway sends, and answer (nil: never) decides by the
+// query's position in that record which ones get a result, delivered on a
+// fresh goroutine as a connection's read loop would deliver it.
+type scriptedUpstream struct {
+	g      *Gateway
+	answer func(i int) bool
+
+	mu   sync.Mutex
+	sent []*core.QueryMsg
+}
+
+func (u *scriptedUpstream) Send(_, _ core.ServerID, m core.Message) error {
+	q := m.(*core.QueryMsg)
+	u.mu.Lock()
+	i := len(u.sent)
+	u.sent = append(u.sent, q)
+	u.mu.Unlock()
+	if u.answer != nil && u.answer(i) {
+		go u.reply(q)
+	}
+	return nil
+}
+
+func (u *scriptedUpstream) Close() error { return nil }
+
+// reply answers q as the owner, server 1, would: resolved in two hops.
+func (u *scriptedUpstream) reply(q *core.QueryMsg) {
+	u.g.onMessage(&core.ResultMsg{QueryID: q.QueryID, Dest: q.Dest, OK: true, Hops: 2, Map: core.NodeMap{Servers: []core.ServerID{1, 0}}})
+}
+
+func (u *scriptedUpstream) queries() []*core.QueryMsg {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return append([]*core.QueryMsg(nil), u.sent...)
+}
+
+// startScripted fronts a scripted two-peer upstream with a gateway whose
+// prober is off. tweak (may be nil) adjusts the options before New.
+func startScripted(t *testing.T, answer func(int) bool, tweak func(*Options)) (*Gateway, *scriptedUpstream) {
+	t.Helper()
+	tr, err := overlay.NewTCPTransportOpts(core.ClientID(0), "127.0.0.1:0", map[core.ServerID]string{}, overlay.TCPTransportOptions{ClientRole: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := &scriptedUpstream{answer: answer}
+	opts := Options{
+		Tree:          namespace.NewBalanced(3, 4),
+		Self:          core.ClientID(0),
+		Peers:         []core.ServerID{0, 1},
+		Wire:          tr,
+		Send:          up,
+		ProbeInterval: -1,
+	}
+	if tweak != nil {
+		tweak(&opts)
+	}
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.g = g
+	t.Cleanup(func() {
+		g.Close()
+		tr.Close()
+	})
+	return g, up
+}
+
+// TestFlightPacing: one timer paces a flight's hedge, its retries and its
+// deadline. Against an upstream that never answers, a flight sends the
+// attempts its hedge delay and RetryInterval allow before UpstreamTimeout,
+// then times out at UpstreamTimeout — also when the next retry would come
+// after it.
+func TestFlightPacing(t *testing.T) {
+	const budget = 400 * time.Millisecond
+	for _, tc := range []struct {
+		name          string
+		hedge, retry  time.Duration
+		wantAttempts  int
+		wantHedgeFire float64
+	}{
+		{"retry beyond the budget", 50 * time.Millisecond, 10 * time.Second, 2, 1},
+		{"retry inside the budget", 50 * time.Millisecond, 150 * time.Millisecond, 3, 2},
+		{"hedge beyond the budget", 10 * time.Second, 150 * time.Millisecond, 1, 0},
+		{"hedging off", -1, 150 * time.Millisecond, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, up := startScripted(t, nil, func(o *Options) {
+				o.UpstreamTimeout = budget
+				o.HedgeAfter = tc.hedge
+				o.RetryInterval = tc.retry
+			})
+			start := time.Now()
+			_, err := g.Lookup(context.Background(), 5)
+			took := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), "timed out") {
+				t.Fatalf("lookup against a silent upstream returned %v, want a timeout", err)
+			}
+			if took < budget || took > budget+time.Second {
+				t.Fatalf("flight timed out after %s, want UpstreamTimeout %s", took, budget)
+			}
+			if n := len(up.queries()); n != tc.wantAttempts {
+				t.Fatalf("flight sent %d attempts, want %d", n, tc.wantAttempts)
+			}
+			snap := g.Registry().Snapshot()
+			if snap["terradir_gw_hedge_fired_total"] != tc.wantHedgeFire || snap["terradir_gw_lookup_timeouts_total"] != 1 {
+				t.Fatalf("hedge_fired %g timeouts %g, want %g and 1",
+					snap["terradir_gw_hedge_fired_total"], snap["terradir_gw_lookup_timeouts_total"], tc.wantHedgeFire)
+			}
+		})
+	}
+}
+
+// TestCoalescedWaitersGetLeaderResult: 64 callers of one destination, some
+// joining while the leader's attempt is out and some racing the leader as it
+// finishes (the test holds the flight table while the leader's answer
+// lands), all get the leader's result. With no early joiner the flight has
+// no done channel until a late one makes it.
+func TestCoalescedWaitersGetLeaderResult(t *testing.T) {
+	for _, early := range []int{32, 0} {
+		// The leader's attempt is answered by hand; a caller that arrives
+		// after the leader has left the table leads a flight of its own,
+		// answered at once.
+		g, up := startScripted(t, func(i int) bool { return i > 0 }, func(o *Options) { o.HedgeAfter = -1 })
+
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		const node = core.NodeID(7)
+		results := make(chan Result, 64+1)
+		errs := make(chan error, 64+1)
+		lookup := func() {
+			res, err := g.Lookup(ctx, node)
+			if err != nil {
+				errs <- err
+				return
+			}
+			results <- res
+		}
+		var wg sync.WaitGroup
+		var started atomic.Int64
+		run := func(n int) {
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					started.Add(1)
+					lookup()
+				}()
+			}
+		}
+		run(1) // the leader
+		waitFor(t, 2*time.Second, "the leader's attempt", func() bool { return len(up.queries()) == 1 })
+		run(early)
+		waitFor(t, 2*time.Second, "the early waiters", func() bool {
+			return g.Registry().Snapshot()["terradir_gw_coalesce_hits_total"] == float64(early)
+		})
+
+		g.fmu.Lock()
+		up.reply(up.queries()[0])
+		waitFor(t, 2*time.Second, "the leader's answer", func() bool { return g.m.latency.Count() == 1 })
+		run(64 - early)
+		waitFor(t, 2*time.Second, "the late callers", func() bool { return started.Load() == 65 })
+		g.fmu.Unlock()
+		wg.Wait()
+		cancel()
+		close(results)
+		close(errs)
+		for err := range errs {
+			t.Fatalf("early=%d: %v", early, err)
+		}
+		n := 0
+		for res := range results {
+			n++
+			if !res.OK || res.Node != node || res.Hops != 2 || len(res.Servers) != 2 || res.Servers[0] != 1 {
+				t.Fatalf("early=%d: a caller got %+v, not the leader's answer", early, res)
+			}
+		}
+		if n != 65 {
+			t.Fatalf("early=%d: %d results for 65 callers", early, n)
+		}
+		g.fmu.Lock()
+		left := len(g.flights)
+		g.fmu.Unlock()
+		if left != 0 {
+			t.Fatalf("early=%d: %d flights outstanding", early, left)
+		}
+	}
+}
+
+// TestGatewayLookupAllocs pins what one gateway lookup costs the process:
+// a warmed lookup of a cached node over loopback TCP — the gateway's flight,
+// the peers' handling and both wire directions — allocates at most 13
+// objects.
+func TestGatewayLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector multiplies allocations")
+	}
+	c := startCluster(t, 3, false, peerSetup{})
+	g := c.startGateway(func(o *Options) {
+		o.ProbeInterval = -1
+		o.HedgeAfter = 50 * time.Millisecond // armed, never due on loopback
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	node := c.ownedNode(1)
+	lookup := func() {
+		res, err := g.Lookup(ctx, node)
+		if err != nil || !res.OK {
+			t.Fatalf("lookup: %+v, %v", res, err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		lookup()
+	}
+	if n := testing.AllocsPerRun(500, lookup); n > 13 {
+		t.Fatalf("a gateway lookup allocates %.1f objects, want at most 13", n)
+	} else {
+		t.Logf("%.2f allocations per lookup", n)
+	}
+}

@@ -181,11 +181,15 @@ type pendingAttempt struct {
 	probe  bool
 }
 
-// flight is one coalesced in-flight lookup; waiters block on done.
+// flight is one coalesced in-flight lookup. done is made under fmu by the
+// first caller that coalesces onto it (most flights have none), and waiters
+// block on it. qids backs the flight's attempt IDs up to the default
+// MaxAttempts.
 type flight struct {
 	done chan struct{}
 	res  Result
 	err  error
+	qids [3]uint64
 }
 
 // Gateway is the edge-tier front door. Create with New, then attach the
@@ -345,6 +349,12 @@ func (g *Gateway) feedCache(res *core.ResultMsg) {
 	for _, pe := range res.Path {
 		g.cache.put(pe.Node, pe.Map.Servers)
 	}
+	// A result to a client carries its answer once, not again as the last
+	// path entry; the answer still counts as a use of its entry, as the
+	// repeat did, and restores it if a path entry evicted it.
+	if res.OK && g.cache.get(res.Dest) == nil {
+		g.cache.put(res.Dest, res.Map.Servers)
+	}
 	for _, ad := range res.Piggy.Adverts {
 		g.cache.merge(ad.Node, ad.Servers)
 	}
@@ -369,10 +379,14 @@ func (g *Gateway) Lookup(ctx context.Context, node core.NodeID) (Result, error) 
 	}
 	g.fmu.Lock()
 	if f, ok := g.flights[node]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		g.fmu.Unlock()
 		g.m.coalesceHits.Inc()
 		select {
-		case <-f.done:
+		case <-done:
 			res := f.res
 			res.Coalesced = true
 			return res, f.err
@@ -382,17 +396,19 @@ func (g *Gateway) Lookup(ctx context.Context, node core.NodeID) (Result, error) 
 			return Result{}, fmt.Errorf("gateway: closed")
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{}
 	g.flights[node] = f
 	g.fmu.Unlock()
 	g.m.flights.Inc()
 
-	f.res, f.err = g.doLookup(node)
+	f.res, f.err = g.doLookup(node, f)
 
 	g.fmu.Lock()
 	delete(g.flights, node)
+	if f.done != nil {
+		close(f.done)
+	}
 	g.fmu.Unlock()
-	close(f.done)
 	return f.res, f.err
 }
 
@@ -442,7 +458,7 @@ func (g *Gateway) launchAttempt(node core.NodeID, ch chan attemptReply, exclude 
 
 // doLookup drives one coalesced flight: primary attempt, hedge after the
 // delay, first answer wins, losers cancelled by pending-table removal.
-func (g *Gateway) doLookup(node core.NodeID) (Result, error) {
+func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 	start := time.Now()
 	cached := g.cache.get(node)
 	if len(cached) > 0 {
@@ -459,22 +475,23 @@ func (g *Gateway) doLookup(node core.NodeID) (Result, error) {
 		g.m.failures.Inc()
 		return Result{}, fmt.Errorf("gateway: no usable upstream")
 	}
-	attempts := []uint64{qid1}
+	attempts := append(f.qids[:0], qid1)
 	defer func() { g.removePending(attempts...) }()
 
-	overall := time.NewTimer(g.opts.UpstreamTimeout)
-	defer overall.Stop()
-
-	// hedgeTimer paces the extra attempts: the first after the (p99-derived
-	// or fixed) hedge delay, further ones every RetryInterval up to
-	// MaxAttempts. Hedging off or a single-peer pool leaves hedgeC nil.
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
+	// One timer paces the flight. It fires at next: the next extra attempt —
+	// the first after the (p99-derived or fixed) hedge delay, further ones
+	// every RetryInterval up to MaxAttempts — or the deadline, when no
+	// attempt is due before it. Hedging off or a single-peer pool leaves no
+	// attempt to pace.
+	deadline := start.Add(g.opts.UpstreamTimeout)
+	next := deadline
 	if g.opts.HedgeAfter >= 0 && len(g.pool.ids) > 1 {
-		hedgeTimer = time.NewTimer(g.hedgeDelay())
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
+		if t := start.Add(g.hedgeDelay()); t.Before(deadline) {
+			next = t
+		}
 	}
+	timer := time.NewTimer(time.Until(next))
+	defer timer.Stop()
 
 	hedged := false
 	lastPeer := peer1
@@ -519,21 +536,23 @@ func (g *Gateway) doLookup(node core.NodeID) (Result, error) {
 			}
 			g.m.latency.Observe(res.Latency.Seconds())
 			return res, nil
-		case <-hedgeC:
-			if len(attempts) < g.opts.MaxAttempts {
-				if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
-					hedged = true
-					lastPeer = peer
-					attempts = append(attempts, qid)
-					g.m.hedgeFired.Inc()
+		case <-timer.C:
+			if next.Before(deadline) {
+				if len(attempts) < g.opts.MaxAttempts {
+					if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
+						hedged = true
+						lastPeer = peer
+						attempts = append(attempts, qid)
+						g.m.hedgeFired.Inc()
+					}
 				}
+				next = deadline
+				if t := time.Now().Add(g.opts.RetryInterval); len(attempts) < g.opts.MaxAttempts && t.Before(deadline) {
+					next = t
+				}
+				timer.Reset(time.Until(next)) // its channel was just drained
+				continue
 			}
-			if len(attempts) < g.opts.MaxAttempts {
-				hedgeTimer.Reset(g.opts.RetryInterval)
-			} else {
-				hedgeC = nil
-			}
-		case <-overall.C:
 			g.m.failures.Inc()
 			g.m.timeouts.Inc()
 			g.m.latency.Observe(time.Since(start).Seconds())
