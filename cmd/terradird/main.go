@@ -47,7 +47,7 @@ func main() {
 		faultDrop    = flag.Float64("fault-drop", 0, "inject: drop this fraction of outbound messages")
 		faultLatency = flag.Duration("fault-latency", 0, "inject: delay every outbound message by this much")
 
-		adminAddr   = flag.String("admin-addr", "", "admin HTTP listen address (/metrics, /debug/vars, /debug/pprof, /trace/<id>); empty disables")
+		adminAddr   = flag.String("admin-addr", "", "admin HTTP listen address (/metrics, /debug/pprof, /trace/<id>); empty disables")
 		traceSample = flag.Float64("trace-sample", overlay.DefaultTraceSample, "fraction of lookups initiated here that carry a distributed trace (<= 0 disables)")
 
 		dataDir      = flag.String("data-dir", "", "durability directory: WAL + snapshots of hosted state; empty disables persistence")
@@ -201,12 +201,11 @@ func main() {
 
 	var admin *telemetry.AdminServer
 	if *adminAddr != "" {
-		node.Registry().PublishExpvar("terradir")
 		admin, err = telemetry.StartAdmin(*adminAddr, node.Registry(), node.Traces())
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("terradird: admin endpoint on http://%s (/metrics /debug/vars /debug/pprof/ /traces)\n", admin.Addr())
+		fmt.Printf("terradird: admin endpoint on http://%s (/metrics /debug/pprof/ /traces)\n", admin.Addr())
 	}
 
 	var clientLn net.Listener
@@ -231,8 +230,11 @@ func main() {
 	}
 	node.Stop()
 	transport.Close()
-	// The shutdown report comes from the same counter system the admin
-	// endpoint scrapes.
+	// The shutdown report comes from the same counters the admin endpoint
+	// scrapes, plus the transport counters no metric family reads.
+	if sr, ok := send.(overlay.StatsReporter); ok {
+		fmt.Printf("terradird: transport %+v\n", sr.Stats())
+	}
 	node.Registry().DumpNonZero(os.Stdout, "terradird")
 }
 

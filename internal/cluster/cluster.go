@@ -499,7 +499,7 @@ func (c *Cluster) TotalReplicas() int {
 func (c *Cluster) AggregateStats() core.Stats {
 	var agg core.Stats
 	for _, p := range c.peers {
-		s := p.Stats
+		s := p.StatsView()
 		agg.Processed += s.Processed
 		agg.Resolved += s.Resolved
 		agg.Forwarded += s.Forwarded

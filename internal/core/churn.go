@@ -95,12 +95,8 @@ func (p *Peer) PurgeServer(s ServerID, ownerOf func(NodeID) ServerID) int {
 		}
 	}
 	p.recentAdverts = kept
-	p.Stats.ServerPurges++
-	p.Stats.PurgedEntries += int64(purged)
-	if p.tel != nil {
-		p.tel.serverPurges.Inc()
-		p.tel.purgedEntries.Add(uint64(purged))
-	}
+	p.led.inc(ctrServerPurges)
+	p.led[ctrPurgedEntries].Add(int64(purged))
 	return purged
 }
 
@@ -121,10 +117,7 @@ func (p *Peer) AdoptOwnership(node NodeID, ownerOf func(NodeID) ServerID) bool {
 		p.ownedCount++
 		p.ensureSelf(p.editSelfMap(hn))
 		p.markDirty(hn)
-		p.Stats.OwnershipAdopts++
-		if p.tel != nil {
-			p.tel.adoptions.Inc()
-		}
+		p.led.inc(ctrOwnershipAdopts)
 		return true
 	}
 	hn := &hostedNode{
@@ -145,10 +138,7 @@ func (p *Peer) AdoptOwnership(node NodeID, ownerOf func(NodeID) ServerID) bool {
 	p.initNeighbors(hn, ownerOf)
 	p.digestDirty = true
 	p.journalUpsert(hn)
-	p.Stats.OwnershipAdopts++
-	if p.tel != nil {
-		p.tel.adoptions.Inc()
-	}
+	p.led.inc(ctrOwnershipAdopts)
 	return true
 }
 
@@ -168,10 +158,7 @@ func (p *Peer) ReleaseOwnership(node NodeID) bool {
 	hn.data = nil
 	p.ownedCount--
 	p.markDirty(hn)
-	p.Stats.OwnershipReleases++
-	if p.tel != nil {
-		p.tel.releases.Inc()
-	}
+	p.led.inc(ctrOwnershipReleases)
 	return true
 }
 

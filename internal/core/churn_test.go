@@ -61,7 +61,7 @@ func TestPurgeServerScrubsAllState(t *testing.T) {
 	if len(p.recentAdverts) != 1 || p.recentAdverts[0].servers[0] != 1 {
 		t.Errorf("adverts not filtered: %+v", p.recentAdverts)
 	}
-	if p.Stats.ServerPurges != 1 || p.Stats.PurgedEntries != int64(purged) {
+	if s := p.StatsView(); s.ServerPurges != 1 || s.PurgedEntries != int64(purged) {
 		t.Error("purge stats not recorded")
 	}
 
@@ -123,9 +123,8 @@ func TestAdoptAndReleaseOwnership(t *testing.T) {
 	if p.ReleaseOwnership(ids["/u/priv/people/staff"]) {
 		t.Error("released a node we never hosted")
 	}
-	if p.Stats.OwnershipAdopts != 2 || p.Stats.OwnershipReleases != 2 {
-		t.Errorf("adoption stats = %d/%d, want 2/2",
-			p.Stats.OwnershipAdopts, p.Stats.OwnershipReleases)
+	if s := p.StatsView(); s.OwnershipAdopts != 2 || s.OwnershipReleases != 2 {
+		t.Errorf("adoption stats = %d/%d, want 2/2", s.OwnershipAdopts, s.OwnershipReleases)
 	}
 }
 

@@ -124,19 +124,18 @@ func (c *lruCache) Delete(node NodeID) {
 // frozen returns an iteration-only copy — slots and recency links, no index —
 // for a routing snapshot's candidate scan. Maps unchanged since the last call
 // are shared with the copy it returned (they are immutable clones); only
-// stale slots are cloned again, and their number is returned.
-func (c *lruCache) frozen() (f *lruCache, recloned int) {
-	f = &lruCache{slots: make([]lruSlot, len(c.slots)), head: c.head, tail: c.tail}
+// stale slots are cloned again.
+func (c *lruCache) frozen() *lruCache {
+	f := &lruCache{slots: make([]lruSlot, len(c.slots)), head: c.head, tail: c.tail}
 	for i := range c.slots {
 		s := &c.slots[i]
 		if s.stale {
 			s.pub, s.stale = s.m.Clone(), false
-			recloned++
 		}
 		f.slots[i] = lruSlot{node: s.node, m: s.pub, prev: s.prev, next: s.next}
 	}
 	c.stale = false
-	return f, recloned
+	return f
 }
 
 // Each invokes fn for every cached entry (most recent first). fn may edit the

@@ -42,11 +42,12 @@ type Hooks struct {
 	OnForwardStep func(prevDist, newDist int)
 }
 
-// Stats are per-peer monotonic counters.
+// Stats are per-peer monotonic counters, as StatsView reads them off the
+// peer's ledger.
 type Stats struct {
-	Processed        int64 // queries serviced
+	Processed        int64 // queries serviced: ResultsSent + Forwarded
 	Resolved         int64 // lookups answered by this peer
-	Forwarded        int64
+	Forwarded        int64 // CacheHits + DigestShortcuts + ContextHops
 	FailedTTL        int64
 	FailedNoRoute    int64
 	DigestShortcuts  int64 // forwards taken via a digest hit
@@ -57,8 +58,9 @@ type Stats struct {
 	SessionsStarted  int64
 	SessionsAborted  int64
 	SessionsOK       int64
-	ControlSent      int64 // control (non-query, non-result) messages sent
-	ResultsSent      int64
+	ControlSent      int64 // control (non-query, non-result) messages sent, SpanReports included
+	ResultsSent      int64 // Resolved + FailedTTL + FailedNoRoute
+	SpanReports      int64 // out-of-band trace span reports
 	StaleSelfPurged  int64 // self-entries removed from maps for non-hosted nodes
 
 	ServerPurges      int64 // PurgeServer invocations (one per detected death)
@@ -161,7 +163,6 @@ type Peer struct {
 	lastSessionEnd float64
 
 	Hooks Hooks
-	Stats Stats
 
 	// journal, when set, receives every durable hosted-state mutation (see
 	// journal.go). Fired from the peer's execution context.
@@ -173,14 +174,15 @@ type Peer struct {
 	// is off (everything stays in memory) until SetResidency.
 	resident residencyState
 
+	// led counts every event either executor sees (telemetry.go).
+	led ledger
+
 	// snap is the published routing snapshot (see snapshot.go), pub the
-	// loop's record of what changed since it was published; fast is the atomic
-	// counter ledger of queries served on it off-loop. riderLoad holds the
-	// float64 bits of effLoad as of the last PublishSnapshot call: the
+	// loop's record of what changed since it was published. riderLoad holds
+	// the float64 bits of effLoad as of the last PublishSnapshot call: the
 	// published rider reads its load here, so a load change republishes nothing.
 	snap      atomic.Pointer[RouteSnapshot]
 	pub       pubState
-	fast      fastStats
 	riderLoad atomic.Uint64
 
 	scratchMap NodeMap // mergeMap's result buffer
@@ -639,7 +641,7 @@ func (p *Peer) learnMap(node NodeID, incoming *NodeMap) {
 		inc := incoming.Clone()
 		inc.Remove(p.ID)
 		incoming = &inc
-		p.Stats.StaleSelfPurged++
+		p.led.inc(ctrStaleSelfPurged)
 	}
 	if incoming.Len() == 0 {
 		return
@@ -766,10 +768,7 @@ func (p *Peer) evictReplica(node NodeID) bool {
 	p.releaseNeighbors(hn)
 	p.digestDirty = true
 	p.journalKind(MutDelete, node)
-	p.Stats.ReplicaEvictions++
-	if p.tel != nil {
-		p.tel.evictions.Inc()
-	}
+	p.led.inc(ctrReplicaEvictions)
 	if p.Hooks.OnReplicaEvicted != nil {
 		p.Hooks.OnReplicaEvicted(node)
 	}

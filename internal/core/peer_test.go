@@ -282,8 +282,8 @@ func TestLearnMapPurgesStaleSelf(t *testing.T) {
 	if m.Contains(0) {
 		t.Fatal("stale self entry survived")
 	}
-	if p.Stats.StaleSelfPurged != 1 {
-		t.Fatalf("StaleSelfPurged = %d", p.Stats.StaleSelfPurged)
+	if p.StatsView().StaleSelfPurged != 1 {
+		t.Fatalf("StaleSelfPurged = %d", p.StatsView().StaleSelfPurged)
 	}
 }
 

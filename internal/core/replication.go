@@ -35,7 +35,6 @@ func (p *Peer) afterQuery() {
 		}
 	}
 	eff := p.effLoad()
-	p.trackWatermark(eff >= thigh)
 	if p.sess.state != replIdle {
 		return
 	}
@@ -58,7 +57,7 @@ func (p *Peer) startSession() {
 		id:    p.nextSession,
 		tried: make(map[ServerID]bool),
 	}
-	p.Stats.SessionsStarted++
+	p.led.inc(ctrSessionsStarted)
 	p.tryNextCandidate()
 }
 
@@ -109,7 +108,7 @@ func (p *Peer) sessionTimeout(id uint64, inState replState) {
 
 func (p *Peer) abortSession() {
 	if p.sess.state != replIdle || p.sess.id != 0 {
-		p.Stats.SessionsAborted++
+		p.led.inc(ctrSessionsAborted)
 	}
 	p.sess = replSession{}
 	p.lastSessionEnd = p.env.Now()
@@ -367,10 +366,7 @@ func (p *Peer) installReplica(pl *ReplicaPayload, from ServerID) bool {
 	}
 	p.digestDirty = true
 	p.journalUpsert(hn)
-	p.Stats.ReplicaInstalls++
-	if p.tel != nil {
-		p.tel.installs.Inc()
-	}
+	p.led.inc(ctrReplicaInstalls)
 	if p.Hooks.OnReplicaInstalled != nil {
 		p.Hooks.OnReplicaInstalled(pl.Node, from)
 	}
@@ -431,12 +427,12 @@ func (p *Peer) handleReplicateReply(msg *ReplicateReply) {
 	if msg.Load < ls {
 		p.loadBias -= (ls - msg.Load) / 2
 	}
-	p.Stats.SessionsOK++
+	p.led.inc(ctrSessionsOK)
 	p.finishSession()
 }
 
 func (p *Peer) sendControl(to ServerID, m Message) {
-	p.Stats.ControlSent++
+	p.led.inc(ctrSendControl)
 	p.env.Send(to, m)
 }
 

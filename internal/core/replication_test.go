@@ -43,8 +43,8 @@ func TestReplicationSessionEndToEnd(t *testing.T) {
 	if p0.SessionActive() {
 		t.Fatal("session did not finish")
 	}
-	if p0.Stats.SessionsOK != 1 {
-		t.Fatalf("SessionsOK = %d", p0.Stats.SessionsOK)
+	if p0.StatsView().SessionsOK != 1 {
+		t.Fatalf("SessionsOK = %d", p0.StatsView().SessionsOK)
 	}
 	if !installed[ids["/u"]] {
 		t.Fatalf("top-ranked node not replicated: %v", installed)
@@ -72,7 +72,7 @@ func TestReplicationBelowThreshold(t *testing.T) {
 	n.envs[0].load = 0.5 // below Thigh
 	p0.recordLoad(2, 0.05, 0)
 	p0.afterQuery()
-	if p0.SessionActive() || p0.Stats.SessionsStarted != 0 {
+	if p0.SessionActive() || p0.StatsView().SessionsStarted != 0 {
 		t.Fatal("session started below Thigh")
 	}
 }
@@ -101,11 +101,11 @@ func TestReplicationGossipPreFilter(t *testing.T) {
 	if p0.SessionActive() {
 		t.Fatal("session should have aborted on the gossip pre-filter")
 	}
-	if p0.Stats.ControlSent != 0 {
-		t.Fatalf("%d control messages sent despite pre-filter", p0.Stats.ControlSent)
+	if p0.StatsView().ControlSent != 0 {
+		t.Fatalf("%d control messages sent despite pre-filter", p0.StatsView().ControlSent)
 	}
-	if p0.Stats.SessionsAborted != 1 {
-		t.Fatalf("SessionsAborted = %d", p0.Stats.SessionsAborted)
+	if p0.StatsView().SessionsAborted != 1 {
+		t.Fatalf("SessionsAborted = %d", p0.StatsView().SessionsAborted)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestReplicationDestinationRefusesSmallGap(t *testing.T) {
 	if p0.SessionActive() {
 		t.Fatal("session still active")
 	}
-	if p0.Stats.SessionsOK != 0 {
+	if p0.StatsView().SessionsOK != 0 {
 		t.Fatal("session succeeded despite small gap")
 	}
 	if n.peers[2].ReplicaCount() != 0 {
@@ -141,16 +141,16 @@ func TestReplicationCooldown(t *testing.T) {
 	n.envs[0].load = 0.95
 	p0.recordLoad(1, 0.91, 0) // pre-filter abort
 	p0.afterQuery()
-	if p0.Stats.SessionsStarted != 1 {
+	if p0.StatsView().SessionsStarted != 1 {
 		t.Fatal("first session missing")
 	}
 	p0.afterQuery() // within cooldown: no new session
-	if p0.Stats.SessionsStarted != 1 {
+	if p0.StatsView().SessionsStarted != 1 {
 		t.Fatal("cooldown not enforced")
 	}
 	n.advance(6)
 	p0.afterQuery()
-	if p0.Stats.SessionsStarted != 2 {
+	if p0.StatsView().SessionsStarted != 2 {
 		t.Fatal("session not restarted after cooldown")
 	}
 }
@@ -172,8 +172,8 @@ func TestReplicationProbeTimeout(t *testing.T) {
 	if p0.SessionActive() {
 		t.Fatal("session not aborted after probe timeout")
 	}
-	if p0.Stats.SessionsAborted != 1 {
-		t.Fatalf("SessionsAborted = %d", p0.Stats.SessionsAborted)
+	if p0.StatsView().SessionsAborted != 1 {
+		t.Fatalf("SessionsAborted = %d", p0.StatsView().SessionsAborted)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestInstallReplicaRespectsFrepl(t *testing.T) {
 	if p.ReplicaCount() != 1 || !p.HostsReplica(ids["/u/priv/people"]) || p.HostsReplica(ids["/u/pub"]) {
 		t.Fatal("displacement wrong")
 	}
-	if p.Stats.ReplicaEvictions != 1 {
-		t.Fatalf("evictions = %d", p.Stats.ReplicaEvictions)
+	if p.StatsView().ReplicaEvictions != 1 {
+		t.Fatalf("evictions = %d", p.StatsView().ReplicaEvictions)
 	}
 }
 
@@ -394,9 +394,9 @@ func TestSessionTimeoutIgnoredAfterCompletion(t *testing.T) {
 	p0.recordLoad(2, 0.05, 0)
 	p0.afterQuery()
 	n.deliverAll() // completes the session
-	aborted := p0.Stats.SessionsAborted
+	aborted := p0.StatsView().SessionsAborted
 	n.advance(10) // fire the stale timeout
-	if p0.Stats.SessionsAborted != aborted {
+	if p0.StatsView().SessionsAborted != aborted {
 		t.Fatal("stale timeout aborted a finished session")
 	}
 }
@@ -449,7 +449,7 @@ func TestAdaptiveThighSuppressesSessionsNearCapacity(t *testing.T) {
 	p0.recordLoad(2, 0.88, 0)
 	p0.Maintain() // refresh the system-load estimate
 	p0.afterQuery()
-	if p0.Stats.SessionsStarted != 0 {
+	if p0.StatsView().SessionsStarted != 0 {
 		t.Fatal("session started despite system-wide saturation under adaptive Thigh")
 	}
 	// A genuinely imbalanced server still triggers: others are cold.
@@ -462,7 +462,7 @@ func TestAdaptiveThighSuppressesSessionsNearCapacity(t *testing.T) {
 	q0.recordLoad(2, 0.15, 0)
 	q0.Maintain()
 	q0.afterQuery()
-	if q0.Stats.SessionsStarted != 1 {
+	if q0.StatsView().SessionsStarted != 1 {
 		t.Fatal("imbalanced server did not trigger under adaptive Thigh")
 	}
 }

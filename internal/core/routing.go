@@ -405,94 +405,25 @@ func (v *routeView) keepFor(node NodeID) func(ServerID) bool {
 	return func(s ServerID) bool { return v.digestSays(s, node) }
 }
 
-// routeCounter names a Stats counter a decision bumps. The loop keeps them in
-// Peer.Stats; the fast path in an atomic mirror indexed by this type.
-type routeCounter uint8
-
-const (
-	ctrProcessed routeCounter = iota
-	ctrResolved
-	ctrForwarded
-	ctrFailedTTL
-	ctrFailedNoRoute
-	ctrDigestShortcuts
-	ctrCacheHits
-	ctrContextHops
-	ctrResultsSent
-	ctrControlSent
-	numRouteCounters
-)
-
-// routeLedger is where an executor counts its decisions.
-type routeLedger interface{ bump(routeCounter) }
-
-func (s *Stats) bump(c routeCounter) { *s.routeCounter(c)++ }
-
-func (s *Stats) routeCounter(c routeCounter) *int64 {
-	return [numRouteCounters]*int64{
-		ctrProcessed: &s.Processed, ctrResolved: &s.Resolved, ctrForwarded: &s.Forwarded,
-		ctrFailedTTL: &s.FailedTTL, ctrFailedNoRoute: &s.FailedNoRoute,
-		ctrDigestShortcuts: &s.DigestShortcuts, ctrCacheHits: &s.CacheHits, ctrContextHops: &s.ContextHops,
-		ctrResultsSent: &s.ResultsSent, ctrControlSent: &s.ControlSent,
-	}[c]
-}
-
-// tally counts a final decision: the Stats counters in the executor's ledger,
-// the registry counters (shared atomics) directly.
-func (d *routeDecision) tally(q *QueryMsg, led routeLedger, tel *peerTelemetry) {
-	led.bump(ctrProcessed)
+// tally counts a final decision in the executor's ledger: one cell for the
+// decision, and one for the out-of-band span report a traced query sends.
+func (d *routeDecision) tally(q *QueryMsg, l *ledger) {
 	if q.TraceID != 0 {
-		led.bump(ctrControlSent) // the out-of-band span report
+		l.inc(ctrSpanReports)
 	}
 	switch {
 	case d.kind == routeResolve:
-		led.bump(ctrResolved)
-		led.bump(ctrResultsSent)
+		l.inc(ctrResolved)
 	case d.kind == routeFail && d.fail == FailTTL:
-		led.bump(ctrFailedTTL)
-		led.bump(ctrResultsSent)
+		l.inc(ctrFailedTTL)
 	case d.kind == routeFail:
-		led.bump(ctrFailedNoRoute)
-		led.bump(ctrResultsSent)
+		l.inc(ctrFailedNoRoute)
 	case d.reason == telemetry.HopCache:
-		led.bump(ctrForwarded)
-		led.bump(ctrCacheHits)
+		l.inc(ctrCacheHits)
 	case d.reason == telemetry.HopReplica:
-		led.bump(ctrForwarded)
-		led.bump(ctrDigestShortcuts)
+		l.inc(ctrDigestShortcuts)
 	default: // neighbor context: HopChild, HopParent
-		led.bump(ctrForwarded)
-		led.bump(ctrContextHops)
-	}
-	if tel == nil {
-		return
-	}
-	if q.TraceID != 0 {
-		tel.spanReports.Inc()
-	}
-	switch d.kind {
-	case routeResolve:
-		tel.resolved.Inc()
-	case routeFail:
-		tel.failed.Inc()
-	case routeForward:
-		tel.forwarded.Inc()
-		switch d.reason {
-		case telemetry.HopCache:
-			tel.cacheHits.Inc()
-		case telemetry.HopReplica:
-			tel.digestShortcuts.Inc()
-			tel.cacheMisses.Inc()
-		case telemetry.HopChild, telemetry.HopParent:
-			tel.cacheMisses.Inc()
-		}
-		if q.Hops > 0 {
-			if d.newDist < int(q.PrevDist) {
-				tel.progress.Inc()
-			} else {
-				tel.detours.Inc()
-			}
-		}
+		l.inc(ctrContextHops)
 	}
 }
 
@@ -658,7 +589,7 @@ func (p *Peer) HandleQuery(q *QueryMsg) {
 			p.Hooks.OnForwardStep(int(q.PrevDist), d.newDist)
 		}
 	}
-	d.tally(q, &p.Stats, p.tel)
+	d.tally(q, &p.led)
 	p.emit(q, &d, p.env.Now(), p, p.env.Send)
 	p.afterQuery()
 }

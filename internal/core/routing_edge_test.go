@@ -104,10 +104,11 @@ func TestForwardStatsConsistency(t *testing.T) {
 	}
 	var total Stats
 	for _, p := range n.peers {
-		total.Forwarded += p.Stats.Forwarded
-		total.CacheHits += p.Stats.CacheHits
-		total.ContextHops += p.Stats.ContextHops
-		total.DigestShortcuts += p.Stats.DigestShortcuts
+		s := p.StatsView()
+		total.Forwarded += s.Forwarded
+		total.CacheHits += s.CacheHits
+		total.ContextHops += s.ContextHops
+		total.DigestShortcuts += s.DigestShortcuts
 	}
 	if total.Forwarded != total.CacheHits+total.ContextHops+total.DigestShortcuts {
 		t.Fatalf("forward mix inconsistent: fwd=%d cache=%d ctx=%d digest=%d",

@@ -172,7 +172,7 @@ func TestDigestShortcutTaken(t *testing.T) {
 	if res == nil || !res.OK {
 		t.Fatal("lookup failed")
 	}
-	if p3.Stats.DigestShortcuts == 0 {
+	if p3.StatsView().DigestShortcuts == 0 {
 		t.Fatal("no digest shortcut recorded")
 	}
 	// Shortcut jumps straight into the private subtree: at most 3 hops
@@ -189,7 +189,7 @@ func TestDigestShortcutDisabled(t *testing.T) {
 	p3 := n.peers[3]
 	p3.storeDigest(2, n.peers[2].Digest())
 	n.lookup(3, ids["/u/priv/people/students/Mary"])
-	if p3.Stats.DigestShortcuts != 0 {
+	if p3.StatsView().DigestShortcuts != 0 {
 		t.Fatal("digest shortcut taken while disabled")
 	}
 	if len(p3.digests) != 0 {

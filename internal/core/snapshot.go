@@ -48,8 +48,7 @@ package core
 //   - Readers share nothing mutable with the loop but those cell pointers, the
 //     cold bitmap, and the per-node atomic touch counters, which the loop
 //     folds into the real weights (foldFastTouches).
-//   - Counters the loop records in Peer.Stats are mirrored by atomic
-//     fastStats; StatsView returns the combined view.
+//   - Both executors count into the peer's one atomic ledger (telemetry.go).
 //   - The rotating digest-scan window, which the loop drives with a shared
 //     cursor, is derived from the query ID instead.
 
@@ -77,13 +76,6 @@ const (
 	FastFailed
 )
 
-// fastStats mirrors the Peer.Stats fields the fast path would otherwise
-// update. The loop owns Stats; these atomics are the off-loop ledger, folded
-// together by StatsView.
-type fastStats [numRouteCounters]atomic.Int64
-
-func (f *fastStats) bump(c routeCounter) { f[c].Add(1) }
-
 // frozenHosted is the published answer for one hosted node. outgoing is the
 // bounded map the loop would build with outgoingMap; like digests, it is
 // immutable once published and shared by pointer with outgoing messages
@@ -103,8 +95,7 @@ type RouteSnapshot struct {
 	// none): once it is advertTTL old, the next publish rebuilds the rider.
 	advertsFrom float64
 
-	stats *fastStats
-	tel   *peerTelemetry
+	led *ledger // the peer's, which the loop writes too
 }
 
 // fastSeq perturbs per-call RNG seeds so concurrent fast-path decisions with
@@ -195,7 +186,7 @@ func (p *Peer) PublishSnapshot() {
 	}
 	// Scalars, tree, cold bitmap and oracle carry over as they
 	// are; every container the loop mutates is replaced by a frozen one.
-	s := &RouteSnapshot{view: p.routeView, load: &p.riderLoad, advertsFrom: math.Inf(1), stats: &p.fast, tel: p.tel}
+	s := &RouteSnapshot{view: p.routeView, load: &p.riderLoad, advertsFrom: math.Inf(1), led: &p.led}
 	s.piggy = p.piggyback() // loop context; also rebuilds a dirty digest
 	for _, a := range p.recentAdverts {
 		if now-a.created <= advertTTL { // as rider filters them
@@ -207,7 +198,6 @@ func (p *Peer) PublishSnapshot() {
 
 	// Entries first, containers second: a container rebuilt below must find
 	// every member's cell filled.
-	refrozen := 0
 	if full {
 		for _, hn := range p.hostedList {
 			p.freezeHosted(hn)
@@ -215,19 +205,16 @@ func (p *Peer) PublishSnapshot() {
 		for _, e := range p.neighborMaps {
 			p.freezeNeighbor(e)
 		}
-		refrozen = len(p.hostedList) + len(p.neighborMaps)
 	} else {
 		// A listed entry may have left the peer since it was marked; freezing
 		// it once more is harmless, and older snapshots may still hold it.
 		for hn := p.pub.hosted; hn != nil; {
 			p.freezeHosted(hn)
 			hn, hn.nextStale = hn.nextStale, nil
-			refrozen++
 		}
 		for e := p.pub.neighbors; e != nil; {
 			p.freezeNeighbor(e)
 			e, e.nextStale = e.nextStale, nil
-			refrozen++
 		}
 	}
 
@@ -240,9 +227,7 @@ func (p *Peer) PublishSnapshot() {
 		v.hostedList, v.index, v.neighborMaps = pv.hostedList, pv.index, pv.neighborMaps
 	}
 	if full || p.cache.stale {
-		var recloned int
-		v.cache, recloned = p.cache.frozen()
-		refrozen += recloned
+		v.cache = p.cache.frozen()
 	} else {
 		v.cache = prev.view.cache
 	}
@@ -271,7 +256,6 @@ func (p *Peer) PublishSnapshot() {
 	p.snap.Store(s)
 	if p.tel != nil {
 		p.tel.publishes.Inc()
-		p.tel.publishDirty.Observe(float64(refrozen))
 		p.tel.publishSeconds.Observe(p.env.Now() - now)
 	}
 }
@@ -289,17 +273,6 @@ func (p *Peer) FastAbsorb(pb Piggyback, path []PathEntry) {
 	p.absorbPiggy(&pb)
 	p.absorbPath(path)
 	p.afterQuery()
-}
-
-// StatsView returns the peer's counters with fast-path contributions folded
-// in. Loop-owned fields are read without synchronization — monitoring-grade,
-// same contract as overlay.Snapshot.
-func (p *Peer) StatsView() Stats {
-	s := p.Stats
-	for c := range p.fast {
-		*s.routeCounter(routeCounter(c)) += p.fast[c].Load()
-	}
-	return s
 }
 
 // foldFastTouches drains the per-node atomic touch counters into the real
@@ -362,7 +335,7 @@ func (s *RouteSnapshot) HandleQueryFast(q *QueryMsg, now float64, _ NodeMap, sen
 	if d.dest != nil {
 		d.dest.fastTouch.Add(1)
 	}
-	d.tally(q, s.stats, s.tel)
+	d.tally(q, s.led)
 	v.emit(q, &d, now, s, send)
 	return FastOutcome(d.kind)
 }

@@ -114,7 +114,7 @@ func StaticVsAdaptive(env Env) *Result {
 			// Load balance over the run: Gini of per-server processed work.
 			work := make([]float64, c.Servers())
 			for i := range work {
-				work[i] = float64(c.Peer(i).Stats.Processed)
+				work[i] = float64(c.Peer(i).StatsView().Processed)
 			}
 			r.AddRow(stream, sys.name, c.Metrics.DropFraction(), c.Metrics.Hops.Mean(),
 				stats.Gini(work), c.Metrics.TotalCreations())

@@ -169,7 +169,7 @@ func runLiveA3(env Env, tree *namespace.Tree, p liveA3Params, frac float64, repl
 
 	recreated := int64(0)
 	for _, s := range survivors {
-		recreated += c.Node(s).Peer().Stats.ReplicaInstalls
+		recreated += c.Node(s).Peer().StatsView().ReplicaInstalls
 	}
 	recreated -= installsAtFail
 	rate := 0.0

@@ -243,11 +243,7 @@ func New(opts Options) (*Gateway, error) {
 		flights: make(map[core.NodeID]*flight),
 		stop:    make(chan struct{}),
 	}
-	g.m = newMetrics(g.reg,
-		func() float64 { return float64(g.pool.healthyCount()) },
-		func() float64 { return float64(g.inflight.Load()) },
-		func() float64 { return float64(g.cache.len()) },
-	)
+	g.m = newMetrics(g.reg)
 	g.wire.ServeFunc(g.onMessage)
 	if opts.ProbeInterval > 0 {
 		g.wg.Add(1)
@@ -450,7 +446,6 @@ func (g *Gateway) launchAttempt(node core.NodeID, ch chan attemptReply, exclude 
 	g.m.upstreamQueries.Inc()
 	if err := g.send.Send(g.self, peer, q); err != nil {
 		g.removePending(qid)
-		g.m.upstreamErrors.Inc()
 		return 0, core.NoServer, false
 	}
 	return qid, peer, true
@@ -472,7 +467,6 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 	ch := make(chan attemptReply, g.opts.MaxAttempts)
 	qid1, peer1, ok := g.launchAttempt(node, ch, core.NoServer, cached)
 	if !ok {
-		g.m.failures.Inc()
 		return Result{}, fmt.Errorf("gateway: no usable upstream")
 	}
 	attempts := append(f.qids[:0], qid1)
@@ -531,9 +525,6 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 				res.HedgeWon = true
 				g.m.hedgeWon.Inc()
 			}
-			if !res.OK {
-				g.m.failures.Inc()
-			}
 			g.m.latency.Observe(res.Latency.Seconds())
 			return res, nil
 		case <-timer.C:
@@ -553,7 +544,6 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 				timer.Reset(time.Until(next)) // its channel was just drained
 				continue
 			}
-			g.m.failures.Inc()
 			g.m.timeouts.Inc()
 			g.m.latency.Observe(time.Since(start).Seconds())
 			return Result{}, fmt.Errorf("gateway: lookup %d timed out after %s", node, g.opts.UpstreamTimeout)
@@ -582,7 +572,6 @@ func (g *Gateway) serveWire(q *core.QueryMsg) {
 	}
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	g.m.requestsWire.Inc()
 	ctx, cancel := context.WithTimeout(context.Background(), g.opts.UpstreamTimeout+time.Second)
 	res, err := g.Lookup(ctx, q.Dest)
 	cancel()
@@ -598,7 +587,5 @@ func (g *Gateway) serveWire(q *core.QueryMsg) {
 }
 
 func (g *Gateway) replyWire(to core.ServerID, res *core.ResultMsg) {
-	if err := g.wire.Send(g.self, to, res); err != nil {
-		g.m.upstreamErrors.Inc()
-	}
+	g.wire.Send(g.self, to, res)
 }

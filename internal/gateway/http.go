@@ -138,7 +138,6 @@ func (g *Gateway) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	g.m.requestsHTTP.Inc()
 	ctx, cancel := context.WithTimeout(r.Context(), g.opts.UpstreamTimeout+time.Second)
 	res, err := g.Lookup(ctx, node)
 	cancel()

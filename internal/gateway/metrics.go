@@ -6,10 +6,8 @@ import "terradir/internal/telemetry"
 // telemetry registry. All names carry the terradir_gw_ prefix so a gateway
 // scraped alongside peers is unambiguous.
 type metrics struct {
-	requestsHTTP *telemetry.Counter
-	requestsWire *telemetry.Counter
-	shedHTTP     *telemetry.Counter
-	shedWire     *telemetry.Counter
+	shedHTTP *telemetry.Counter
+	shedWire *telemetry.Counter
 
 	coalesceHits *telemetry.Counter // requests absorbed into an in-flight lookup
 	flights      *telemetry.Counter // upstream flights actually launched
@@ -18,31 +16,23 @@ type metrics struct {
 	cacheMisses *telemetry.Counter
 
 	upstreamQueries *telemetry.Counter // queries sent upstream (primary + hedge + retries)
-	upstreamErrors  *telemetry.Counter // local Send failures
 	lateResults     *telemetry.Counter // results for cancelled/completed attempts
 
 	hedgeFired *telemetry.Counter
 	hedgeWon   *telemetry.Counter // hedge attempt answered first
 
-	failures *telemetry.Counter // lookups failed (timeout, no upstream, upstream fail)
-	timeouts *telemetry.Counter
-
-	ejections  *telemetry.Counter // upstream marked unhealthy by the prober
-	reinstates *telemetry.Counter // unhealthy upstream answered a probe again
-	probes     *telemetry.Counter
-	probeMiss  *telemetry.Counter
+	timeouts  *telemetry.Counter
+	ejections *telemetry.Counter // upstream marked unhealthy by the prober
 
 	latency         *telemetry.Histogram // end-to-end lookup seconds (client view)
 	upstreamLatency *telemetry.Histogram // per-attempt upstream seconds (feeds hedge p99)
 }
 
-func newMetrics(reg *telemetry.Registry, poolDepth, inflight, cacheLen func() float64) *metrics {
+func newMetrics(reg *telemetry.Registry) *metrics {
 	lat := telemetry.HistogramOpts{Min: 1e-5, Max: 100, BucketsPerDecade: 16}
-	m := &metrics{
-		requestsHTTP: reg.Counter("terradir_gw_requests_total", "client requests accepted", "surface", "http"),
-		requestsWire: reg.Counter("terradir_gw_requests_total", "client requests accepted", "surface", "wire"),
-		shedHTTP:     reg.Counter("terradir_gw_shed_total", "requests refused by admission control", "surface", "http"),
-		shedWire:     reg.Counter("terradir_gw_shed_total", "requests refused by admission control", "surface", "wire"),
+	return &metrics{
+		shedHTTP: reg.Counter("terradir_gw_shed_total", "requests refused by admission control", "surface", "http"),
+		shedWire: reg.Counter("terradir_gw_shed_total", "requests refused by admission control", "surface", "wire"),
 
 		coalesceHits: reg.Counter("terradir_gw_coalesce_hits_total", "requests absorbed into an already in-flight lookup for the same node"),
 		flights:      reg.Counter("terradir_gw_flights_total", "coalesced upstream flights launched"),
@@ -51,25 +41,15 @@ func newMetrics(reg *telemetry.Registry, poolDepth, inflight, cacheLen func() fl
 		cacheMisses: reg.Counter("terradir_gw_cache_misses_total", "flights routed without cached replica information"),
 
 		upstreamQueries: reg.Counter("terradir_gw_upstream_queries_total", "lookup queries sent to upstream peers"),
-		upstreamErrors:  reg.Counter("terradir_gw_upstream_errors_total", "local failures sending to an upstream peer"),
 		lateResults:     reg.Counter("terradir_gw_late_results_total", "upstream results arriving after their attempt was cancelled or won"),
 
 		hedgeFired: reg.Counter("terradir_gw_hedge_fired_total", "hedge attempts issued after the hedge delay"),
 		hedgeWon:   reg.Counter("terradir_gw_hedge_won_total", "flights where the hedge attempt answered first"),
 
-		failures: reg.Counter("terradir_gw_lookup_failures_total", "flights that returned no successful result"),
-		timeouts: reg.Counter("terradir_gw_lookup_timeouts_total", "flights that exhausted the upstream timeout"),
-
-		ejections:  reg.Counter("terradir_gw_upstream_ejections_total", "upstreams marked unhealthy by probing"),
-		reinstates: reg.Counter("terradir_gw_upstream_reinstates_total", "unhealthy upstreams restored after a successful probe"),
-		probes:     reg.Counter("terradir_gw_probes_total", "liveness probes sent"),
-		probeMiss:  reg.Counter("terradir_gw_probe_misses_total", "liveness probes that timed out"),
+		timeouts:  reg.Counter("terradir_gw_lookup_timeouts_total", "flights that exhausted the upstream timeout"),
+		ejections: reg.Counter("terradir_gw_upstream_ejections_total", "upstreams marked unhealthy by probing"),
 
 		latency:         reg.Histogram("terradir_gw_latency_seconds", "end-to-end gateway lookup latency", lat),
 		upstreamLatency: reg.Histogram("terradir_gw_upstream_latency_seconds", "per-attempt upstream lookup latency", lat),
 	}
-	reg.GaugeFunc("terradir_gw_upstream_healthy", "healthy upstreams in the pool", poolDepth)
-	reg.GaugeFunc("terradir_gw_inflight", "client lookups currently in flight", inflight)
-	reg.GaugeFunc("terradir_gw_cache_entries", "routing-cache entries", cacheLen)
-	return m
 }

@@ -41,17 +41,6 @@ func newPool(peers []core.ServerID) *pool {
 	return p
 }
 
-// healthyCount is the pool-depth gauge.
-func (p *pool) healthyCount() int {
-	n := 0
-	for _, u := range p.ups {
-		if u.healthy.Load() {
-			n++
-		}
-	}
-	return n
-}
-
 // pick chooses one upstream, preferring healthy members of preferred (the
 // cached replica set for the destination), then any healthy member in
 // round-robin order, then — as a last resort — any member at all. exclude
@@ -134,7 +123,6 @@ func (g *Gateway) probeOnce(u *upstream) {
 	ch := make(chan attemptReply, 1)
 	g.addPending(qid, u.id, ch, true)
 	defer g.removePending(qid)
-	g.m.probes.Inc()
 	q := &core.QueryMsg{
 		QueryID:  qid,
 		Dest:     g.opts.ProbeDest(u.id),
@@ -152,10 +140,7 @@ func (g *Gateway) probeOnce(u *upstream) {
 	case <-ch:
 		u.missed.Store(0)
 		u.lastSeen.Store(time.Now().UnixNano())
-		if !u.healthy.Load() {
-			u.healthy.Store(true)
-			g.m.reinstates.Inc()
-		}
+		u.healthy.Store(true)
 	case <-timer.C:
 		g.probeMissed(u)
 	case <-g.stop:
@@ -163,7 +148,6 @@ func (g *Gateway) probeOnce(u *upstream) {
 }
 
 func (g *Gateway) probeMissed(u *upstream) {
-	g.m.probeMiss.Inc()
 	if int(u.missed.Add(1)) >= g.opts.EjectAfter && u.healthy.Load() {
 		u.healthy.Store(false)
 		g.m.ejections.Inc()

@@ -218,9 +218,8 @@ type Service struct {
 	stop chan struct{}
 	done chan struct{}
 
-	probesSent, acksReceived, pingReqs *telemetry.Counter
-	suspicions, deaths, refutations    *telemetry.Counter
-	resurrections, joinsHandled        *telemetry.Counter
+	probesSent, acksReceived *telemetry.Counter
+	deaths, resurrections    *telemetry.Counter
 }
 
 // New builds a service. Call Start to begin probing; Deliver inbound
@@ -269,22 +268,8 @@ func (s *Service) registerMetrics() {
 	}
 	s.probesSent = c("terradir_membership_probes_total", "Direct membership probes sent.")
 	s.acksReceived = c("terradir_membership_acks_total", "Membership acks received.")
-	s.pingReqs = c("terradir_membership_ping_reqs_total", "Indirect probe requests handled on behalf of others.")
-	s.suspicions = c("terradir_membership_suspicions_total", "Members this service placed under suspicion.")
 	s.deaths = c("terradir_membership_deaths_total", "Members this service transitioned to dead.")
-	s.refutations = c("terradir_membership_refutations_total", "Incarnation bumps refuting suspicion or death of self.")
 	s.resurrections = c("terradir_membership_resurrections_total", "Members observed returning from dead to alive.")
-	s.joinsHandled = c("terradir_membership_joins_total", "Join handshakes handled (as joiner or admitter).")
-	gauge := func(name, help string, st State) {
-		reg.GaugeFunc(name, help, func() float64 {
-			return float64(s.countState(st))
-		}, s.cfg.Labels...)
-	}
-	gauge("terradir_membership_alive", "Members currently believed alive.", Alive)
-	gauge("terradir_membership_suspect", "Members currently under suspicion.", Suspect)
-	gauge("terradir_membership_dead", "Members currently believed dead.", Dead)
-	reg.GaugeFunc("terradir_membership_incarnation", "This member's own incarnation number.",
-		func() float64 { return float64(s.Incarnation()) }, s.cfg.Labels...)
 }
 
 // Start launches the probe loop.
@@ -466,9 +451,6 @@ func (s *Service) suspectLocked(id core.ServerID) {
 	inc := e.Incarnation
 	s.queueLocked(core.MemberUpdate{Server: id, State: uint8(Suspect), Incarnation: inc, Addr: e.Addr})
 	s.eventQ = append(s.eventQ, Event{Member: e.Member, Prev: prev})
-	if s.suspicions != nil {
-		s.suspicions.Inc()
-	}
 	time.AfterFunc(s.cfg.SuspicionTimeout, func() { s.onSuspicionExpired(id, inc) })
 }
 
@@ -529,9 +511,6 @@ func (s *Service) Deliver(m *core.MembershipMsg) {
 		}
 	case core.MembershipPingReq:
 		s.absorbLocked(m)
-		if s.pingReqs != nil {
-			s.pingReqs.Inc()
-		}
 		s.seq++
 		relaySeq := s.seq
 		s.relays[relaySeq] = relayEntry{origin: m.From, originSeq: m.Seq, target: m.Target}
@@ -557,18 +536,10 @@ func (s *Service) Deliver(m *core.MembershipMsg) {
 			}
 		}
 		s.absorbLocked(m)
-		if s.joinsHandled != nil {
-			s.joinsHandled.Inc()
-		}
 		reply = s.snapshotLocked()
 		replyTo = m.From
 	case core.MembershipJoinAck:
-		if !s.joined {
-			s.joined = true
-			if s.joinsHandled != nil {
-				s.joinsHandled.Inc()
-			}
-		}
+		s.joined = true
 		s.absorbLocked(m)
 	default:
 		s.absorbLocked(m)
@@ -692,9 +663,6 @@ func (s *Service) applyLocked(u core.MemberUpdate) {
 	if u.Server == s.cfg.Self {
 		if State(u.State) != Alive && u.Incarnation >= s.incarnation {
 			s.incarnation = u.Incarnation + 1
-			if s.refutations != nil {
-				s.refutations.Inc()
-			}
 			if s.cfg.OnIncarnation != nil {
 				s.cfg.OnIncarnation(s.incarnation)
 			}

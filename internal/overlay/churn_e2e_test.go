@@ -186,7 +186,7 @@ func TestTCPChurnE2E(t *testing.T) {
 				i, victimNode, got, successor)
 		}
 		var purges int64
-		if !nodes[i].Inspect(func(p *core.Peer) { purges += p.Stats.ServerPurges }) {
+		if !nodes[i].Inspect(func(p *core.Peer) { purges += p.StatsView().ServerPurges }) {
 			t.Fatalf("server %d stopped unexpectedly", i)
 		}
 		if purges == 0 {

@@ -83,7 +83,7 @@ func (n *Node) inspect(learn bool, fn func(p *core.Peer)) bool {
 
 // ingestBatch caps how many envelopes the loop drains per wakeup. A constant,
 // not a knob: against strict one-per-wakeup servicing the 64-deep batch
-// measured within noise on one loop (BENCH_lookup.json ingest_batch), and it
+// measured within noise on one loop (EXPERIMENTS.md P5), and it
 // pays the per-wakeup costs once per batch, so there is one good value.
 const ingestBatch = 64
 

@@ -60,10 +60,6 @@ func (n *Node) setupOwnership(ownerOf func(core.NodeID) core.ServerID) {
 		base[i] = ownerOf(core.NodeID(i))
 	}
 	n.ownership = membership.NewOwnershipTable(base, n.opts.Membership.Servers)
-	n.reg.GaugeFunc("terradir_ownership_version",
-		"Version of the node's ownership table (bumped per liveness flip).",
-		func() float64 { return float64(n.ownership.Version()) },
-		"server", fmt.Sprint(n.id))
 }
 
 // setupMembership builds the failure detector (called from NewNode, after

@@ -249,7 +249,6 @@ type Node struct {
 	idxEvictions *telemetry.Counter
 	idxLoadHist  *telemetry.Histogram
 
-	inboxDrops     *telemetry.Counter
 	batchDepthHist *telemetry.Histogram // envelopes drained per loop wakeup
 	queueWaitHist  *telemetry.Histogram
 	serviceHist    *telemetry.Histogram
@@ -263,14 +262,13 @@ type Node struct {
 	// fast path declines queries, which routes them through the loop behind
 	// the pending learns (control drains before queries) — sequential
 	// callers get exactly the loop's read-your-writes ordering.
-	learnSeq        atomic.Uint64
-	learnPub        atomic.Uint64
-	sendFn          func(core.ServerID, core.Message)
-	fastResolved    *telemetry.Counter
-	fastForwarded   *telemetry.Counter
-	fastFailed      *telemetry.Counter
-	fastFallbacks   *telemetry.Counter
-	fastAbsorbDrops *telemetry.Counter
+	learnSeq      atomic.Uint64
+	learnPub      atomic.Uint64
+	sendFn        func(core.ServerID, core.Message)
+	fastResolved  *telemetry.Counter
+	fastForwarded *telemetry.Counter
+	fastFailed    *telemetry.Counter
+	fastFallbacks *telemetry.Counter
 
 	mu          sync.Mutex
 	pending     map[uint64]chan LookupResult
@@ -313,8 +311,9 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 	n.reg.GaugeFunc("terradir_server_load",
 		"Server load estimate: queries served on either executor in the window times ServiceCost, over the window, clamped at 1, as the event loop last read it.",
 		func() float64 { return math.Float64frombits(n.loadEst.Load()) }, server...)
-	n.inboxDrops = n.reg.Counter("terradir_inbox_query_drops_total",
-		"Queries dropped because the server's bounded request queue was full.", server...)
+	n.reg.CounterFunc("terradir_inbox_query_drops_total",
+		"Queries dropped because the server's bounded request queue was full.",
+		func() float64 { return float64(n.dropped.Load()) }, server...)
 	n.queueWaitHist = n.reg.Histogram("terradir_queue_wait_seconds",
 		"Time queries spent in the request queue before service.", latencyLayout, server...)
 	n.batchDepthHist = n.reg.Histogram("terradir_loop_batch_depth",
@@ -335,8 +334,6 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		"Lookups terminated (TTL or no route) on the snapshot fast path.", server...)
 	n.fastFallbacks = n.reg.Counter("terradir_fastpath_fallbacks_total",
 		"Queries the fast path declined to the event loop (no snapshot or pruning needed).", server...)
-	n.fastAbsorbDrops = n.reg.Counter("terradir_fastpath_absorb_drops_total",
-		"Fast-path rider/path absorptions dropped because the control queue was full.", server...)
 	n.sendFn = nodeEnv{n}.Send
 	if opts.Membership != nil {
 		if opts.Membership.Servers < 1 {
@@ -444,34 +441,10 @@ func (n *Node) registerTransportMetrics() {
 	counter := func(name, help string, read func(TransportStats) uint64) {
 		n.reg.CounterFunc(name, help, func() float64 { return float64(read(sr.Stats())) }, server...)
 	}
-	counter("terradir_transport_enqueued_total", "Messages accepted into outbound transport queues.",
-		func(s TransportStats) uint64 { return s.Enqueued })
-	counter("terradir_transport_sent_total", "Frames written to sockets.",
-		func(s TransportStats) uint64 { return s.Sent })
-	counter("terradir_transport_flushes_total", "Socket writes; sent/flushes is the write-coalescing factor.",
-		func(s TransportStats) uint64 { return s.Flushes })
 	counter("terradir_transport_queue_drops_total", "Messages evicted from full outbound queues (drop-oldest).",
 		func(s TransportStats) uint64 { return s.QueueDrops })
 	counter("terradir_transport_write_errors_total", "Frames lost to write failures or expired deadlines.",
 		func(s TransportStats) uint64 { return s.WriteErrors })
-	counter("terradir_transport_dials_total", "Successful connection attempts.",
-		func(s TransportStats) uint64 { return s.Dials })
-	counter("terradir_transport_dial_errors_total", "Failed connection attempts.",
-		func(s TransportStats) uint64 { return s.DialErrors })
-	counter("terradir_transport_redials_total", "Successful dials replacing a previously established connection.",
-		func(s TransportStats) uint64 { return s.Redials })
-	counter("terradir_transport_corrupt_frames_total", "Inbound frames that failed framing or decoding.",
-		func(s TransportStats) uint64 { return s.CorruptFrames })
-	counter("terradir_transport_unknown_frames_total", "Well-framed inbound frames of an unrecognized kind (rolling upgrades), skipped without tearing down the connection.",
-		func(s TransportStats) uint64 { return s.UnknownFrames })
-	counter("terradir_transport_conn_errors_total", "Inbound connections terminated by a non-EOF error.",
-		func(s TransportStats) uint64 { return s.ConnErrors })
-	counter("terradir_transport_fault_drops_total", "Messages dropped by fault injection.",
-		func(s TransportStats) uint64 { return s.FaultDrops })
-	counter("terradir_transport_frames_read_total", "Frames read off inbound connections.",
-		func(s TransportStats) uint64 { return s.FramesRead })
-	counter("terradir_transport_read_batches_total", "Read-loop wakeups yielding >=1 frame; frames_read/read_batches is the receive-coalescing factor.",
-		func(s TransportStats) uint64 { return s.ReadBatches })
 	n.reg.GaugeFunc("terradir_transport_queue_depth", "Messages currently queued outbound.",
 		func() float64 { return float64(sr.Stats().QueueDepth) }, server...)
 	// The frames-per-read distribution can't be derived from counter
@@ -630,7 +603,6 @@ func (n *Node) enqueue(q *core.QueryMsg) bool {
 		return true
 	default:
 		n.dropped.Add(1)
-		n.inboxDrops.Inc()
 		return false
 	}
 }
@@ -645,12 +617,11 @@ func (n *Node) toLoop(env envelope) {
 }
 
 // toLoopOrDrop enqueues soft-state env onto the control queue if there is
-// room, counting a drop otherwise.
+// room, and drops it otherwise.
 func (n *Node) toLoopOrDrop(env envelope) {
 	select {
 	case n.control <- env:
 	default:
-		n.fastAbsorbDrops.Inc()
 	}
 }
 

@@ -206,12 +206,10 @@ type Store struct {
 	// loaders via AcquireIndex.
 	idx atomic.Pointer[Index]
 
-	walAppends  *telemetry.Counter
-	walBytes    *telemetry.Counter
-	replayRecs  *telemetry.Counter
-	snapshots   *telemetry.Counter
-	truncations *telemetry.Counter
-	snapDur     *telemetry.Histogram
+	walAppends *telemetry.Counter
+	walBytes   *telemetry.Counter
+	snapshots  *telemetry.Counter
+	snapDur    *telemetry.Histogram
 }
 
 // Open opens (creating if needed) the durability directory, replays the
@@ -228,12 +226,8 @@ func Open(dir string, opts Options) (*Store, *ReplayState, error) {
 			"WAL records appended.", opts.Labels...)
 		s.walBytes = reg.Counter("terradir_persist_wal_bytes_total",
 			"Bytes written to the WAL (including record framing).", opts.Labels...)
-		s.replayRecs = reg.Counter("terradir_persist_replay_records_total",
-			"Records replayed from snapshot+WAL at startup.", opts.Labels...)
 		s.snapshots = reg.Counter("terradir_persist_snapshots_total",
 			"Snapshots written.", opts.Labels...)
-		s.truncations = reg.Counter("terradir_persist_wal_truncations_total",
-			"Torn or corrupt WAL tails truncated during replay.", opts.Labels...)
 		s.snapDur = reg.Histogram("terradir_persist_snapshot_duration_seconds",
 			"Wall time to encode, write and fsync one snapshot.",
 			telemetry.HistogramOpts{Min: 1e-5, Max: 1e3, BucketsPerDecade: 5},
@@ -249,9 +243,6 @@ func Open(dir string, opts Options) (*Store, *ReplayState, error) {
 	}
 	if err := s.openSegmentLocked(s.seq + 1); err != nil {
 		return nil, nil, err
-	}
-	if s.replayRecs != nil {
-		s.replayRecs.Add(uint64(len(rs.Mutations)))
 	}
 	return s, rs, nil
 }

@@ -111,9 +111,6 @@ func (s *Store) replay() (*ReplayState, error) {
 		if err != nil {
 			rs.Truncated = true
 			s.opts.Logf("persist: wal %s: stopping replay at offset %d: %v", seg.path, good, err)
-			if s.truncations != nil {
-				s.truncations.Inc()
-			}
 			if i == len(segs)-1 {
 				// Torn tail of the live segment (kill -9 mid-append):
 				// truncate so the next segment generation starts clean.

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,7 +15,6 @@ import (
 // Handler builds the admin endpoint multiplexer:
 //
 //	/metrics       Prometheus text exposition of reg
-//	/debug/vars    expvar JSON (publish reg with PublishExpvar to include it)
 //	/debug/pprof/  runtime profiling
 //	/traces        JSON list of retained trace IDs
 //	/trace/<id>    JSON span dump of one trace (decimal id)
@@ -28,7 +26,6 @@ func Handler(reg *Registry, traces *TraceStore) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -69,7 +66,7 @@ func Handler(reg *Registry, traces *TraceStore) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "terradir admin: /metrics /debug/vars /debug/pprof/ /traces /trace/<id>\n")
+		fmt.Fprint(w, "terradir admin: /metrics /debug/pprof/ /traces /trace/<id>\n")
 	})
 	return mux
 }

@@ -1,18 +1,17 @@
 // Package telemetry is the observability subsystem of the live TerraDir
 // deployment: an allocation-light, concurrency-safe metrics registry
-// (atomic counters, gauges, function-backed metrics and fixed log-spaced-
-// bucket streaming histograms), a bounded per-lookup trace store, and an
-// HTTP admin handler exposing Prometheus text, expvar and pprof.
+// (atomic counters, scrape-time function-backed counters and gauges, and
+// fixed log-spaced-bucket streaming histograms), a bounded per-lookup trace
+// store, and an HTTP admin handler exposing Prometheus text and pprof.
 //
 // The package depends only on the standard library so every layer of the
 // system (core, overlay, cmd) can import it without cycles. Hot-path
-// operations (Counter.Inc, Gauge.Set, Histogram.Observe) are single atomic
+// operations (Counter.Inc, Histogram.Observe) are single atomic
 // updates with no locks or allocations; registration and scraping take the
 // registry lock.
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -33,26 +32,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; gauges are updated rarely relative to counters).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // metricKind tags a family's exposition type.
 type metricKind uint8
@@ -79,7 +58,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels string // rendered `{k="v",...}` or ""
 	ctr    *Counter
-	gauge  *Gauge
 	fn     func() float64 // function-backed counter or gauge
 	hist   *Histogram
 }
@@ -167,17 +145,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return s.ctr
 }
 
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getSeries(name, help, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil && s.fn == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // CounterFunc registers a function-backed counter (a cumulative value owned
 // elsewhere, e.g. a transport's atomic counters). fn is called at scrape
 // time. Re-registering replaces the function.
@@ -195,7 +162,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s.fn = fn
-	s.gauge = nil
 }
 
 // Histogram returns the streaming histogram for (name, labels) with the
@@ -217,8 +183,6 @@ func (s *series) value() float64 {
 		return s.fn()
 	case s.ctr != nil:
 		return float64(s.ctr.Value())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	}
 	return 0
 }
@@ -263,8 +227,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 // Snapshot returns every scalar metric keyed by "name{labels}"; histograms
-// contribute "_count" and "_sum" entries. Intended for shutdown dumps,
-// expvar and tests.
+// contribute "_count" and "_sum" entries. Intended for shutdown dumps and
+// tests.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range r.sortedFamilies() {
@@ -302,17 +266,6 @@ func (r *Registry) DumpNonZero(w io.Writer, prefix string) {
 	for _, name := range names {
 		fmt.Fprintf(w, "%s: metric %s = %g\n", prefix, name, snap[name])
 	}
-}
-
-// PublishExpvar exposes the registry's Snapshot under the given expvar name
-// (served at /debug/vars). Publishing the same name twice is a no-op (expvar
-// itself panics on duplicates, so the check matters for restarted
-// components sharing a process).
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 // formatValue renders a sample value: integers without exponent noise,

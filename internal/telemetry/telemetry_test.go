@@ -19,11 +19,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("x_total", "help") != c {
 		t.Fatal("re-registration returned a different counter")
 	}
-	g := r.Gauge("g", "help")
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v", g.Value())
+	v := 2.5
+	r.GaugeFunc("g", "help", func() float64 { return v })
+	v = 1.5
+	if got := r.Snapshot()["g"]; got != 1.5 {
+		t.Fatalf("gauge = %v", got)
 	}
 }
 
@@ -49,13 +49,13 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on kind mismatch")
 		}
 	}()
-	r.Gauge("x", "h")
+	r.GaugeFunc("x", "h", func() float64 { return 0 })
 }
 
 func TestPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "second", "server", "3").Add(7)
-	r.Gauge("a_gauge", "first").Set(1.25)
+	r.GaugeFunc("a_gauge", "first", func() float64 { return 1.25 })
 	r.CounterFunc("f_total", "func-backed", func() float64 { return 42 })
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
@@ -138,7 +138,6 @@ func TestHistogramPrometheusRender(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "h")
-	g := r.Gauge("g", "h")
 	h := r.Histogram("h_seconds", "h", HistogramOpts{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -147,7 +146,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%100) / 1000)
 				if i%100 == 0 {
 					_ = r.Snapshot()
@@ -158,9 +156,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d", c.Value())
-	}
-	if g.Value() != 8000 {
-		t.Fatalf("gauge = %v", g.Value())
 	}
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d", h.Count())

@@ -134,8 +134,8 @@ func TestAdminHandlerEndpoints(t *testing.T) {
 	if code, body := get("/traces"); code != 200 || !strings.Contains(body, "42") {
 		t.Fatalf("/traces: %d %q", code, body)
 	}
-	if code, _ := get("/debug/vars"); code != 200 {
-		t.Fatalf("/debug/vars: %d", code)
+	if code, _ := get("/debug/vars"); code != 404 {
+		t.Fatalf("/debug/vars: %d, want 404 (/metrics is the one exposition)", code)
 	}
 	if code, _ := get("/nope"); code != 404 {
 		t.Fatalf("unknown path: %d", code)

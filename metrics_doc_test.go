@@ -21,17 +21,15 @@ import (
 // TestMetricFamiliesDocumented boots every subsystem that registers metrics —
 // a TCP peer with membership, persistence and a bounded hot cache, and a
 // gateway in front of it — and requires each registered terradir_* family to
-// be named in README.md or DESIGN.md. A new metric must be documented (or
-// not added); one nobody reads is deleted rather than left undocumented.
+// have a row in DESIGN.md §8's metric tables whose reader cell is filled: the
+// bench/ column, test or operator question that reads it. A family nobody
+// reads is deleted rather than documented.
 func TestMetricFamiliesDocumented(t *testing.T) {
-	var docs []byte
-	for _, f := range []string{"README.md", "DESIGN.md"} {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, b...)
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
 	}
+	readers := metricReaders(b)
 
 	tree := namespace.NewBalanced(2, 6)
 	owned := make([]core.NodeID, tree.Len())
@@ -76,15 +74,33 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	}
 
 	var missing []string
-	for _, fam := range families(node.Registry(), gw.Registry()) {
-		if !bytes.Contains(docs, []byte(fam)) {
+	fams := families(node.Registry(), gw.Registry())
+	for _, fam := range fams {
+		if readers[fam] == "" {
 			missing = append(missing, fam)
 		}
 	}
 	if len(missing) > 0 {
-		t.Errorf("%d metric families are named in neither README.md nor DESIGN.md:\n  %s",
-			len(missing), strings.Join(missing, "\n  "))
+		t.Errorf("%d of %d metric families have no DESIGN.md §8 row naming a reader:\n  %s",
+			len(missing), len(fams), strings.Join(missing, "\n  "))
 	}
+}
+
+// metricReaders maps each family in the design's metric tables — rows of the
+// form | `name` | kind | meaning | reader | — to its reader cell.
+func metricReaders(design []byte) map[string]string {
+	out := map[string]string{}
+	for _, line := range strings.Split(string(design), "\n") {
+		cells := strings.Split(strings.TrimSpace(line), "|")
+		if len(cells) != 6 || cells[0] != "" || cells[5] != "" {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		if strings.HasPrefix(name, "terradir_") {
+			out[name] = strings.TrimSpace(cells[4])
+		}
+	}
+	return out
 }
 
 // families returns the sorted, de-duplicated family names the registries
