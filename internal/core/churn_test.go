@@ -24,7 +24,7 @@ func TestPurgeServerScrubsAllState(t *testing.T) {
 	mixed.AddRegular(dead, p.cfg.MapSize)
 	p.cache.Put(ids["/u/priv/people"], mixed) // survives with 1
 	p.storeDigest(dead, bloom.New(64, 2))
-	p.recordLoad(dead, 0.5, 0)
+	p.recordLoad(dead, 0.5)
 	p.recentAdverts = append(p.recentAdverts,
 		advertRecord{node: ids["/u/priv"], servers: []ServerID{dead}},
 		advertRecord{node: ids["/u/priv/people"], servers: []ServerID{1, dead}})

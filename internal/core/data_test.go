@@ -73,7 +73,7 @@ func TestDataReplyAbsorbsPiggy(t *testing.T) {
 	tree, ids := paperTree()
 	p := newTestPeer(t, tree, 0, []NodeID{ids["/u"]}, 1, DefaultConfig(), &fakeEnv{})
 	p.HandleControl(&DataReply{ReqID: 1, Node: ids["/u"], From: 7, Piggy: Piggyback{From: 7, Load: 0.6}})
-	if li, ok := p.knownLoads[7]; !ok || li.load != 0.6 {
+	if load, ok := p.knownLoads[7]; !ok || load != 0.6 {
 		t.Fatal("data reply rider not absorbed")
 	}
 }

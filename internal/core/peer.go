@@ -60,7 +60,7 @@ type Stats struct {
 	SessionsOK       int64
 	ControlSent      int64 // control (non-query, non-result) messages sent, SpanReports included
 	ResultsSent      int64 // Resolved + FailedTTL + FailedNoRoute
-	SpanReports      int64 // out-of-band trace span reports
+	SpanReports      int64 // trace span reports sent
 	StaleSelfPurged  int64 // self-entries removed from maps for non-hosted nodes
 
 	ServerPurges      int64 // PurgeServer invocations (one per detected death)
@@ -114,14 +114,8 @@ type neighborMapEntry struct {
 }
 
 type digestEntry struct {
-	server  ServerID
-	filter  *bloom.Filter
-	updated float64
-}
-
-type loadInfo struct {
-	load    float64
-	updated float64
+	server ServerID
+	filter *bloom.Filter
 }
 
 type advertRecord struct {
@@ -150,7 +144,7 @@ type Peer struct {
 	digestClock int // round-robin eviction cursor
 	scanClock   int // rotating shortcut-scan window cursor
 
-	knownLoads    map[ServerID]loadInfo
+	knownLoads    map[ServerID]float64
 	knownLoadKeys []ServerID // parallel key list for O(1) random eviction
 	loadBias      float64
 	sysLoadEst    float64 // mean of gossiped loads, refreshed each Maintain
@@ -226,7 +220,7 @@ func NewPeer(id ServerID, tree *namespace.Tree, cfg Config, env Env, src *rng.So
 			digests:      make(map[ServerID]*digestEntry),
 		},
 		hosted:         make(map[NodeID]*hostedNode),
-		knownLoads:     make(map[ServerID]loadInfo),
+		knownLoads:     make(map[ServerID]float64),
 		lastSessionEnd: math.Inf(-1),
 		resident:       residencyState{mutGen: 1},
 	}
@@ -445,11 +439,9 @@ func (p *Peer) storeDigest(server ServerID, f *bloom.Filter) {
 	if !p.cfg.DigestsEnabled || f == nil || server == p.ID || p.cfg.MaxDigests == 0 {
 		return
 	}
-	now := p.env.Now()
 	if e, ok := p.digests[server]; ok {
 		if f.Version() > e.filter.Version() {
 			e.filter = f
-			e.updated = now
 			p.pub.digests = true
 		}
 		return
@@ -463,12 +455,12 @@ func (p *Peer) storeDigest(server ServerID, f *bloom.Filter) {
 		p.digestClock++
 		victim := p.digestList[slot]
 		delete(p.digests, victim.server)
-		e := &digestEntry{server: server, filter: f, updated: now}
+		e := &digestEntry{server: server, filter: f}
 		p.digestList[slot] = e
 		p.digests[server] = e
 		return
 	}
-	e := &digestEntry{server: server, filter: f, updated: now}
+	e := &digestEntry{server: server, filter: f}
 	p.digests[server] = e
 	p.digestList = append(p.digestList, e)
 }
@@ -476,12 +468,12 @@ func (p *Peer) storeDigest(server ServerID, f *bloom.Filter) {
 // recordLoad notes a gossiped load observation. When the bounded table is
 // full a uniformly random resident entry is displaced — O(1), and since
 // loads refresh on every message the table self-repairs quickly.
-func (p *Peer) recordLoad(server ServerID, load, now float64) {
+func (p *Peer) recordLoad(server ServerID, load float64) {
 	if server == p.ID || server == NoServer {
 		return
 	}
 	if _, ok := p.knownLoads[server]; ok {
-		p.knownLoads[server] = loadInfo{load: load, updated: now}
+		p.knownLoads[server] = load
 		return
 	}
 	if len(p.knownLoadKeys) >= p.cfg.MaxKnownLoads {
@@ -491,7 +483,7 @@ func (p *Peer) recordLoad(server ServerID, load, now float64) {
 	} else {
 		p.knownLoadKeys = append(p.knownLoadKeys, server)
 	}
-	p.knownLoads[server] = loadInfo{load: load, updated: now}
+	p.knownLoads[server] = load
 }
 
 // KnownLoadCount returns the size of the gossiped-load table.
@@ -561,9 +553,8 @@ func (p *Peer) BatchTick() {
 
 // absorbPiggy ingests a received rider: load gossip, adverts, digests.
 func (p *Peer) absorbPiggy(pb *Piggyback) {
-	now := p.env.Now()
 	if pb.From != NoServer && pb.From != p.ID {
-		p.recordLoad(pb.From, pb.Load, now)
+		p.recordLoad(pb.From, pb.Load)
 	}
 	for i := range pb.Digests {
 		p.storeDigest(pb.Digests[i].Server, pb.Digests[i].Digest)
@@ -727,15 +718,14 @@ func (p *Peer) outgoingMap(node NodeID) NodeMap {
 func (p *Peer) Maintain() {
 	p.foldFastTouches()
 	now := p.env.Now()
-	if p.cfg.AdaptiveThigh {
-		sum, n := 0.0, 0
-		for _, li := range p.knownLoads {
-			sum += li.load
-			n++
+	if p.cfg.AdaptiveThigh && len(p.knownLoadKeys) > 0 {
+		// Summed in key-list order: map order is random, and float addition
+		// is not associative.
+		sum := 0.0
+		for _, s := range p.knownLoadKeys {
+			sum += p.knownLoads[s]
 		}
-		if n > 0 {
-			p.sysLoadEst = sum / float64(n)
-		}
+		p.sysLoadEst = sum / float64(len(p.knownLoadKeys))
 	}
 	p.loadBias *= 0.5
 	if math.Abs(p.loadBias) < 1e-4 {

@@ -195,15 +195,15 @@ func TestRecordLoadBoundedTable(t *testing.T) {
 	cfg.MaxKnownLoads = 8
 	p := newTestPeer(t, tree, 0, []NodeID{ids["/u"]}, 1, cfg, &fakeEnv{})
 	for s := ServerID(1); s <= 50; s++ {
-		p.recordLoad(s, 0.5, float64(s))
+		p.recordLoad(s, 0.5)
 	}
 	if p.KnownLoadCount() != 8 {
 		t.Fatalf("table size %d, want 8", p.KnownLoadCount())
 	}
 	// Updates of resident entries must not evict.
 	for s := range p.knownLoads {
-		p.recordLoad(s, 0.9, 100)
-		if p.knownLoads[s].load != 0.9 {
+		p.recordLoad(s, 0.9)
+		if p.knownLoads[s] != 0.9 {
 			t.Fatal("update failed")
 		}
 		break

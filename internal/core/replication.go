@@ -72,12 +72,12 @@ func (p *Peer) tryNextCandidate() {
 	p.sess.attempts++
 	var best ServerID = NoServer
 	bestLoad := 2.0
-	for s, li := range p.knownLoads {
+	for s, load := range p.knownLoads {
 		if s == p.ID || p.sess.tried[s] {
 			continue
 		}
-		if li.load < bestLoad || (li.load == bestLoad && (best == NoServer || s < best)) {
-			best, bestLoad = s, li.load
+		if load < bestLoad || (load == bestLoad && (best == NoServer || s < best)) {
+			best, bestLoad = s, load
 		}
 	}
 	if best == NoServer {
@@ -397,7 +397,7 @@ func (p *Peer) handleReplicateReply(msg *ReplicateReply) {
 		return
 	}
 	dest := msg.Session.From
-	p.recordLoad(dest, msg.Load, p.env.Now())
+	p.recordLoad(dest, msg.Load)
 	if len(msg.Accepted) == 0 {
 		p.tryNextCandidate()
 		return

@@ -26,7 +26,7 @@ func TestReplicationSessionEndToEnd(t *testing.T) {
 	}
 	n.envs[0].load = 0.95
 	n.envs[2].load = 0.05
-	p0.recordLoad(2, 0.05, 0)
+	p0.recordLoad(2, 0.05)
 
 	installed := map[NodeID]bool{}
 	n.peers[2].Hooks.OnReplicaInstalled = func(node NodeID, from ServerID) {
@@ -70,7 +70,7 @@ func TestReplicationBelowThreshold(t *testing.T) {
 	n, _ := hotColdNet(t, DefaultConfig())
 	p0 := n.peers[0]
 	n.envs[0].load = 0.5 // below Thigh
-	p0.recordLoad(2, 0.05, 0)
+	p0.recordLoad(2, 0.05)
 	p0.afterQuery()
 	if p0.SessionActive() || p0.StatsView().SessionsStarted != 0 {
 		t.Fatal("session started below Thigh")
@@ -83,7 +83,7 @@ func TestReplicationDisabledNoSessions(t *testing.T) {
 	n, _ := hotColdNet(t, cfg)
 	p0 := n.peers[0]
 	n.envs[0].load = 0.99
-	p0.recordLoad(2, 0.01, 0)
+	p0.recordLoad(2, 0.01)
 	p0.afterQuery()
 	if p0.SessionActive() {
 		t.Fatal("session started with replication disabled")
@@ -95,8 +95,8 @@ func TestReplicationGossipPreFilter(t *testing.T) {
 	n, _ := hotColdNet(t, DefaultConfig())
 	p0 := n.peers[0]
 	n.envs[0].load = 0.95
-	p0.recordLoad(1, 0.92, 0)
-	p0.recordLoad(2, 0.9, 0)
+	p0.recordLoad(1, 0.92)
+	p0.recordLoad(2, 0.9)
 	p0.afterQuery()
 	if p0.SessionActive() {
 		t.Fatal("session should have aborted on the gossip pre-filter")
@@ -117,7 +117,7 @@ func TestReplicationDestinationRefusesSmallGap(t *testing.T) {
 	}
 	n.envs[0].load = 0.95
 	n.envs[2].load = 0.9 // real load high, gossip stale-low
-	p0.recordLoad(2, 0.05, 0)
+	p0.recordLoad(2, 0.05)
 	p0.afterQuery()
 	n.deliverAll()
 	// Probe reply reveals ld=0.9: gap < DeltaMin -> attempt fails; with no
@@ -139,7 +139,7 @@ func TestReplicationCooldown(t *testing.T) {
 	n, _ := hotColdNet(t, cfg)
 	p0 := n.peers[0]
 	n.envs[0].load = 0.95
-	p0.recordLoad(1, 0.91, 0) // pre-filter abort
+	p0.recordLoad(1, 0.91) // pre-filter abort
 	p0.afterQuery()
 	if p0.StatsView().SessionsStarted != 1 {
 		t.Fatal("first session missing")
@@ -161,7 +161,7 @@ func TestReplicationProbeTimeout(t *testing.T) {
 	n, _ := hotColdNet(t, cfg)
 	p0 := n.peers[0]
 	n.envs[0].load = 0.95
-	p0.recordLoad(2, 0.05, 0)
+	p0.recordLoad(2, 0.05)
 	p0.afterQuery()
 	if !p0.SessionActive() {
 		t.Fatal("session not started")
@@ -391,7 +391,7 @@ func TestSessionTimeoutIgnoredAfterCompletion(t *testing.T) {
 	}
 	n.envs[0].load = 0.95
 	n.envs[2].load = 0.05
-	p0.recordLoad(2, 0.05, 0)
+	p0.recordLoad(2, 0.05)
 	p0.afterQuery()
 	n.deliverAll() // completes the session
 	aborted := p0.StatsView().SessionsAborted
@@ -445,8 +445,8 @@ func TestAdaptiveThighSuppressesSessionsNearCapacity(t *testing.T) {
 	p0 := n.peers[0]
 	// Everyone is hot: estimated system utilization ≈ 0.9.
 	n.envs[0].load = 0.92
-	p0.recordLoad(1, 0.9, 0)
-	p0.recordLoad(2, 0.88, 0)
+	p0.recordLoad(1, 0.9)
+	p0.recordLoad(2, 0.88)
 	p0.Maintain() // refresh the system-load estimate
 	p0.afterQuery()
 	if p0.StatsView().SessionsStarted != 0 {
@@ -458,8 +458,8 @@ func TestAdaptiveThighSuppressesSessionsNearCapacity(t *testing.T) {
 	n2, _ := hotColdNet(t, cfg2)
 	q0 := n2.peers[0]
 	n2.envs[0].load = 0.92
-	q0.recordLoad(1, 0.1, 0)
-	q0.recordLoad(2, 0.15, 0)
+	q0.recordLoad(1, 0.1)
+	q0.recordLoad(2, 0.15)
 	q0.Maintain()
 	q0.afterQuery()
 	if q0.StatsView().SessionsStarted != 1 {

@@ -10,7 +10,6 @@ import (
 	"terradir/internal/bloom"
 	"terradir/internal/namespace"
 	"terradir/internal/rng"
-	"terradir/internal/telemetry"
 )
 
 // Differential test of the routing decision's two executors (ROADMAP: "fast
@@ -139,17 +138,16 @@ func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg) {
 
 	hosted := func() NodeID { return p.hostedList[g.Intn(len(p.hostedList))].id }
 	q := &QueryMsg{
-		QueryID:    uint64(1 + g.Intn(1000)),
-		Dest:       node(),
-		Source:     3,
-		OnBehalf:   namespace.Invalid,
-		Hops:       pick(0, cfg.MaxHops/2, cfg.MaxHops, g.Intn(cfg.MaxHops)),
-		Started:    1.5,
-		PrevDist:   int32(g.Intn(8)),
-		SpanBudget: int32(pick(0, 1, 4)),
-		Enqueued:   9.5,
-		ServedAt:   9.75,
-		Piggy:      Piggyback{From: NoServer},
+		QueryID:  uint64(1 + g.Intn(1000)),
+		Dest:     node(),
+		Source:   3,
+		OnBehalf: namespace.Invalid,
+		Hops:     pick(0, cfg.MaxHops/2, cfg.MaxHops, g.Intn(cfg.MaxHops)),
+		Started:  1.5,
+		PrevDist: int32(g.Intn(8)),
+		Enqueued: 9.5,
+		ServedAt: 9.75,
+		Piggy:    Piggyback{From: NoServer},
 	}
 	switch g.Intn(8) {
 	case 0:
@@ -176,9 +174,6 @@ func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg) {
 	}
 	if g.Intn(3) != 0 {
 		q.TraceID = 77
-		for k := g.Intn(3); k > 0; k-- {
-			q.Spans = append(q.Spans, telemetry.Span{Seq: int32(k), Server: int32(server())})
-		}
 	}
 	return p, env, q
 }
@@ -186,7 +181,6 @@ func diffWorld(tb testing.TB, seed uint64) (*Peer, *fakeEnv, *QueryMsg) {
 func cloneQuery(q *QueryMsg) *QueryMsg {
 	c := *q
 	c.Path = append([]PathEntry(nil), q.Path...)
-	c.Spans = append([]telemetry.Span(nil), q.Spans...)
 	return &c
 }
 

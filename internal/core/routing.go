@@ -406,7 +406,7 @@ func (v *routeView) keepFor(node NodeID) func(ServerID) bool {
 }
 
 // tally counts a final decision in the executor's ledger: one cell for the
-// decision, and one for the out-of-band span report a traced query sends.
+// decision, and one for the span report a traced query sends.
 func (d *routeDecision) tally(q *QueryMsg, l *ledger) {
 	if q.TraceID != 0 {
 		l.inc(ctrSpanReports)
@@ -439,15 +439,14 @@ type messageSource interface {
 }
 
 // emit builds and sends the messages a final decision implies: for a traced
-// query this hop's span — appended to the in-band chain while under budget,
-// and always reported out-of-band to the initiating server, which is what
-// survives a query lost mid-route — then the forwarded query, the result, or
-// the failure. now closes the span's service time. Riders are drawn span
-// first, message second. A rider addressed to an edge client (IsClient)
-// carries no digests: §3.6's digests serve routing and map pruning, and a
-// client does neither. A result for a client carries its answer once: the
-// client caches Dest and Map from the result itself, so the path gets no entry
-// repeating them.
+// query this hop's span, reported to the initiating server (the report is the
+// trace, so a query lost mid-route still leaves its prefix), then the
+// forwarded query, the result, or the failure. now closes the span's service
+// time. Riders are drawn span first, message second. A rider addressed to an
+// edge client (IsClient) carries no digests: §3.6's digests serve routing and
+// map pruning, and a client does neither. A result for a client carries its
+// answer once: the client caches Dest and Map from the result itself, so the
+// path gets no entry repeating them.
 //
 // Paths are append-only: a handler extends a received path in place, past
 // its length, and pathRoom trims into a fresh slice, so an entry that has been
@@ -456,7 +455,6 @@ type messageSource interface {
 // without copies.
 func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messageSource, send func(ServerID, Message)) {
 	toServer := !IsClient(q.Source)
-	spans := q.Spans
 	if q.TraceID != 0 {
 		sp := telemetry.Span{Seq: int32(q.Hops), Server: int32(v.self), Node: int32(d.node), Reason: d.reason}
 		if q.ServedAt > 0 {
@@ -467,9 +465,6 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 				sp.ServiceMicros = int64((now - q.ServedAt) * 1e6)
 			}
 		}
-		if q.SpanBudget <= 0 || int32(len(spans)) < q.SpanBudget {
-			spans = append(spans, sp)
-		}
 		send(q.Source, &TraceSpanMsg{TraceID: q.TraceID, Span: sp, Piggy: from.rider(toServer)})
 	}
 	if d.kind == routeForward {
@@ -478,18 +473,16 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 			path = append(path, PathEntry{Node: d.closest.id, Map: from.outgoingMap(d.closest.id)})
 		}
 		send(d.target, &QueryMsg{
-			QueryID:    q.QueryID,
-			Dest:       q.Dest,
-			Source:     q.Source,
-			OnBehalf:   d.node,
-			Hops:       q.Hops + 1,
-			Started:    q.Started,
-			PrevDist:   int32(d.newDist),
-			Path:       path,
-			TraceID:    q.TraceID,
-			SpanBudget: q.SpanBudget,
-			Spans:      spans,
-			Piggy:      from.rider(true),
+			QueryID:  q.QueryID,
+			Dest:     q.Dest,
+			Source:   q.Source,
+			OnBehalf: d.node,
+			Hops:     q.Hops + 1,
+			Started:  q.Started,
+			PrevDist: int32(d.newDist),
+			Path:     path,
+			TraceID:  q.TraceID,
+			Piggy:    from.rider(true),
 		})
 		return
 	}
@@ -505,7 +498,6 @@ func (v *routeView) emit(q *QueryMsg, d *routeDecision, now float64, from messag
 		Started: q.Started,
 		Path:    q.Path,
 		TraceID: q.TraceID,
-		Spans:   spans,
 	}
 	if res.OK {
 		res.Meta, res.Map = from.answer(d.dest)

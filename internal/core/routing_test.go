@@ -262,7 +262,7 @@ func TestLoadGossipPropagates(t *testing.T) {
 		if i == 3 {
 			continue
 		}
-		if li, ok := p.knownLoads[3]; ok && li.load > 0.8 {
+		if load, ok := p.knownLoads[3]; ok && load > 0.8 {
 			known++
 		}
 	}

@@ -21,7 +21,7 @@ const (
 	ctrDigestShortcuts // forward via a digest hit
 	ctrContextHops     // forward via neighbor context
 
-	ctrSpanReports // out-of-band trace span reports
+	ctrSpanReports // trace span reports sent
 	ctrSendControl // replication control messages (sendControl)
 	ctrReplicaInstalls
 	ctrReplicaEvictions
@@ -110,7 +110,7 @@ func (p *Peer) AttachTelemetry(reg *telemetry.Registry, labels ...string) {
 	family("terradir_digest_shortcuts_total", "Forwards redirected by an inverse-mapping digest hit (§3.6.1).", ctrDigestShortcuts)
 	family("terradir_replica_installs_total", "Replicas installed on this server.", ctrReplicaInstalls)
 	family("terradir_replica_evictions_total", "Replicas evicted from this server (Frepl bound or age).", ctrReplicaEvictions)
-	family("terradir_trace_span_reports_total", "Out-of-band trace span reports sent to query initiators.", ctrSpanReports)
+	family("terradir_trace_span_reports_total", "Trace span reports sent to query initiators.", ctrSpanReports)
 	family("terradir_ownership_adoptions_total", "Namespace nodes provisionally adopted from dead owners.", ctrOwnershipAdopts)
 	family("terradir_ownership_releases_total", "Adopted namespace nodes handed back to returned owners.", ctrOwnershipReleases)
 	p.tel = &peerTelemetry{

@@ -76,14 +76,9 @@ type QueryMsg struct {
 	Path []PathEntry
 
 	// TraceID identifies the lookup's distributed trace; 0 means untraced.
-	// Every server on the route appends a telemetry.Span describing its hop.
+	// Every server on the route reports a telemetry.Span describing its hop
+	// to the initiator (TraceSpanMsg).
 	TraceID uint64
-	// SpanBudget bounds the in-band span chain (stale-state loops must not
-	// grow the message unboundedly); hops past the budget still report
-	// out-of-band but are dropped from the in-band chain.
-	SpanBudget int32
-	// Spans is the in-band span chain accumulated along the route.
-	Spans []telemetry.Span
 
 	// Enqueued and ServedAt are driver-local timestamps (seconds) set by the
 	// hosting server when the query enters its request queue and when service
@@ -108,20 +103,19 @@ type ResultMsg struct {
 	Meta    Meta
 	Map     NodeMap // mapping for the resolved node (lookup semantics §2.1)
 	Path    []PathEntry
-	// TraceID and Spans carry the lookup's completed trace back to the
-	// initiator (TraceID 0 = untraced).
+	// TraceID names the lookup's trace (0 = untraced); the initiator closes
+	// its record on this result.
 	TraceID uint64
-	Spans   []telemetry.Span
 	Piggy   Piggyback
 }
 
 func (*ResultMsg) kind() string { return "result" }
 
-// TraceSpanMsg is the out-of-band per-hop span report sent to the query's
-// initiating server as the query routes. It is redundant with the in-band
-// chain for completed lookups, but it is what survives when the query itself
-// is lost mid-route: the initiator's trace store then holds a truncated
-// prefix of the route instead of nothing.
+// TraceSpanMsg is the per-hop span report sent to the query's initiating
+// server as the query routes; it is the only span carrier, so the
+// initiator's trace store assembles the trace from these reports. When the
+// query itself is lost mid-route the store holds a truncated prefix of the
+// route instead of nothing.
 type TraceSpanMsg struct {
 	TraceID uint64
 	Span    telemetry.Span

@@ -107,12 +107,9 @@ type LookupResult struct {
 	Hosts   []core.ServerID
 	Hops    int
 	Latency time.Duration
-	// TraceID identifies the lookup's distributed trace (0 = untraced).
+	// TraceID identifies the lookup's distributed trace (0 = untraced); its
+	// spans are in Node.Traces(), assembled from each hop's report.
 	TraceID uint64
-	// Trace is the per-hop span chain the result carried back: one span per
-	// server on the route, in hop order, with queue-wait/service timings and
-	// the forwarding mechanism each hop used.
-	Trace []telemetry.Span
 }
 
 // Transport delivers messages between nodes. Implementations must be safe
@@ -718,12 +715,11 @@ func (n *Node) completeLookup(r *core.ResultMsg) {
 		Hops:    r.Hops,
 		Latency: time.Duration((time.Since(n.epoch).Seconds() - r.Started) * float64(time.Second)),
 		TraceID: r.TraceID,
-		Trace:   append([]telemetry.Span(nil), r.Spans...),
 	}
 	res.Hosts = append(res.Hosts, r.Map.Servers...)
 	n.latencyHist.Observe(res.Latency.Seconds())
 	n.hopsHist.Observe(float64(res.Hops))
-	n.traces.Complete(r.TraceID, r.Spans, r.OK, r.Hops)
+	n.traces.Complete(r.TraceID, r.OK, r.Hops)
 	ch <- res
 }
 
@@ -762,14 +758,7 @@ func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, erro
 		Path: make([]core.PathEntry, 0, 8),
 	}
 	q.Enqueued = q.Started
-	if id := n.traceID(qid); id != 0 {
-		q.TraceID = id
-		// Budget: the full route plus the resolving hop, with one spare for
-		// the rare route that ends exactly at MaxHops.
-		q.SpanBudget = int32(n.opts.Config.MaxHops) + 2
-		// Pre-reserve the whole budget so per-hop appends never reallocate.
-		q.Spans = make([]telemetry.Span, 0, q.SpanBudget)
-	}
+	q.TraceID = n.traceID(qid)
 	if !n.fastServe(q) && !n.enqueue(q) {
 		n.mu.Lock()
 		delete(n.pending, qid)

@@ -10,60 +10,64 @@ import (
 	"terradir/internal/telemetry"
 )
 
-// TestTCPLookupTraceEndToEnd routes a traced lookup between two live TCP
-// peers and checks that the result's span chain describes the route: one
-// span per hop in Seq order, the first produced by the initiating server,
-// the last a resolve at the destination's owner — and that the initiator's
-// trace store holds the same, complete, record.
+// TestTCPLookupTraceEndToEnd routes traced lookups and checks that, when
+// Lookup returns, the initiator's trace store — assembled from each hop's span
+// report — holds a complete record describing the route: one span per hop in
+// Seq order, the first produced by the initiating server, the last a resolve
+// at the destination's owner. Both cases are exact. Over two TCP peers hop 0
+// reports synchronously and the other peer's reports share one connection
+// with the result; in process every hop's report is delivered inline before
+// that hop forwards or answers.
 func TestTCPLookupTraceEndToEnd(t *testing.T) {
-	nodes, _, _ := startTCPPairNodes(t, TCPTransportOptions{}, Options{TraceSample: 1})
-	owner := Assign(testTree(), 2, 7)
-	dest := ownedByServer(t, owner, 1)
+	t.Run("tcp-pair", func(t *testing.T) {
+		nodes, _, _ := startTCPPairNodes(t, TCPTransportOptions{}, Options{TraceSample: 1})
+		owner := Assign(testTree(), 2, 7)
+		dest := ownedByServer(t, owner, 1)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := nodes[0].Lookup(ctx, dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := nodes[0].Lookup(ctx, dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLookupTrace(t, nodes[0], res, owner[dest])
+	})
+	t.Run("in-process", func(t *testing.T) {
+		c := startLocal(t, 8, func(o *LocalClusterOptions) { o.Node.TraceSample = 1 })
+		tree := c.Tree()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		// Cold leaves owned elsewhere, deepest-numbered first, until one
+		// route takes at least two hops; every lookup's record is checked.
+		for nd := core.NodeID(tree.Len() - 1); nd > 0; nd-- {
+			if c.OwnerOf(nd) == 0 {
+				continue
+			}
+			res, err := c.Lookup(ctx, 0, nd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLookupTrace(t, c.Node(0), res, c.OwnerOf(nd))
+			if res.Hops >= 2 {
+				return
+			}
+		}
+		t.Fatal("no lookup took two or more hops")
+	})
+}
+
+// checkLookupTrace asserts that res succeeded, was traced, and that the
+// initiator's trace store already holds its complete record.
+func checkLookupTrace(t *testing.T, initiator *Node, res LookupResult, owner core.ServerID) {
+	t.Helper()
 	if !res.OK {
 		t.Fatalf("lookup failed: %s", res.Reason)
 	}
 	if res.TraceID == 0 {
 		t.Fatal("lookup not traced despite TraceSample=1")
 	}
-	if len(res.Trace) != res.Hops+1 {
-		t.Fatalf("trace has %d spans for %d hops, want %d", len(res.Trace), res.Hops, res.Hops+1)
-	}
-	for i, sp := range res.Trace {
-		if int(sp.Seq) != i {
-			t.Fatalf("span %d has Seq %d: chain not contiguous: %+v", i, sp.Seq, res.Trace)
-		}
-		if sp.QueueWaitMicros < 0 || sp.ServiceMicros < 0 {
-			t.Fatalf("span %d has negative timing: %+v", i, sp)
-		}
-	}
-	if res.Trace[0].Server != 0 {
-		t.Fatalf("first span from server %d, want the initiator 0", res.Trace[0].Server)
-	}
-	last := res.Trace[len(res.Trace)-1]
-	if last.Reason != telemetry.HopResolve {
-		t.Fatalf("terminal span reason %s, want resolve", last.Reason)
-	}
-	if last.Server != int32(owner[dest]) || last.Node != int32(dest) {
-		t.Fatalf("resolve span at server %d for node %d, want %d/%d",
-			last.Server, last.Node, owner[dest], dest)
-	}
-	for _, sp := range res.Trace[:len(res.Trace)-1] {
-		switch sp.Reason {
-		case telemetry.HopParent, telemetry.HopChild, telemetry.HopCache, telemetry.HopReplica:
-		default:
-			t.Fatalf("intermediate span has non-forwarding reason %s: %+v", sp.Reason, sp)
-		}
-	}
-
 	// Complete is called before Lookup returns, so the store is settled.
-	rec, ok := nodes[0].Traces().Get(res.TraceID)
+	rec, ok := initiator.Traces().Get(res.TraceID)
 	if !ok {
 		t.Fatal("trace store has no record for the lookup")
 	}
@@ -73,14 +77,40 @@ func TestTCPLookupTraceEndToEnd(t *testing.T) {
 	if rec.Truncated() {
 		t.Fatalf("completed trace reads as truncated: %+v", rec.Spans)
 	}
-	if len(rec.Spans) != len(res.Trace) {
-		t.Fatalf("store kept %d spans, result carried %d", len(rec.Spans), len(res.Trace))
+	if len(rec.Spans) != res.Hops+1 {
+		t.Fatalf("trace has %d spans for %d hops, want %d", len(rec.Spans), res.Hops, res.Hops+1)
+	}
+	for i, sp := range rec.Spans {
+		if int(sp.Seq) != i {
+			t.Fatalf("span %d has Seq %d: chain not contiguous: %+v", i, sp.Seq, rec.Spans)
+		}
+		if sp.QueueWaitMicros < 0 || sp.ServiceMicros < 0 {
+			t.Fatalf("span %d has negative timing: %+v", i, sp)
+		}
+	}
+	if rec.Spans[0].Server != int32(initiator.ID()) {
+		t.Fatalf("first span from server %d, want the initiator %d", rec.Spans[0].Server, initiator.ID())
+	}
+	last := rec.Spans[len(rec.Spans)-1]
+	if last.Reason != telemetry.HopResolve {
+		t.Fatalf("terminal span reason %s, want resolve", last.Reason)
+	}
+	if last.Server != int32(owner) || last.Node != int32(res.Node) {
+		t.Fatalf("resolve span at server %d for node %d, want %d/%d",
+			last.Server, last.Node, owner, res.Node)
+	}
+	for _, sp := range rec.Spans[:len(rec.Spans)-1] {
+		switch sp.Reason {
+		case telemetry.HopParent, telemetry.HopChild, telemetry.HopCache, telemetry.HopReplica:
+		default:
+			t.Fatalf("intermediate span has non-forwarding reason %s: %+v", sp.Reason, sp)
+		}
 	}
 }
 
 // TestTCPLookupTraceTruncatedOnDrop injects a fault that swallows the query
-// as it leaves the initiator: the lookup times out, but the out-of-band span
-// report from hop 0 has already reached the initiator's trace store, leaving
+// as it leaves the initiator: the lookup times out, but the span report from
+// hop 0 has already reached the initiator's trace store, leaving
 // a partial record that reads as truncated — the observable a dropped query
 // is supposed to leave behind.
 func TestTCPLookupTraceTruncatedOnDrop(t *testing.T) {

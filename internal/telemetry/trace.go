@@ -53,10 +53,9 @@ func (r HopReason) MarshalJSON() ([]byte, error) {
 
 // Span is one hop's record in a per-lookup trace: who served it, on behalf
 // of which namespace node, why it was forwarded (or resolved), and how long
-// the query waited in the server's queue and was serviced. Spans are
-// appended in-band to the query as it routes and additionally reported
-// out-of-band to the initiating server, so a trace survives — truncated —
-// even when the query itself is lost mid-route.
+// the query waited in the server's queue and was serviced. Each hop reports
+// its span to the initiating server as the query routes, so a trace survives
+// — truncated — even when the query itself is lost mid-route.
 type Span struct {
 	// Seq is the hop index (0 = the initiating server's own service step).
 	Seq int32
@@ -90,7 +89,7 @@ type TraceRecord struct {
 
 // Truncated reports whether the span chain is incomplete: the lookup never
 // completed (query or result lost in flight), or spans are missing relative
-// to the hop count — either lost span reports or an exhausted span budget.
+// to the hop count (lost or still in-flight span reports).
 // An in-flight trace reads as truncated until its result lands.
 func (tr *TraceRecord) Truncated() bool {
 	if !tr.Done {
@@ -157,9 +156,8 @@ func (s *TraceStore) record(id uint64) *TraceRecord {
 	return tr
 }
 
-// AddSpan folds one out-of-band span report into the trace, keeping spans
-// Seq-ordered. Duplicate sequence numbers are ignored (the in-band copy may
-// arrive alongside the report).
+// AddSpan folds one hop's span report into the trace, keeping spans
+// Seq-ordered. Duplicate sequence numbers are ignored.
 func (s *TraceStore) AddSpan(id uint64, sp Span) {
 	if id == 0 {
 		return
@@ -171,18 +169,14 @@ func (s *TraceStore) AddSpan(id uint64, sp Span) {
 	tr.Updated = s.now()
 }
 
-// Complete marks a trace finished with the lookup outcome and merges the
-// in-band span chain carried by the result.
-func (s *TraceStore) Complete(id uint64, spans []Span, ok bool, hops int) {
+// Complete marks a trace finished with the lookup outcome.
+func (s *TraceStore) Complete(id uint64, ok bool, hops int) {
 	if id == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tr := s.record(id)
-	for _, sp := range spans {
-		tr.insert(sp)
-	}
 	tr.Done = true
 	tr.OK = ok
 	tr.Hops = hops

@@ -11,7 +11,7 @@ import (
 
 func TestTraceStoreCompleteAndTruncated(t *testing.T) {
 	s := NewTraceStore(4)
-	// Out-of-band spans arrive per hop, possibly out of order.
+	// Span reports arrive per hop, possibly out of order.
 	s.AddSpan(7, Span{Seq: 1, Server: 2, Reason: HopChild})
 	s.AddSpan(7, Span{Seq: 0, Server: 1, Reason: HopParent})
 	tr, ok := s.Get(7)
@@ -21,13 +21,10 @@ func TestTraceStoreCompleteAndTruncated(t *testing.T) {
 	if !tr.Truncated() {
 		t.Fatal("in-flight trace must read as truncated")
 	}
-	// Result lands with the in-band chain (duplicates of the reports plus
-	// the resolving hop).
-	s.Complete(7, []Span{
-		{Seq: 0, Server: 1, Reason: HopParent},
-		{Seq: 1, Server: 2, Reason: HopChild},
-		{Seq: 2, Server: 3, Reason: HopResolve},
-	}, true, 2)
+	// A duplicate report, then the resolving hop's report and the result.
+	s.AddSpan(7, Span{Seq: 1, Server: 2, Reason: HopChild})
+	s.AddSpan(7, Span{Seq: 2, Server: 3, Reason: HopResolve})
+	s.Complete(7, true, 2)
 	tr, _ = s.Get(7)
 	if !tr.Done || !tr.OK || tr.Hops != 2 {
 		t.Fatalf("completed trace = %+v", tr)
@@ -49,7 +46,8 @@ func TestTraceStoreTruncatedOnGapOrShortfall(t *testing.T) {
 	s := NewTraceStore(4)
 	// Hop 1's report was lost; result claims 2 hops.
 	s.AddSpan(9, Span{Seq: 0, Server: 1})
-	s.Complete(9, []Span{{Seq: 2, Server: 3, Reason: HopResolve}}, true, 2)
+	s.AddSpan(9, Span{Seq: 2, Server: 3, Reason: HopResolve})
+	s.Complete(9, true, 2)
 	tr, _ := s.Get(9)
 	if !tr.Truncated() {
 		t.Fatal("gap in Seq must read as truncated")
@@ -83,7 +81,7 @@ func TestTraceStoreFIFOEviction(t *testing.T) {
 func TestTraceStoreIgnoresZeroID(t *testing.T) {
 	s := NewTraceStore(2)
 	s.AddSpan(0, Span{})
-	s.Complete(0, nil, true, 0)
+	s.Complete(0, true, 0)
 	if s.Len() != 0 {
 		t.Fatal("id 0 (untraced) must not create records")
 	}
@@ -93,7 +91,8 @@ func TestAdminHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up_total", "h").Inc()
 	traces := NewTraceStore(4)
-	traces.Complete(42, []Span{{Seq: 0, Server: 1, Reason: HopResolve}}, true, 0)
+	traces.AddSpan(42, Span{Seq: 0, Server: 1, Reason: HopResolve})
+	traces.Complete(42, true, 0)
 	srv := httptest.NewServer(Handler(reg, traces))
 	defer srv.Close()
 

@@ -5,7 +5,6 @@ import (
 
 	"terradir/internal/bloom"
 	"terradir/internal/core"
-	"terradir/internal/telemetry"
 )
 
 // benchQuery builds a representative mid-route query: a few path entries, a
@@ -25,12 +24,8 @@ func benchQuery() *core.QueryMsg {
 			{Node: 9, Map: core.SingleServerMap(4)},
 			{Node: 40, Map: core.NodeMap{Servers: []core.ServerID{1, 7}, NumAdvertised: 1}},
 		},
-		TraceID:    0xdeadbeef,
-		SpanBudget: 30,
-		Spans: []telemetry.Span{
-			{Seq: 0, Server: 3, Node: 12, Reason: telemetry.HopChild, QueueWaitMicros: 11, ServiceMicros: 95},
-		},
-		Piggy: samplePiggy(),
+		TraceID: 0xdeadbeef,
+		Piggy:   samplePiggy(),
 	}
 }
 
@@ -48,11 +43,7 @@ func benchResult() *core.ResultMsg {
 			{Node: 731, Map: core.SingleServerMap(5)},
 		},
 		TraceID: 0xdeadbeef,
-		Spans: []telemetry.Span{
-			{Seq: 0, Server: 3, Node: 12, Reason: telemetry.HopChild, QueueWaitMicros: 11, ServiceMicros: 95},
-			{Seq: 1, Server: 5, Node: 731, Reason: telemetry.HopResolve, QueueWaitMicros: 2, ServiceMicros: 40},
-		},
-		Piggy: samplePiggy(),
+		Piggy:   samplePiggy(),
 	}
 }
 

@@ -30,12 +30,16 @@ import (
 // persistence-tier reconcile fields (per-update has-state flag, rejoiner
 // incarnation + Bloom digest, the reconcile/reconcile-ack kinds) and fixed
 // the hosted-record layout that WAL records and snapshots reuse
-// (AppendHosted/DecodeHosted). Version ≥4 frames lead with the Magic byte;
+// (AppendHosted/DecodeHosted); version 7 removed the in-band span chain
+// from query and result frames (the query's span budget and span array, the
+// result's span array), leaving the trace-span frame the only span carrier.
+// Version ≥4 frames lead with the Magic byte;
 // versions 1–3 led with the kind tag directly (1..10, disjoint from Magic),
 // so the decoder rejects their frames as an unknown frame marker.
 // Mixed-version deployments are not supported; v6 changed the membership
-// frame layout, so v4/v5 membership frames do not decode.
-const Version = 6
+// frame layout, so v4/v5 membership frames do not decode, and v7 changed the
+// query and result layouts, so v6 query and result frames do not decode.
+const Version = 7
 
 // Magic is the first byte of every version-4 frame. It is disjoint from the
 // kind-tag range (1..10) that led wire ≤3 frames, so such a frame can never
@@ -99,8 +103,6 @@ func AppendMessage(dst []byte, m core.Message) ([]byte, error) {
 		b = appendI32(b, v.PrevDist)
 		b = appendPath(b, v.Path)
 		b = binary.LittleEndian.AppendUint64(b, v.TraceID)
-		b = appendI32(b, v.SpanBudget)
-		b = appendSpans(b, v.Spans)
 		return appendPiggy(b, v.Piggy), nil
 	case *core.ResultMsg:
 		b := append(dst, Magic, kindResult)
@@ -114,7 +116,6 @@ func AppendMessage(dst []byte, m core.Message) ([]byte, error) {
 		b = appendNodeMap(b, v.Map)
 		b = appendPath(b, v.Path)
 		b = binary.LittleEndian.AppendUint64(b, v.TraceID)
-		b = appendSpans(b, v.Spans)
 		return appendPiggy(b, v.Piggy), nil
 	case *core.TraceSpanMsg:
 		b := append(dst, Magic, kindTraceSpan)
@@ -259,14 +260,6 @@ func appendSpan(b []byte, s telemetry.Span) []byte {
 	b = append(b, uint8(s.Reason))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.QueueWaitMicros))
 	return binary.LittleEndian.AppendUint64(b, uint64(s.ServiceMicros))
-}
-
-func appendSpans(b []byte, spans []telemetry.Span) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(spans)))
-	for _, s := range spans {
-		b = appendSpan(b, s)
-	}
-	return b
 }
 
 func appendMeta(b []byte, m core.Meta) []byte {
@@ -415,7 +408,6 @@ func (r *reader) bytes() []byte {
 const (
 	minServer  = 4
 	minPath    = 12 // node + servers count + NumAdvertised
-	minSpan    = 29
 	minAdvert  = 8
 	minDigest  = 8
 	minPayload = 36
@@ -463,18 +455,6 @@ func (r *reader) span() telemetry.Span {
 		QueueWaitMicros: int64(r.u64()),
 		ServiceMicros:   int64(r.u64()),
 	}
-}
-
-func (r *reader) spans() []telemetry.Span {
-	n := r.count(minSpan)
-	if n == 0 {
-		return nil
-	}
-	out := make([]telemetry.Span, n)
-	for i := range out {
-		out[i] = r.span()
-	}
-	return out
 }
 
 func (r *reader) meta() core.Meta {
@@ -539,14 +519,14 @@ func Decode(data []byte) (core.Message, error) {
 		q := &core.QueryMsg{QueryID: r.u64(), Dest: core.NodeID(r.i32()),
 			Source: core.ServerID(r.i32()), OnBehalf: core.NodeID(r.i32()),
 			Hops: int(r.i32()), Started: r.f64(), PrevDist: r.i32(), Path: r.path(),
-			TraceID: r.u64(), SpanBudget: r.i32(), Spans: r.spans()}
+			TraceID: r.u64()}
 		q.Piggy = r.piggy()
 		m = q
 	case kindResult:
 		res := &core.ResultMsg{QueryID: r.u64(), Dest: core.NodeID(r.i32()),
 			OK: r.boolean(), Reason: core.FailReason(r.u8()), Hops: int(r.i32()),
 			Started: r.f64(), Meta: r.meta(), Map: r.nodeMap(), Path: r.path(),
-			TraceID: r.u64(), Spans: r.spans()}
+			TraceID: r.u64()}
 		res.Piggy = r.piggy()
 		m = res
 	case kindTraceSpan:
