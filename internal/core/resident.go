@@ -6,8 +6,8 @@ package core
 // rest lives in the persistence tier's on-disk node index and is tracked here
 // as a *cold set* — two atomic bitmaps (hosted-cold, owned-cold) sized to the
 // namespace. The peer still answers Hosts/OwnedCount/HostedIDs for its full
-// partition, so digests, reconciliation and the Frepl bound are unchanged;
-// only the bytes are elsewhere.
+// partition, so digests and the Frepl bound are unchanged; only the bytes
+// are elsewhere.
 //
 // Eviction is CLOCK second-chance over hostedList, driven by the single
 // writer (no locks): every query touch sets a reference bit, the hand clears

@@ -298,16 +298,10 @@ const (
 	// MembershipJoinAck answers a join with a full membership snapshot.
 	MembershipJoinAck
 	// MembershipWarmup streams replica advertisements (bounded hosted-map
-	// entries) to a newly admitted member so it routes warm from the start.
+	// entries) to a member that joined or came back from dead, so it routes
+	// warm from the start; a restarted member with a data directory takes
+	// the same stream.
 	MembershipWarmup
-	// MembershipReconcile (wire version 6) is sent by a member that restarted
-	// from local persistence: instead of receiving a full warmup stream it
-	// offers its persisted incarnation plus a Bloom digest of the hosted
-	// nodes it replayed, and asks its ring successor for the delta.
-	MembershipReconcile
-	// MembershipReconcileAck answers a reconcile with only the entries the
-	// offered digest misses, carried in Warmup.
-	MembershipReconcileAck
 )
 
 // MemberUpdate is one piggybacked membership delta: a (server, state,
@@ -318,10 +312,6 @@ type MemberUpdate struct {
 	State       uint8 // membership.State: 0 alive, 1 suspect, 2 dead
 	Incarnation uint64
 	Addr        string
-	// HasState marks a member that restarted from local persistence and
-	// rebuilt its hosted state by replay: peers must not push it a full
-	// warmup stream — it reconciles the delta itself (MembershipReconcile).
-	HasState bool
 }
 
 // MembershipMsg carries the gossip membership protocol: probes, acks,
@@ -336,11 +326,6 @@ type MembershipMsg struct {
 	Target  ServerID
 	Updates []MemberUpdate
 	Warmup  []PathEntry
-	// Incarnation and Digest ride only on MembershipReconcile (wire v6): the
-	// rejoiner's persisted incarnation and the Bloom digest of the hosted
-	// node set it replayed from disk.
-	Incarnation uint64
-	Digest      *bloom.Filter
 }
 
 func (*MembershipMsg) kind() string { return "membership" }

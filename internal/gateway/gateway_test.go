@@ -143,12 +143,19 @@ func TestRouteCache(t *testing.T) {
 
 // waitReady blocks until every upstream has answered a liveness probe — which
 // also guarantees the gateway has dialed (and hello'd on) a connection to
-// every peer, so any peer can route results back to it.
+// every peer, so any peer can route results back to it. It sends the probes
+// itself, one at a time per peer like the prober: a miss leaves the peer's
+// miss streak above zero, a hit (or a result from real traffic) clears it.
 func waitReady(t *testing.T, g *Gateway) {
 	t.Helper()
 	waitFor(t, 5*time.Second, "all upstreams probed alive", func() bool {
 		for _, u := range g.pool.ups {
-			if u.lastSeen.Load() == 0 {
+			if !u.probing.CompareAndSwap(false, true) {
+				return false
+			}
+			g.probeOnce(u)
+			u.probing.Store(false)
+			if u.missed.Load() != 0 {
 				return false
 			}
 		}

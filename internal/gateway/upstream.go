@@ -10,11 +10,10 @@ import (
 // upstream is one pool member. healthy is flipped only by the prober;
 // pickers read it lock-free.
 type upstream struct {
-	id       core.ServerID
-	healthy  atomic.Bool
-	probing  atomic.Bool // a probe for this peer is in flight
-	missed   atomic.Int32
-	lastSeen atomic.Int64 // unix nanos of the last successful probe/result
+	id      core.ServerID
+	healthy atomic.Bool
+	probing atomic.Bool // a probe for this peer is in flight
+	missed  atomic.Int32
 }
 
 // pool is the gateway's set of upstream peers. Selection prefers
@@ -81,7 +80,6 @@ func (p *pool) pick(preferred []core.ServerID, exclude core.ServerID) (core.Serv
 func (p *pool) observeAlive(id core.ServerID) {
 	if u, ok := p.ups[id]; ok {
 		u.missed.Store(0)
-		u.lastSeen.Store(time.Now().UnixNano())
 	}
 }
 
@@ -139,7 +137,6 @@ func (g *Gateway) probeOnce(u *upstream) {
 	select {
 	case <-ch:
 		u.missed.Store(0)
-		u.lastSeen.Store(time.Now().UnixNano())
 		u.healthy.Store(true)
 	case <-timer.C:
 		g.probeMissed(u)

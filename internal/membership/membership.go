@@ -52,10 +52,6 @@ type Member struct {
 	State       State
 	Incarnation uint64
 	Addr        string
-	// HasState reports that the member advertised durable local state when it
-	// (re)joined — it can restore hosted entries by local replay, so peers
-	// should skip the full warmup push and wait for its delta reconcile.
-	HasState bool
 }
 
 // Event reports a member's state transition. Events are delivered in order
@@ -157,10 +153,6 @@ type Config struct {
 	// strictly supersedes any Dead record the cluster still gossips about its
 	// previous life (Alive only overrides strictly newer incarnations).
 	Incarnation uint64
-	// HasState marks this member's self-updates as backed by durable local
-	// state: peers that see the flag suppress the full warmup push and let
-	// the member pull only the delta it missed while down.
-	HasState bool
 	// OnIncarnation is told every self-incarnation bump (suspicion/death
 	// refutations) so the new value can be persisted before it is gossiped
 	// further. Optional; called under internal locks — must be fast and must
@@ -240,7 +232,7 @@ func New(cfg Config) *Service {
 	}
 	s.incarnation = cfg.Incarnation
 	s.members[cfg.Self] = &memberEntry{Member: Member{
-		ID: cfg.Self, State: Alive, Incarnation: cfg.Incarnation, Addr: cfg.SelfAddr, HasState: cfg.HasState}}
+		ID: cfg.Self, State: Alive, Incarnation: cfg.Incarnation, Addr: cfg.SelfAddr}}
 	for id, addr := range cfg.Peers {
 		if id == cfg.Self {
 			continue
@@ -571,7 +563,7 @@ func (s *Service) probeSucceededLocked(id core.ServerID, direct bool) {
 func (s *Service) selfUpdateLocked() core.MemberUpdate {
 	return core.MemberUpdate{
 		Server: s.cfg.Self, State: uint8(Alive), Incarnation: s.incarnation,
-		Addr: s.cfg.SelfAddr, HasState: s.cfg.HasState}
+		Addr: s.cfg.SelfAddr}
 }
 
 // buildLocked assembles an outgoing message: self-update first, the target's
@@ -623,8 +615,7 @@ func (s *Service) snapshotLocked() *core.MembershipMsg {
 			inc = s.incarnation
 		}
 		m.Updates = append(m.Updates, core.MemberUpdate{
-			Server: id, State: uint8(e.State), Incarnation: inc,
-			Addr: e.Addr, HasState: e.HasState})
+			Server: id, State: uint8(e.State), Incarnation: inc, Addr: e.Addr})
 	}
 	return m
 }
@@ -673,8 +664,7 @@ func (s *Service) applyLocked(u core.MemberUpdate) {
 	e, known := s.members[u.Server]
 	if !known {
 		e = &memberEntry{Member: Member{
-			ID: u.Server, State: State(u.State), Incarnation: u.Incarnation,
-			Addr: u.Addr, HasState: u.HasState}}
+			ID: u.Server, State: State(u.State), Incarnation: u.Incarnation, Addr: u.Addr}}
 		s.members[u.Server] = e
 		if u.Addr != "" && s.cfg.OnAddr != nil {
 			s.cfg.OnAddr(u.Server, u.Addr)
@@ -702,7 +692,6 @@ func (s *Service) applyLocked(u core.MemberUpdate) {
 	prev := e.State
 	e.State = State(u.State)
 	e.Incarnation = u.Incarnation
-	e.HasState = u.HasState
 	if u.Addr != "" && u.Addr != e.Addr {
 		e.Addr = u.Addr
 		if s.cfg.OnAddr != nil {
@@ -710,8 +699,7 @@ func (s *Service) applyLocked(u core.MemberUpdate) {
 		}
 	}
 	s.queueLocked(core.MemberUpdate{
-		Server: u.Server, State: u.State, Incarnation: u.Incarnation,
-		Addr: e.Addr, HasState: u.HasState})
+		Server: u.Server, State: u.State, Incarnation: u.Incarnation, Addr: e.Addr})
 	if e.State == Suspect {
 		s.armSuspicionLocked(e)
 	}

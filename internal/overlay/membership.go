@@ -43,14 +43,9 @@ type AddrSender interface {
 	SendTo(addr string, m core.Message) error
 }
 
-const (
-	// warmupEntries bounds the hosted-map entries streamed to a newly
-	// admitted member.
-	warmupEntries = 32
-	// reconcileEntries bounds the hosted entries streamed to a restarted
-	// member during delta reconciliation (see PersistOptions).
-	reconcileEntries = 256
-)
+// warmupEntries bounds the hosted-map entries streamed to a member that
+// joined or came back from dead.
+const warmupEntries = 32
 
 // setupOwnership builds the node's versioned ownership table from the static
 // assignment (called from NewNode when membership is enabled).
@@ -104,11 +99,8 @@ func (n *Node) setupMembership() {
 		if n.replayed.HasState() {
 			// Restart with durable state: come back one incarnation past the
 			// persisted one so our alive claim strictly supersedes any Dead
-			// record still gossiped about our previous life, and advertise
-			// HasState so peers skip the full warmup push (we pull the delta
-			// via reconcile instead).
+			// record still gossiped about our previous life.
 			cfg.Incarnation = n.replayed.Incarnation + 1
-			cfg.HasState = true
 			_ = n.store.AppendIncarnation(cfg.Incarnation)
 		}
 	}
@@ -136,10 +128,10 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 		})
 	case membership.Alive:
 		changes := n.ownership.SetAlive(ev.ID, true)
-		// A member that advertised durable state restores itself by local
-		// replay and pulls only its delta (MembershipReconcile); pushing it
-		// a full warmup stream would be redundant bytes.
-		warm := (ev.Joined || ev.Prev == membership.Dead) && !ev.HasState
+		// A member that joined or came back from dead is pushed our hottest
+		// maps, whether or not it replayed a data directory: maps are soft
+		// state either way.
+		warm := ev.Joined || ev.Prev == membership.Dead
 		// Build the warmup slice with the loop parked, then send it after
 		// the loop resumes.
 		var entries []core.PathEntry
@@ -150,9 +142,8 @@ func (n *Node) handleMembershipEvent(ev membership.Event) {
 			}
 		})
 		if len(entries) > 0 {
-			// A newly admitted or returned member starts cold: stream it a
-			// bounded slice of our hottest hosted maps (which also announces
-			// our own owned-partition claim to a joiner).
+			// The slice is bounded, and it also announces our own
+			// owned-partition claim to a joiner.
 			if n.warmupStreams != nil {
 				n.warmupStreams.Inc()
 			}

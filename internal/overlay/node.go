@@ -54,9 +54,8 @@ type Options struct {
 	Membership *MembershipOptions
 	// Persist, when non-nil, enables the durability tier: hosted-state
 	// mutations journal to a WAL under Persist.Dir, periodic snapshots bound
-	// replay, and a restart recovers locally then delta-reconciles with its
-	// ring successor instead of taking a full warmup stream. See
-	// PersistOptions and DESIGN.md §13.
+	// replay, and a restart recovers its hosted state locally before it
+	// touches the network. See PersistOptions and DESIGN.md §13.
 	Persist *PersistOptions
 }
 
@@ -223,15 +222,11 @@ type Node struct {
 	ownership  *membership.OwnershipTable
 
 	// Persistence tier (nil unless Options.Persist is set); see persist.go.
-	store      *persist.Store
-	replayed   *persist.ReplayState
-	snapDone   chan struct{}
-	recDone    chan struct{}
-	reconciled atomic.Bool
+	store    *persist.Store
+	replayed *persist.ReplayState
+	snapDone chan struct{}
 
-	warmupStreams    *telemetry.Counter
-	reconcileSent    *telemetry.Counter
-	reconcileSkipped *telemetry.Counter
+	warmupStreams *telemetry.Counter
 
 	// Larger-than-RAM hosting (coldload.go; requires the persistence tier).
 	// pendingCold parks queries and data requests for hosted-but-on-disk
@@ -338,11 +333,7 @@ func NewNode(id core.ServerID, tree *namespace.Tree, owned []core.NodeID, ownerO
 		}
 		n.setupOwnership(ownerOf)
 		n.warmupStreams = n.reg.Counter("terradir_warmup_streams_total",
-			"Full warmup streams sent to admitted members.", server...)
-		n.reconcileSent = n.reg.Counter("terradir_persist_reconcile_entries_sent_total",
-			"Hosted entries streamed to rejoiners during delta reconciliation.", server...)
-		n.reconcileSkipped = n.reg.Counter("terradir_persist_reconcile_entries_skipped_total",
-			"Hosted entries a rejoiner's digest already covered (skipped from the delta stream).", server...)
+			"Warmup streams sent to members that joined or came back from dead.", server...)
 	}
 	if opts.Persist != nil {
 		n.ownerOf = ownerOf
@@ -416,12 +407,6 @@ func (n *Node) Start() {
 	if n.store != nil {
 		n.snapDone = make(chan struct{})
 		go n.snapshotLoop()
-		if n.membership != nil && n.replayed.HasState() {
-			// We restarted with durable state: pull only the delta we missed
-			// instead of waiting for (suppressed) full warmup streams.
-			n.recDone = make(chan struct{})
-			go n.reconcileLoop()
-		}
 	}
 }
 
@@ -477,9 +462,6 @@ func (n *Node) Stop() {
 	}
 	if n.snapDone != nil {
 		<-n.snapDone
-	}
-	if n.recDone != nil {
-		<-n.recDone
 	}
 	if n.store != nil {
 		// Loop and snapshotter have exited: no appender is left. Close
@@ -673,11 +655,6 @@ func (n *Node) deliver(m core.Message, now float64) {
 			// Warmup streams are routing state, not liveness: absorb them on
 			// the event loop.
 			n.deliverWarmup(msg.Warmup)
-		case core.MembershipReconcile:
-			// Answering parks the loop; never block a transport reader on it.
-			go n.handleReconcile(msg)
-		case core.MembershipReconcileAck:
-			n.handleReconcileAck(msg)
 		default:
 			if n.membership != nil {
 				n.membership.Deliver(msg)

@@ -2,17 +2,14 @@ package overlay
 
 // This file wires the persistence tier (internal/persist) into a live node:
 // journal hooks on the peer, periodic snapshots taken with the loop parked,
-// replay at construction, and the delta-reconcile protocol a restarted node
-// uses instead of a full warmup stream (DESIGN.md §13).
+// and replay at construction (DESIGN.md §13).
 
 import (
 	"fmt"
 	"log"
 	"time"
 
-	"terradir/internal/bloom"
 	"terradir/internal/core"
-	"terradir/internal/membership"
 	"terradir/internal/persist"
 	"terradir/internal/wire"
 )
@@ -30,8 +27,8 @@ func partialMutation(kind core.MutationKind) bool {
 
 // PersistOptions enables the durability tier on a node: every hosted-state
 // mutation is journaled to a write-ahead log under Dir, periodic snapshots
-// bound replay time, and a restart replays snapshot+WAL locally before
-// reconciling only the delta it missed from its ring successor.
+// bound replay time, and a restart replays snapshot+WAL locally before it
+// touches the network.
 type PersistOptions struct {
 	// Dir is the node's data directory. Required; created if absent. One
 	// directory per node — two live nodes sharing one corrupt each other.
@@ -267,138 +264,6 @@ func (n *Node) snapshotLoop() {
 			n.writeSnapshot()
 		}
 	}
-}
-
-// --- delta reconcile: the rejoiner side ---
-
-// reconcileLoop runs on a restarted node that recovered durable state: once
-// membership admits it, it offers its ring successor a Bloom digest of the
-// hosted nodes it already has, and the successor streams back only the
-// entries the digest misses. Retries (new digest each time — hosted state
-// may have moved) until an ack arrives or the node stops.
-func (n *Node) reconcileLoop() {
-	defer close(n.recDone)
-	poll := time.NewTicker(50 * time.Millisecond)
-	defer poll.Stop()
-	for !n.membership.Joined() {
-		select {
-		case <-n.stop:
-			return
-		case <-poll.C:
-		}
-	}
-	const resendEvery = 20 // polls: ~1s between attempts
-	for tick := 0; ; tick++ {
-		if n.reconciled.Load() {
-			return
-		}
-		if tick%resendEvery == 0 {
-			n.sendReconcile()
-		}
-		select {
-		case <-n.stop:
-			return
-		case <-poll.C:
-		}
-	}
-}
-
-// sendReconcile builds the hosted-set digest and offers it to the current
-// ring successor (best-effort; the loop retries).
-func (n *Node) sendReconcile() {
-	target := n.reconcileTarget()
-	if target == core.NoServer {
-		return
-	}
-	digest := n.buildReconcileDigest()
-	if digest == nil {
-		return
-	}
-	_ = n.transport.Send(n.id, target, &core.MembershipMsg{
-		Kind:        core.MembershipReconcile,
-		From:        n.id,
-		Incarnation: n.membership.Incarnation(),
-		Digest:      digest,
-	})
-}
-
-// reconcileTarget picks the first alive member after this node in ring
-// order (wrapping), mirroring the ownership table's successor rule.
-func (n *Node) reconcileTarget() core.ServerID {
-	first, next := core.NoServer, core.NoServer
-	for _, m := range n.membership.Members() { // sorted by ID
-		if m.ID == n.id || m.State != membership.Alive {
-			continue
-		}
-		if first == core.NoServer {
-			first = m.ID
-		}
-		if m.ID > n.id && next == core.NoServer {
-			next = m.ID
-		}
-	}
-	if next != core.NoServer {
-		return next
-	}
-	return first
-}
-
-// buildReconcileDigest snapshots the node's hosted IDs (with the loop
-// parked) into a Bloom filter sized for ~1% false positives. A false
-// positive makes the successor skip an entry we actually lack — soft state,
-// repaired by normal path dissemination.
-func (n *Node) buildReconcileDigest() *bloom.Filter {
-	var ids []core.NodeID
-	if !n.inspect(false, func(p *core.Peer) { ids = p.HostedIDs() }) {
-		return nil
-	}
-	f := bloom.NewForCapacity(uint64(max(len(ids), 1)), 0.01)
-	for _, nd := range ids {
-		f.Add(core.NodeKey(nd))
-	}
-	return f
-}
-
-// --- delta reconcile: the successor side ---
-
-// handleReconcile answers a rejoiner's digest with the hosted entries the
-// digest misses, bounded by reconcileEntries. Runs on its own goroutine
-// (Deliver must not block on parking the loop).
-func (n *Node) handleReconcile(msg *core.MembershipMsg) {
-	if n.membership == nil {
-		return
-	}
-	var entries []core.PathEntry
-	skipped := 0
-	n.inspect(false, func(p *core.Peer) {
-		for _, e := range p.BuildWarmup(1 << 20) {
-			if msg.Digest != nil && msg.Digest.Test(core.NodeKey(e.Node)) {
-				skipped++
-				continue
-			}
-			entries = append(entries, e)
-		}
-	})
-	if len(entries) > reconcileEntries {
-		entries = entries[:reconcileEntries]
-	}
-	if n.reconcileSent != nil {
-		n.reconcileSent.Add(uint64(len(entries)))
-		n.reconcileSkipped.Add(uint64(skipped))
-	}
-	_ = n.transport.Send(n.id, msg.From, &core.MembershipMsg{
-		Kind: core.MembershipReconcileAck, From: n.id, Warmup: entries,
-	})
-}
-
-// handleReconcileAck absorbs the successor's delta stream and stops the
-// rejoiner's retry loop. Duplicate acks (retries that crossed in flight)
-// re-learn the same maps, which is idempotent soft state.
-func (n *Node) handleReconcileAck(msg *core.MembershipMsg) {
-	if len(msg.Warmup) > 0 {
-		n.deliverWarmup(msg.Warmup)
-	}
-	n.reconciled.Store(true)
 }
 
 // Store exposes the node's persistence store (nil when persistence is

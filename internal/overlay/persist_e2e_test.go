@@ -16,22 +16,20 @@ import (
 // hosted state, gets killed mid-traffic, and restarts from the same data
 // directory. The restart must recover owned metadata and application data
 // purely from local replay (asserted before the node touches the network),
-// rejoin without receiving a single full warmup stream, and pull only the
-// delta it missed via the digest-based reconcile exchange.
+// then rejoin the way any server that came back from dead does: each
+// survivor pushes it exactly one warmup stream of its hottest maps.
 func TestTCPPersistRestartE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("persist e2e needs real-time failure detection and restart")
 	}
 	const n = 5
 	const victim = core.ServerID(2)
-	const successor = core.ServerID(3) // first alive in ring order after the victim
 	tree := testTree()
 
 	// Victim-heavy ownership: the victim owns 12/16 of the namespace, the
-	// other four servers a sliver each. This makes "delta ≪ hosted" sharp:
-	// a full warmup replacement would have to re-stream a large partition,
-	// while the true delta (the successor's own sliver) stays small.
-	others := []core.ServerID{0, 1, successor, 4}
+	// other four servers a sliver each, so replay has a large partition to
+	// restore and the survivors adopt most of the namespace while it is down.
+	others := []core.ServerID{0, 1, 3, 4}
 	owner := make([]core.ServerID, tree.Len())
 	for nd := range owner {
 		if nd%16 < 4 {
@@ -241,7 +239,9 @@ func TestTCPPersistRestartE2E(t *testing.T) {
 	nodes[victim], transports[victim] = fresh, freshTr
 	StartTCPNode(fresh, freshTr)
 
-	// Phase 4: readmission with delta-only reconcile.
+	// Phase 4: readmission. The restarted peer came back from dead, so each
+	// survivor pushes it one warmup stream, as it would a peer that restarted
+	// without a data directory.
 	wait(15*time.Second, "survivors to readmit the restarted peer", func() bool {
 		if !fresh.Membership().Joined() {
 			return false
@@ -253,24 +253,17 @@ func TestTCPPersistRestartE2E(t *testing.T) {
 		}
 		return true
 	})
-	wait(15*time.Second, "the successor to answer the reconcile offer", func() bool {
-		return counterAt(int(successor), "terradir_persist_reconcile_entries_sent_total")+
-			counterAt(int(successor), "terradir_persist_reconcile_entries_skipped_total") > 0
+	wait(15*time.Second, "every survivor to push the restarted peer a warmup stream", func() bool {
+		for _, i := range survivors {
+			if counterAt(i, "terradir_warmup_streams_total") == warmupsBefore[i] {
+				return false
+			}
+		}
+		return true
 	})
-	sent := counterAt(int(successor), "terradir_persist_reconcile_entries_sent_total")
-	skipped := counterAt(int(successor), "terradir_persist_reconcile_entries_skipped_total")
-	t.Logf("reconcile: %d entries sent, %d skipped (victim hosts %d)", sent, skipped, hosted)
-	if skipped == 0 {
-		t.Error("reconcile skipped nothing: the digest did not suppress already-held entries")
-	}
-	if int(sent)*4 >= hosted {
-		t.Errorf("reconcile streamed %d entries against %d locally replayed — not a delta", sent, hosted)
-	}
-	// No survivor pushed a full warmup stream: the HasState flag suppressed
-	// them all; the rejoiner recovered locally and pulled only the delta.
 	for _, i := range survivors {
-		if got := counterAt(i, "terradir_warmup_streams_total"); got != warmupsBefore[i] {
-			t.Errorf("server %d sent %d full warmup stream(s) to the restarted peer", i, got-warmupsBefore[i])
+		if got := counterAt(i, "terradir_warmup_streams_total") - warmupsBefore[i]; got != 1 {
+			t.Errorf("server %d sent %d warmup streams to the restarted peer, want 1", i, got)
 		}
 	}
 

@@ -241,7 +241,7 @@ func TestStoreIndexedReplay(t *testing.T) {
 	}
 	// Indexed replays carry their snapshot records on disk, not in
 	// Mutations; HasState must still report prior state even when every
-	// sequence field is zero, or a restarted peer loses delta-only rejoin.
+	// sequence field is zero, or a restarted peer skips its incarnation bump.
 	if !(&ReplayState{IndexedRecords: rs.IndexedRecords}).HasState() {
 		t.Fatal("HasState ignores indexed records")
 	}

@@ -1,7 +1,7 @@
 // Package persist is the peer-local durability tier: a segmented,
 // CRC32C-framed append-only write-ahead log of hosted-state mutations plus
 // periodic atomic snapshots, so a restarted peer rebuilds its hosted
-// namespace state from local disk and only reconciles deltas over the wire.
+// namespace state from local disk before it touches the network.
 //
 // Layout of a data directory:
 //
@@ -166,8 +166,8 @@ type ReplayState struct {
 // HasState reports whether the directory held any prior peer state. An
 // indexed replay streams its snapshot records through the index rather than
 // Mutations, so IndexedRecords must count too — otherwise a peer restarting
-// from a seq-0 snapshot would be mistaken for stateless and lose its
-// delta-only rejoin.
+// from a seq-0 snapshot would be mistaken for stateless and rejoin at
+// incarnation 0 instead of one past its previous life.
 func (rs *ReplayState) HasState() bool {
 	return len(rs.Mutations) > 0 || rs.IndexedRecords > 0 ||
 		rs.LastSeq > 0 || rs.SnapshotSeq > 0 || rs.Incarnation > 0

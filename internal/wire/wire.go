@@ -32,14 +32,19 @@ import (
 // the hosted-record layout that WAL records and snapshots reuse
 // (AppendHosted/DecodeHosted); version 7 removed the in-band span chain
 // from query and result frames (the query's span budget and span array, the
-// result's span array), leaving the trace-span frame the only span carrier.
+// result's span array), leaving the trace-span frame the only span carrier;
+// version 8 removed v6's reconcile fields again (the per-update has-state
+// byte, the frame's incarnation and digest-length fields, and the
+// reconcile/reconcile-ack kinds): a restarted member takes the same warmup
+// stream as any other, so the hosted-record layout is all that v6 left.
 // Version ≥4 frames lead with the Magic byte;
 // versions 1–3 led with the kind tag directly (1..10, disjoint from Magic),
 // so the decoder rejects their frames as an unknown frame marker.
-// Mixed-version deployments are not supported; v6 changed the membership
-// frame layout, so v4/v5 membership frames do not decode, and v7 changed the
-// query and result layouts, so v6 query and result frames do not decode.
-const Version = 7
+// Mixed-version deployments are not supported; v6 and v8 changed the
+// membership frame layout, so v4/v5 and v6/v7 membership frames do not
+// decode, and v7 changed the query and result layouts, so v6 query and
+// result frames do not decode.
+const Version = 8
 
 // Magic is the first byte of every version-4 frame. It is disjoint from the
 // kind-tag range (1..10) that led wire ≤3 frames, so such a frame can never
@@ -182,26 +187,14 @@ func AppendMessage(dst []byte, m core.Message) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, v.Seq)
 		b = appendI32(b, int32(v.From))
 		b = appendI32(b, int32(v.Target))
-		b = binary.LittleEndian.AppendUint64(b, v.Incarnation)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(v.Updates)))
 		for _, u := range v.Updates {
 			b = appendI32(b, int32(u.Server))
 			b = append(b, u.State)
-			b = appendBool(b, u.HasState)
 			b = binary.LittleEndian.AppendUint64(b, u.Incarnation)
 			b = appendStr(b, u.Addr)
 		}
-		b = appendPath(b, v.Warmup)
-		// The digest is length-prefixed like piggyback digests (zero length =
-		// absent) because bloom.Unmarshal demands an exact-length slice.
-		if v.Digest == nil {
-			return binary.LittleEndian.AppendUint32(b, 0), nil
-		}
-		lenAt := len(b)
-		b = binary.LittleEndian.AppendUint32(b, 0) // patched below
-		b = v.Digest.AppendTo(b)
-		binary.LittleEndian.PutUint32(b[lenAt:], uint32(len(b)-lenAt-4))
-		return b, nil
+		return appendPath(b, v.Warmup), nil
 	case *core.HelloMsg:
 		b := append(dst, Magic, kindHello)
 		b = appendI32(b, int32(v.ID))
@@ -411,7 +404,7 @@ const (
 	minAdvert  = 8
 	minDigest  = 8
 	minPayload = 36
-	minUpdate  = 18
+	minUpdate  = 17
 	minAttr    = 8
 )
 
@@ -584,29 +577,18 @@ func Decode(data []byte) (core.Message, error) {
 		m = rep
 	case kindMembership:
 		mm := &core.MembershipMsg{Kind: r.u8(), Seq: r.u64(),
-			From: core.ServerID(r.i32()), Target: core.ServerID(r.i32()),
-			Incarnation: r.u64()}
+			From: core.ServerID(r.i32()), Target: core.ServerID(r.i32())}
 		if n := r.count(minUpdate); n > 0 {
 			mm.Updates = make([]core.MemberUpdate, n)
 			for i := range mm.Updates {
 				u := &mm.Updates[i]
 				u.Server = core.ServerID(r.i32())
 				u.State = r.u8()
-				u.HasState = r.boolean()
 				u.Incarnation = r.u64()
 				u.Addr = r.str()
 			}
 		}
 		mm.Warmup = r.path()
-		if raw := int(r.u32()); raw > 0 && r.need(raw) {
-			f, err := bloom.Unmarshal(r.data[r.off : r.off+raw])
-			if err != nil {
-				r.fail("bad membership digest")
-			} else {
-				mm.Digest = f
-				r.off += raw
-			}
-		}
 		m = mm
 	case kindHello:
 		m = &core.HelloMsg{ID: core.ServerID(r.i32()), Role: r.u8()}

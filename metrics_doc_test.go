@@ -23,7 +23,8 @@ import (
 // gateway in front of it — and requires each registered terradir_* family to
 // have a row in DESIGN.md §8's metric tables whose reader cell is filled: the
 // bench/ column, test or operator question that reads it. A family nobody
-// reads is deleted rather than documented.
+// reads is deleted rather than documented, and a row whose family no registry
+// exposes is deleted with it.
 func TestMetricFamiliesDocumented(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -75,7 +76,9 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 
 	var missing []string
 	fams := families(node.Registry(), gw.Registry())
+	registered := map[string]bool{}
 	for _, fam := range fams {
+		registered[fam] = true
 		if readers[fam] == "" {
 			missing = append(missing, fam)
 		}
@@ -83,6 +86,17 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("%d of %d metric families have no DESIGN.md §8 row naming a reader:\n  %s",
 			len(missing), len(fams), strings.Join(missing, "\n  "))
+	}
+	var stale []string
+	for fam := range readers {
+		if !registered[fam] {
+			stale = append(stale, fam)
+		}
+	}
+	if len(stale) > 0 {
+		sort.Strings(stale)
+		t.Errorf("%d DESIGN.md §8 rows name a family no registry exposes:\n  %s",
+			len(stale), strings.Join(stale, "\n  "))
 	}
 }
 
