@@ -14,12 +14,11 @@ package bloom
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 )
 
 // Filter is a Bloom filter over 64-bit keys. The zero value is unusable;
-// construct with New or NewForCapacity.
+// construct with New.
 type Filter struct {
 	bits    []uint64
 	mBits   uint64 // number of bits (power of two)
@@ -52,21 +51,6 @@ func New(bits uint64, k uint32) *Filter {
 		mask:  m - 1,
 		k:     k,
 	}
-}
-
-// NewForCapacity creates a filter sized for n keys at the given target false
-// positive rate, using the standard optimal sizing m = -n·ln(p)/ln(2)² and
-// k = m/n·ln(2).
-func NewForCapacity(n uint64, fpRate float64) *Filter {
-	if n == 0 {
-		n = 1
-	}
-	if fpRate <= 0 || fpRate >= 1 {
-		fpRate = 0.01
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(fpRate) / (math.Ln2 * math.Ln2)))
-	k := uint32(math.Round(float64(m) / float64(n) * math.Ln2))
-	return New(m, k)
 }
 
 // Version returns the filter's version counter (see BumpVersion).
@@ -136,15 +120,6 @@ func (f *Filter) Reset() {
 	f.n = 0
 }
 
-// EstimatedFPRate returns the expected false positive probability given the
-// current fill: (1 - e^(-kn/m))^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.mBits)), float64(f.k))
-}
-
 // Clone returns a deep copy of the filter, including its version.
 func (f *Filter) Clone() *Filter {
 	c := &Filter{
@@ -157,21 +132,6 @@ func (f *Filter) Clone() *Filter {
 	}
 	copy(c.bits, f.bits)
 	return c
-}
-
-// Union ORs other into f. Both filters must have identical geometry (size
-// and hash count); otherwise an error is returned. The key count becomes an
-// upper bound (sum) after union.
-func (f *Filter) Union(other *Filter) error {
-	if f.mBits != other.mBits || f.k != other.k {
-		return fmt.Errorf("bloom: geometry mismatch (m=%d,k=%d vs m=%d,k=%d)",
-			f.mBits, f.k, other.mBits, other.k)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.n += other.n
-	return nil
 }
 
 // Marshal serializes the filter to a compact byte slice (version, k, mBits,

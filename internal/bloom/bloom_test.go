@@ -12,7 +12,7 @@ import (
 )
 
 func TestNoFalseNegatives(t *testing.T) {
-	f := NewForCapacity(1000, 0.01)
+	f := New(16384, 7)
 	src := rng.New(1)
 	keys := make([]uint64, 1000)
 	for i := range keys {
@@ -26,8 +26,11 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 }
 
+// TestFalsePositiveRate: 1000 keys in 16384 bits with 7 probes — the
+// optimal geometry for a 1% rate, m = -n·ln(p)/ln(2)² rounded up to a power
+// of two — test positive for at most 3% of absent keys.
 func TestFalsePositiveRate(t *testing.T) {
-	f := NewForCapacity(1000, 0.01)
+	f := New(16384, 7)
 	src := rng.New(2)
 	present := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
@@ -135,33 +138,8 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestUnionContainsBoth(t *testing.T) {
-	a := New(512, 4)
-	b := New(512, 4)
-	a.Add(10)
-	b.Add(20)
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Test(10) || !a.Test(20) {
-		t.Fatal("union lost a member")
-	}
-}
-
-func TestUnionGeometryMismatch(t *testing.T) {
-	a := New(512, 4)
-	b := New(1024, 4)
-	if err := a.Union(b); err == nil {
-		t.Fatal("expected geometry mismatch error")
-	}
-	c := New(512, 3)
-	if err := a.Union(c); err == nil {
-		t.Fatal("expected hash-count mismatch error")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
-	f := NewForCapacity(500, 0.02)
+	f := New(4096, 6)
 	src := rng.New(3)
 	keys := make([]uint64, 500)
 	for i := range keys {
@@ -231,20 +209,6 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-func TestEstimatedFPRate(t *testing.T) {
-	f := New(1024, 4)
-	if f.EstimatedFPRate() != 0 {
-		t.Fatal("empty filter FP rate != 0")
-	}
-	for i := uint64(0); i < 100; i++ {
-		f.Add(i)
-	}
-	r := f.EstimatedFPRate()
-	if r <= 0 || r >= 1 {
-		t.Fatalf("FP rate estimate %v out of (0,1)", r)
-	}
-}
-
 func TestHashStringStability(t *testing.T) {
 	// FNV-1a test vector: "a" hashes to 0xaf63dc4c8601ec8c.
 	if got := HashString("a"); got != 0xaf63dc4c8601ec8c {
@@ -261,7 +225,7 @@ func TestHashStringStability(t *testing.T) {
 func TestDigestNameWorkflow(t *testing.T) {
 	// End-to-end: server hosts names, peers test names against the digest.
 	hosted := []string{"/u/pub", "/u/pub/people", "/u/pub/people/faculty"}
-	f := NewForCapacity(uint64(len(hosted)), 0.01)
+	f := New(64, 7)
 	for _, n := range hosted {
 		f.Add(HashString(n))
 	}
@@ -289,7 +253,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkTest(b *testing.B) {
-	f := NewForCapacity(10000, 0.01)
+	f := New(131072, 7)
 	for i := uint64(0); i < 10000; i++ {
 		f.Add(i)
 	}

@@ -460,7 +460,7 @@ func TestDigestSaysPermissiveWhenUnknown(t *testing.T) {
 func TestDigestSaysUsesStoredFilter(t *testing.T) {
 	tree, ids := paperTree()
 	p := newTestPeer(t, tree, 0, []NodeID{ids["/u"]}, 1, DefaultConfig(), &fakeEnv{})
-	f := bloom.NewForCapacity(4, 0.001)
+	f := bloom.New(64, 10)
 	f.Add(NodeKey(ids["/u/priv"]))
 	f.SetVersion(1)
 	p.storeDigest(9, f)

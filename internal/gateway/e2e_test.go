@@ -32,14 +32,7 @@ func TestGatewayE2E(t *testing.T) {
 	// 5ms of latency on the peers' outbound path keeps flights open long
 	// enough for the flash crowd to coalesce over real HTTP.
 	c := startCluster(t, 3, true, peerSetup{latency: 5 * time.Millisecond})
-	g := c.startGateway(func(o *Options) {
-		o.HedgeAfter = 15 * time.Millisecond
-		o.MaxAttempts = 6
-		o.RetryInterval = 200 * time.Millisecond
-		o.UpstreamTimeout = 4 * time.Second
-		o.EjectAfter = 2
-	})
-	waitReady(t, g)
+	g := c.startGateway(nil)
 	addr, err := g.StartHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

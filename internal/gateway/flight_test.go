@@ -13,13 +13,16 @@ import (
 	"terradir/internal/overlay"
 )
 
-// scriptedUpstream stands in for the overlay behind a gateway: it records
-// every query the gateway sends, and answer (nil: never) decides by the
-// query's position in that record which ones get a result, delivered on a
-// fresh goroutine as a connection's read loop would deliver it.
+// scriptedUpstream stands in for the overlay behind a gateway: it answers
+// every probe (a query for the root, the default ProbeDest), records every
+// other query the gateway sends, and answer (nil: never) decides, as each is
+// sent, whether it gets a result. Results reach the
+// gateway over a connection of their own, delivered by the gateway
+// transport's read loop as a peer's answers are.
 type scriptedUpstream struct {
-	g      *Gateway
-	answer func(i int) bool
+	answer func() bool
+	back   *overlay.TCPTransport // dials the gateway's listener as a wire client
+	probe  core.NodeID
 
 	mu   sync.Mutex
 	sent []*core.QueryMsg
@@ -27,12 +30,15 @@ type scriptedUpstream struct {
 
 func (u *scriptedUpstream) Send(_, _ core.ServerID, m core.Message) error {
 	q := m.(*core.QueryMsg)
+	if q.Dest == u.probe {
+		u.reply(q)
+		return nil
+	}
 	u.mu.Lock()
-	i := len(u.sent)
 	u.sent = append(u.sent, q)
 	u.mu.Unlock()
-	if u.answer != nil && u.answer(i) {
-		go u.reply(q)
+	if u.answer != nil && u.answer() {
+		u.reply(q)
 	}
 	return nil
 }
@@ -41,7 +47,7 @@ func (u *scriptedUpstream) Close() error { return nil }
 
 // reply answers q as the owner, server 1, would: resolved in two hops.
 func (u *scriptedUpstream) reply(q *core.QueryMsg) {
-	u.g.onMessage(&core.ResultMsg{QueryID: q.QueryID, Dest: q.Dest, OK: true, Hops: 2, Map: core.NodeMap{Servers: []core.ServerID{1, 0}}})
+	u.back.Send(backID, q.Source, &core.ResultMsg{QueryID: q.QueryID, Dest: q.Dest, OK: true, Hops: 2, Map: core.NodeMap{Servers: []core.ServerID{1, 0}}})
 }
 
 func (u *scriptedUpstream) queries() []*core.QueryMsg {
@@ -50,80 +56,64 @@ func (u *scriptedUpstream) queries() []*core.QueryMsg {
 	return append([]*core.QueryMsg(nil), u.sent...)
 }
 
-// startScripted fronts a scripted two-peer upstream with a gateway whose
-// prober is off. tweak (may be nil) adjusts the options before New.
-func startScripted(t *testing.T, answer func(int) bool, tweak func(*Options)) (*Gateway, *scriptedUpstream) {
+// backID is the scripted upstream's client ID on the gateway's listener.
+var backID = core.ClientID(1)
+
+// startScripted fronts a scripted two-peer upstream with a gateway.
+func startScripted(t *testing.T, answer func() bool) (*Gateway, *scriptedUpstream) {
 	t.Helper()
 	tr, err := overlay.NewTCPTransportOpts(core.ClientID(0), "127.0.0.1:0", map[core.ServerID]string{}, overlay.TCPTransportOptions{ClientRole: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := &scriptedUpstream{answer: answer}
-	opts := Options{
-		Tree:          namespace.NewBalanced(3, 4),
-		Self:          core.ClientID(0),
-		Peers:         []core.ServerID{0, 1},
-		Wire:          tr,
-		Send:          up,
-		ProbeInterval: -1,
-	}
-	if tweak != nil {
-		tweak(&opts)
-	}
-	g, err := New(opts)
+	back, err := overlay.NewTCPTransportOpts(backID, "127.0.0.1:0", map[core.ServerID]string{core.ClientID(0): tr.Addr()}, overlay.TCPTransportOptions{ClientRole: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up.g = g
+	tree := namespace.NewBalanced(3, 4)
+	up := &scriptedUpstream{answer: answer, back: back, probe: tree.Root()}
+	g, err := New(Options{
+		Tree:  tree,
+		Self:  core.ClientID(0),
+		Peers: []core.ServerID{0, 1},
+		Wire:  tr,
+		Send:  up,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		g.Close()
+		back.Close()
 		tr.Close()
 	})
 	return g, up
 }
 
 // TestFlightPacing: one timer paces a flight's hedge, its retries and its
-// deadline. Against an upstream that never answers, a flight sends the
-// attempts its hedge delay and RetryInterval allow before UpstreamTimeout,
-// then times out at UpstreamTimeout — also when the next retry would come
-// after it.
+// deadline. Against an upstream that answers nothing but probes, a flight
+// sends its primary, a hedge after hedgeMin (nothing observed yet) and then
+// a retry every retryInterval — maxAttempts in all, every paced one counted
+// as a fired hedge — then times out at upstreamTimeout.
 func TestFlightPacing(t *testing.T) {
-	const budget = 400 * time.Millisecond
-	for _, tc := range []struct {
-		name          string
-		hedge, retry  time.Duration
-		wantAttempts  int
-		wantHedgeFire float64
-	}{
-		{"retry beyond the budget", 50 * time.Millisecond, 10 * time.Second, 2, 1},
-		{"retry inside the budget", 50 * time.Millisecond, 150 * time.Millisecond, 3, 2},
-		{"hedge beyond the budget", 10 * time.Second, 150 * time.Millisecond, 1, 0},
-		{"hedging off", -1, 150 * time.Millisecond, 1, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, up := startScripted(t, nil, func(o *Options) {
-				o.UpstreamTimeout = budget
-				o.HedgeAfter = tc.hedge
-				o.RetryInterval = tc.retry
-			})
-			start := time.Now()
-			_, err := g.Lookup(context.Background(), 5)
-			took := time.Since(start)
-			if err == nil || !strings.Contains(err.Error(), "timed out") {
-				t.Fatalf("lookup against a silent upstream returned %v, want a timeout", err)
-			}
-			if took < budget || took > budget+time.Second {
-				t.Fatalf("flight timed out after %s, want UpstreamTimeout %s", took, budget)
-			}
-			if n := len(up.queries()); n != tc.wantAttempts {
-				t.Fatalf("flight sent %d attempts, want %d", n, tc.wantAttempts)
-			}
-			snap := g.Registry().Snapshot()
-			if snap["terradir_gw_hedge_fired_total"] != tc.wantHedgeFire || snap["terradir_gw_lookup_timeouts_total"] != 1 {
-				t.Fatalf("hedge_fired %g timeouts %g, want %g and 1",
-					snap["terradir_gw_hedge_fired_total"], snap["terradir_gw_lookup_timeouts_total"], tc.wantHedgeFire)
-			}
-		})
+	g, up := startScripted(t, nil)
+	start := time.Now()
+	_, err := g.Lookup(context.Background(), 5)
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("lookup against a silent upstream returned %v, want a timeout", err)
+	}
+	if took < upstreamTimeout || took > upstreamTimeout+time.Second {
+		t.Fatalf("flight timed out after %s, want upstreamTimeout %s", took, upstreamTimeout)
+	}
+	qs := up.queries()
+	if len(qs) != maxAttempts {
+		t.Fatalf("flight sent %d attempts, want %d", len(qs), maxAttempts)
+	}
+	snap := g.Registry().Snapshot()
+	if snap["terradir_gw_hedge_fired_total"] != maxAttempts-1 || snap["terradir_gw_lookup_timeouts_total"] != 1 {
+		t.Fatalf("hedge_fired %g timeouts %g, want %d and 1",
+			snap["terradir_gw_hedge_fired_total"], snap["terradir_gw_lookup_timeouts_total"], maxAttempts-1)
 	}
 }
 
@@ -134,10 +124,12 @@ func TestFlightPacing(t *testing.T) {
 // no done channel until a late one makes it.
 func TestCoalescedWaitersGetLeaderResult(t *testing.T) {
 	for _, early := range []int{32, 0} {
-		// The leader's attempt is answered by hand; a caller that arrives
-		// after the leader has left the table leads a flight of its own,
-		// answered at once.
-		g, up := startScripted(t, func(i int) bool { return i > 0 }, func(o *Options) { o.HedgeAfter = -1 })
+		// The leader's attempts go unanswered until the test answers its
+		// first by hand; from then on every query is answered at once, so a
+		// caller that arrives after the leader has left the table leads a
+		// flight of its own, answered at once.
+		var open atomic.Bool
+		g, up := startScripted(t, open.Load)
 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		const node = core.NodeID(7)
@@ -164,13 +156,14 @@ func TestCoalescedWaitersGetLeaderResult(t *testing.T) {
 			}
 		}
 		run(1) // the leader
-		waitFor(t, 2*time.Second, "the leader's attempt", func() bool { return len(up.queries()) == 1 })
+		waitFor(t, 2*time.Second, "the leader's attempt", func() bool { return len(up.queries()) > 0 })
 		run(early)
 		waitFor(t, 2*time.Second, "the early waiters", func() bool {
 			return g.Registry().Snapshot()["terradir_gw_coalesce_hits_total"] == float64(early)
 		})
 
 		g.fmu.Lock()
+		open.Store(true)
 		up.reply(up.queries()[0])
 		waitFor(t, 2*time.Second, "the leader's answer", func() bool { return g.m.latency.Count() == 1 })
 		run(64 - early)
@@ -205,16 +198,15 @@ func TestCoalescedWaitersGetLeaderResult(t *testing.T) {
 // TestGatewayLookupAllocs pins what one gateway lookup costs the process:
 // a warmed lookup of a cached node over loopback TCP — the gateway's flight,
 // the peers' handling and both wire directions — allocates at most 13
-// objects.
+// objects. The prober runs as in production, so a probe round that lands
+// inside the measurement counts too; the armed hedge is never due on
+// loopback.
 func TestGatewayLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector multiplies allocations")
 	}
 	c := startCluster(t, 3, false, peerSetup{})
-	g := c.startGateway(func(o *Options) {
-		o.ProbeInterval = -1
-		o.HedgeAfter = 50 * time.Millisecond // armed, never due on loopback
-	})
+	g := c.startGateway(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	node := c.ownedNode(1)

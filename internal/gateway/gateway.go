@@ -56,32 +56,6 @@ type Options struct {
 	// transport in an overlay.FaultTransport here.
 	Send overlay.Transport
 
-	// UpstreamTimeout bounds one coalesced flight end to end, hedge
-	// included. Default 3s.
-	UpstreamTimeout time.Duration
-	// HedgeAfter fixes the hedge delay. 0 selects the adaptive delay: the
-	// p99 of observed upstream attempt latency, clamped to
-	// [HedgeMin, HedgeMax]. Negative disables hedging.
-	HedgeAfter time.Duration
-	// HedgeMin/HedgeMax clamp the adaptive hedge delay. Defaults 2ms / 500ms.
-	// HedgeMin also serves as the delay while the latency histogram is empty.
-	HedgeMin, HedgeMax time.Duration
-	// MaxAttempts caps upstream attempts per flight: the primary, the hedge,
-	// and further retries every RetryInterval while the flight's budget
-	// lasts — a query lost inside the overlay (e.g. routed into a just-dead
-	// peer before the cluster noticed) gets re-tried against a different
-	// upstream instead of failing the whole coalesced crowd. Default 3.
-	MaxAttempts int
-	// RetryInterval spaces attempts after the first hedge. Default 250ms.
-	RetryInterval time.Duration
-
-	// ProbeInterval is the liveness-probe period (default 500ms; negative
-	// disables probing). ProbeTimeout is the per-probe reply deadline
-	// (default 250ms); EjectAfter consecutive misses eject an upstream
-	// (default 2).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	EjectAfter    int
 	// ProbeDest picks the probe destination for a peer — ideally a node the
 	// peer owns, so probe success depends only on that peer being alive.
 	// Default: the namespace root.
@@ -90,14 +64,41 @@ type Options struct {
 	// AdmissionRate is the per-tenant token refill rate in requests/second
 	// (0 = unlimited); each tenant's bucket holds max(rate, 1) tokens.
 	AdmissionRate float64
-
-	// DrainTimeout bounds how long Drain waits for in-flight requests.
-	// Default 5s.
-	DrainTimeout time.Duration
 }
 
 // routeCacheSize bounds the routing cache.
 const routeCacheSize = 4096
+
+// The flight schedule (DESIGN.md §12). A flight sends its primary attempt,
+// a hedge after the p99 of observed upstream latency clamped to
+// [hedgeMin, hedgeMax] (hedgeMin while nothing is observed yet), then
+// retries every retryInterval until maxAttempts have gone out: the last is
+// due by hedgeMax + (maxAttempts-2)·retryInterval = 2.5 s, inside
+// upstreamTimeout, which bounds the flight end to end. A query lost inside
+// the overlay (e.g. routed into a just-dead peer before the cluster noticed)
+// is re-tried against a different upstream instead of failing the whole
+// coalesced crowd. The retries must span the time a crashed peer takes to be
+// ejected by the prober and handed off by SWIM: until then the route cache
+// steers attempts back at it.
+const (
+	upstreamTimeout = 3 * time.Second
+	hedgeMin        = 2 * time.Millisecond
+	hedgeMax        = 500 * time.Millisecond
+	maxAttempts     = 6
+	retryInterval   = 500 * time.Millisecond
+)
+
+// The liveness prober: every probeInterval each upstream gets one probe,
+// answered within probeTimeout or missed; ejectAfter consecutive misses
+// eject it, one answer reinstates it.
+const (
+	probeInterval = 500 * time.Millisecond
+	probeTimeout  = 250 * time.Millisecond
+	ejectAfter    = 2
+)
+
+// drainTimeout bounds how long Drain waits for in-flight requests.
+const drainTimeout = 5 * time.Second
 
 func (o *Options) fill() error {
 	if o.Tree == nil {
@@ -115,39 +116,9 @@ func (o *Options) fill() error {
 	if o.Send == nil {
 		o.Send = o.Wire
 	}
-	if o.UpstreamTimeout <= 0 {
-		o.UpstreamTimeout = 3 * time.Second
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 2 * time.Millisecond
-	}
-	if o.HedgeMax <= 0 {
-		o.HedgeMax = 500 * time.Millisecond
-	}
-	if o.HedgeMax < o.HedgeMin {
-		o.HedgeMax = o.HedgeMin
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.RetryInterval <= 0 {
-		o.RetryInterval = 250 * time.Millisecond
-	}
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 250 * time.Millisecond
-	}
-	if o.EjectAfter <= 0 {
-		o.EjectAfter = 2
-	}
 	if o.ProbeDest == nil {
 		root := o.Tree.Root()
 		o.ProbeDest = func(core.ServerID) core.NodeID { return root }
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 5 * time.Second
 	}
 	return nil
 }
@@ -183,17 +154,17 @@ type pendingAttempt struct {
 
 // flight is one coalesced in-flight lookup. done is made under fmu by the
 // first caller that coalesces onto it (most flights have none), and waiters
-// block on it. qids backs the flight's attempt IDs up to the default
-// MaxAttempts.
+// block on it. qids backs the flight's attempt IDs.
 type flight struct {
 	done chan struct{}
 	res  Result
 	err  error
-	qids [3]uint64
+	qids [maxAttempts]uint64
 }
 
 // Gateway is the edge-tier front door. Create with New, then attach the
-// HTTP surface with StartHTTP; the wire surface is live from New on.
+// HTTP surface with StartHTTP; the wire surface is live, and every upstream
+// dialled, from New on.
 type Gateway struct {
 	opts  Options
 	self  core.ServerID
@@ -223,8 +194,12 @@ type Gateway struct {
 	httpSrv *httpServer
 }
 
-// New validates opts, wires the gateway into its transport (ServeFunc) and
-// starts the upstream prober. The wire surface is immediately live.
+// New validates opts, wires the gateway into its transport (ServeFunc),
+// runs the first round of liveness probes and starts the prober. It returns
+// once every upstream has answered or missed its first probe, at most
+// probeTimeout later: a peer can answer the gateway only over a connection
+// the gateway opened, so before that round a lookup resolved by a peer the
+// gateway had not dialled would lose its answer.
 func New(opts Options) (*Gateway, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -245,10 +220,9 @@ func New(opts Options) (*Gateway, error) {
 	}
 	g.m = newMetrics(g.reg)
 	g.wire.ServeFunc(g.onMessage)
-	if opts.ProbeInterval > 0 {
-		g.wg.Add(1)
-		go g.probeLoop()
-	}
+	g.probeRound().Wait()
+	g.wg.Add(1)
+	go g.probeLoop()
 	return g, nil
 }
 
@@ -260,10 +234,10 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // Drain begins a graceful shutdown: new requests are refused (HTTP 503 +
 // Retry-After, wire FailShed) while in-flight ones finish, bounded by
-// DrainTimeout. It returns once the gateway is idle or the timeout passes.
+// drainTimeout. It returns once the gateway is idle or the timeout passes.
 func (g *Gateway) Drain() {
 	g.draining.Store(true)
-	deadline := time.Now().Add(g.opts.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for g.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -408,20 +382,11 @@ func (g *Gateway) Lookup(ctx context.Context, node core.NodeID) (Result, error) 
 	return f.res, f.err
 }
 
-// hedgeDelay derives the hedge trigger: fixed when configured, else the p99
-// of observed upstream latency clamped to [HedgeMin, HedgeMax].
+// hedgeDelay derives the hedge trigger: the p99 of observed upstream
+// latency clamped to [hedgeMin, hedgeMax].
 func (g *Gateway) hedgeDelay() time.Duration {
-	if g.opts.HedgeAfter != 0 {
-		return g.opts.HedgeAfter
-	}
 	d := time.Duration(g.m.upstreamLatency.Quantile(0.99) * float64(time.Second))
-	if d < g.opts.HedgeMin {
-		d = g.opts.HedgeMin
-	}
-	if d > g.opts.HedgeMax {
-		d = g.opts.HedgeMax
-	}
-	return d
+	return min(max(d, hedgeMin), hedgeMax)
 }
 
 // launchAttempt sends one upstream query for node, preferring cached
@@ -464,7 +429,7 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 
 	// Capacity for every attempt: replies land without blocking the read
 	// goroutine even if this flight has already returned.
-	ch := make(chan attemptReply, g.opts.MaxAttempts)
+	ch := make(chan attemptReply, maxAttempts)
 	qid1, peer1, ok := g.launchAttempt(node, ch, core.NoServer, cached)
 	if !ok {
 		return Result{}, fmt.Errorf("gateway: no usable upstream")
@@ -472,21 +437,19 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 	attempts := append(f.qids[:0], qid1)
 	defer func() { g.removePending(attempts...) }()
 
-	// One timer paces the flight. It fires at next: the next extra attempt —
-	// the first after the (p99-derived or fixed) hedge delay, further ones
-	// every RetryInterval up to MaxAttempts — or the deadline, when no
-	// attempt is due before it. Hedging off or a single-peer pool leaves no
-	// attempt to pace.
-	deadline := start.Add(g.opts.UpstreamTimeout)
+	// One timer paces the flight. It fires at next: the hedge, after the
+	// hedge delay, then a retry every retryInterval, maxAttempts-1 times in
+	// all, and then the deadline. A single-peer pool leaves no attempt to
+	// pace.
+	deadline := start.Add(upstreamTimeout)
 	next := deadline
-	if g.opts.HedgeAfter >= 0 && len(g.pool.ids) > 1 {
-		if t := start.Add(g.hedgeDelay()); t.Before(deadline) {
-			next = t
-		}
+	if len(g.pool.ids) > 1 {
+		next = start.Add(g.hedgeDelay())
 	}
 	timer := time.NewTimer(time.Until(next))
 	defer timer.Stop()
 
+	paced := 1 // the primary, then one per timer firing before the deadline
 	hedged := false
 	lastPeer := peer1
 	replies := 0
@@ -499,7 +462,7 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 				// survivor has adopted its partition yet) is not final: retry
 				// immediately on a different peer while the attempt budget
 				// lasts, or keep waiting for an outstanding attempt.
-				if len(attempts) < g.opts.MaxAttempts {
+				if len(attempts) < maxAttempts {
 					if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
 						lastPeer = peer
 						attempts = append(attempts, qid)
@@ -528,25 +491,24 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 			g.m.latency.Observe(res.Latency.Seconds())
 			return res, nil
 		case <-timer.C:
-			if next.Before(deadline) {
-				if len(attempts) < g.opts.MaxAttempts {
-					if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
-						hedged = true
-						lastPeer = peer
-						attempts = append(attempts, qid)
-						g.m.hedgeFired.Inc()
-					}
-				}
-				next = deadline
-				if t := time.Now().Add(g.opts.RetryInterval); len(attempts) < g.opts.MaxAttempts && t.Before(deadline) {
-					next = t
-				}
-				timer.Reset(time.Until(next)) // its channel was just drained
-				continue
+			if next == deadline {
+				g.m.timeouts.Inc()
+				g.m.latency.Observe(time.Since(start).Seconds())
+				return Result{}, fmt.Errorf("gateway: lookup %d timed out after %s", node, upstreamTimeout)
 			}
-			g.m.timeouts.Inc()
-			g.m.latency.Observe(time.Since(start).Seconds())
-			return Result{}, fmt.Errorf("gateway: lookup %d timed out after %s", node, g.opts.UpstreamTimeout)
+			if len(attempts) < maxAttempts {
+				if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
+					hedged = true
+					lastPeer = peer
+					attempts = append(attempts, qid)
+					g.m.hedgeFired.Inc()
+				}
+			}
+			next = deadline
+			if paced++; paced < maxAttempts && len(attempts) < maxAttempts {
+				next = time.Now().Add(retryInterval)
+			}
+			timer.Reset(time.Until(next)) // its channel was just drained
 		case <-g.stop:
 			return Result{}, fmt.Errorf("gateway: closed")
 		}
@@ -572,7 +534,7 @@ func (g *Gateway) serveWire(q *core.QueryMsg) {
 	}
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.UpstreamTimeout+time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), upstreamTimeout+time.Second)
 	res, err := g.Lookup(ctx, q.Dest)
 	cancel()
 	if err != nil {

@@ -141,32 +141,34 @@ func TestRouteCache(t *testing.T) {
 	}
 }
 
-// waitReady blocks until every upstream has answered a liveness probe — which
-// also guarantees the gateway has dialed (and hello'd on) a connection to
-// every peer, so any peer can route results back to it. It sends the probes
-// itself, one at a time per peer like the prober: a miss leaves the peer's
-// miss streak above zero, a hit (or a result from real traffic) clears it.
-func waitReady(t *testing.T, g *Gateway) {
-	t.Helper()
-	waitFor(t, 5*time.Second, "all upstreams probed alive", func() bool {
-		for _, u := range g.pool.ups {
-			if !u.probing.CompareAndSwap(false, true) {
-				return false
-			}
-			g.probeOnce(u)
-			u.probing.Store(false)
-			if u.missed.Load() != 0 {
-				return false
-			}
+// TestGatewayReadyWhenNewReturns: a peer can answer the gateway only over a
+// connection the gateway opened, so New returns only after its first probe
+// round has dialled every upstream. Lookups issued straight after New, each
+// for a node that a peer other than the first one picked resolves, all
+// answer well inside one retry spacing: none waits for a retry to reach a
+// peer the gateway has dialled, nor times out because no attempt does.
+func TestGatewayReadyWhenNewReturns(t *testing.T) {
+	c := startCluster(t, 4, false, peerSetup{})
+	g := c.startGateway(nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// The pool's round robin picks peer 0 first and the hedge peer 1, so
+	// nothing the first flight sends dials peer 3 before its answer is due.
+	for _, owner := range []core.ServerID{3, 2, 1} {
+		node := c.ownedNode(owner)
+		res, err := g.Lookup(ctx, node)
+		if err != nil || !res.OK {
+			t.Fatalf("lookup of a node peer %d owns: %+v, %v", owner, res, err)
 		}
-		return true
-	})
+		if res.Latency > 100*time.Millisecond {
+			t.Fatalf("lookup of a node peer %d owns took %s, want under 100ms", owner, res.Latency)
+		}
+	}
 }
 
 func TestGatewayLookupBasic(t *testing.T) {
 	c := startCluster(t, 3, false, peerSetup{})
 	g := c.startGateway(nil)
-	waitReady(t, g)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -218,7 +220,6 @@ func TestGatewayWireSurface(t *testing.T) {
 	g := c.startGateway(func(o *Options) {
 		o.AdmissionRate = 1 // burst defaults to 1: second immediate request sheds
 	})
-	waitReady(t, g)
 
 	// A downstream wire client: its own client-role transport, whose only
 	// "peer" is the gateway.
@@ -284,11 +285,7 @@ func TestGatewayWireSurface(t *testing.T) {
 
 func TestHTTPAdmissionAndDrain(t *testing.T) {
 	c := startCluster(t, 3, false, peerSetup{})
-	g := c.startGateway(func(o *Options) {
-		o.AdmissionRate = 1
-		o.DrainTimeout = 500 * time.Millisecond
-	})
-	waitReady(t, g)
+	g := c.startGateway(func(o *Options) { o.AdmissionRate = 1 })
 	addr, err := g.StartHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -347,12 +344,11 @@ func TestHTTPAdmissionAndDrain(t *testing.T) {
 
 func TestCoalesceFlashCrowd(t *testing.T) {
 	// 20ms of latency on the peers' outbound path keeps the leader's flight
-	// open long enough that a barrier-released crowd piles onto it.
+	// open long enough that a barrier-released crowd piles onto it. Each
+	// flight may hedge (at most maxAttempts upstream queries), so the
+	// upstream query count still isolates coalescing.
 	c := startCluster(t, 3, false, peerSetup{latency: 20 * time.Millisecond})
-	g := c.startGateway(func(o *Options) {
-		o.HedgeAfter = -1 // no hedging: upstream query count isolates coalescing
-	})
-	waitReady(t, g)
+	g := c.startGateway(nil)
 
 	before := g.Registry().Snapshot()
 	const crowd = 50
@@ -416,8 +412,7 @@ func TestCoalesceFlashCrowd(t *testing.T) {
 func TestGatewayResultsCarryAdvertsNotDigests(t *testing.T) {
 	// At 2 ms of capacity a query the owner saturates at 500 lookups/s.
 	c := startCluster(t, 3, false, peerSetup{serviceCost: 2 * time.Millisecond})
-	g := c.startGateway(func(o *Options) { o.HedgeAfter = -1 })
-	waitReady(t, g)
+	g := c.startGateway(nil)
 
 	var (
 		mu      sync.Mutex

@@ -33,9 +33,10 @@ type peerSetup struct {
 }
 
 // startCluster boots n TCP peers (each with its outbound path wrapped in a
-// FaultTransport for targeted fault injection). withMembership enables the
-// accelerated SWIM tuning from the churn e2e tests — needed whenever a test
-// crashes a peer and expects the survivors to keep resolving its nodes.
+// FaultTransport for targeted fault injection). withMembership runs SWIM at
+// the churn e2e tests' accelerated probe and suspicion settings — needed
+// whenever a test crashes a peer and expects the survivors to keep resolving
+// its nodes.
 func startCluster(t *testing.T, n int, withMembership bool, setup peerSetup) *testCluster {
 	t.Helper()
 	c := &testCluster{
@@ -74,11 +75,9 @@ func startCluster(t *testing.T, n int, withMembership bool, setup peerSetup) *te
 		if withMembership {
 			opts.Membership = &overlay.MembershipOptions{
 				Protocol: membership.Options{
-					ProbeInterval:       50 * time.Millisecond,
-					ProbeTimeout:        25 * time.Millisecond,
-					SuspicionTimeout:    250 * time.Millisecond,
-					DeadReprobeInterval: 200 * time.Millisecond,
-					Seed:                uint64(i)*31 + 1,
+					ProbeInterval:    50 * time.Millisecond,
+					SuspicionTimeout: 250 * time.Millisecond,
+					Seed:             uint64(i)*31 + 1,
 				},
 				Servers:  n,
 				SelfAddr: c.trs[i].Addr(),
@@ -146,10 +145,6 @@ func (c *testCluster) startGateway(tweak func(*Options)) *Gateway {
 		Peers:     c.peers,
 		Wire:      gwTr,
 		ProbeDest: c.ownedNode,
-		// Race-detector-friendly probe cadence: fast enough that ejection
-		// happens within a test, slow enough not to flood the loopback.
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  150 * time.Millisecond,
 	}
 	if tweak != nil {
 		tweak(&opts)

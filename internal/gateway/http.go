@@ -138,7 +138,7 @@ func (g *Gateway) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(r.Context(), g.opts.UpstreamTimeout+time.Second)
+	ctx, cancel := context.WithTimeout(r.Context(), upstreamTimeout+time.Second)
 	res, err := g.Lookup(ctx, node)
 	cancel()
 	if err != nil {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,34 +84,44 @@ func (p *pool) observeAlive(id core.ServerID) {
 	}
 }
 
-// probeLoop probes every pool member each interval and flips health state:
-// ejectAfter consecutive misses ejects, one hit reinstates. Runs until stop
-// closes. Probes ride the same pending-reply table as real lookups (the
-// prober owns its reply channels), so a probe reply is indistinguishable
-// from a fast lookup on the wire.
+// probeLoop runs a probe round every probeInterval until stop closes.
 func (g *Gateway) probeLoop() {
 	defer g.wg.Done()
-	ticker := time.NewTicker(g.opts.ProbeInterval)
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-g.stop:
 			return
 		case <-ticker.C:
-		}
-		for _, id := range g.pool.ids {
-			u := g.pool.ups[id]
-			if !u.probing.CompareAndSwap(false, true) {
-				continue // previous probe still in flight
-			}
-			g.wg.Add(1)
-			go func(u *upstream) {
-				defer g.wg.Done()
-				defer u.probing.Store(false)
-				g.probeOnce(u)
-			}(u)
+			g.probeRound()
 		}
 	}
+}
+
+// probeRound probes every pool member that has no probe in flight, each on
+// its own goroutine, and returns a group that is done once each of them has
+// answered or missed. Probes flip health state: ejectAfter consecutive
+// misses eject, one hit reinstates. They ride the same pending-reply table
+// as real lookups (the prober owns its reply channels), so a probe reply is
+// indistinguishable from a fast lookup on the wire.
+func (g *Gateway) probeRound() *sync.WaitGroup {
+	round := new(sync.WaitGroup)
+	for _, id := range g.pool.ids {
+		u := g.pool.ups[id]
+		if !u.probing.CompareAndSwap(false, true) {
+			continue // previous probe still in flight
+		}
+		g.wg.Add(1)
+		round.Add(1)
+		go func() {
+			defer g.wg.Done()
+			defer round.Done()
+			defer u.probing.Store(false)
+			g.probeOnce(u)
+		}()
+	}
+	return round
 }
 
 // probeOnce sends one liveness lookup to u and applies the hit/miss state
@@ -132,7 +143,7 @@ func (g *Gateway) probeOnce(u *upstream) {
 		g.probeMissed(u)
 		return
 	}
-	timer := time.NewTimer(g.opts.ProbeTimeout)
+	timer := time.NewTimer(probeTimeout)
 	defer timer.Stop()
 	select {
 	case <-ch:
@@ -145,7 +156,7 @@ func (g *Gateway) probeOnce(u *upstream) {
 }
 
 func (g *Gateway) probeMissed(u *upstream) {
-	if int(u.missed.Add(1)) >= g.opts.EjectAfter && u.healthy.Load() {
+	if int(u.missed.Add(1)) >= ejectAfter && u.healthy.Load() {
 		u.healthy.Store(false)
 		g.m.ejections.Inc()
 		// Scrub the dead peer from cached replica sets so cache-directed

@@ -71,27 +71,25 @@ const (
 	indirectProbes = 2
 	// maxUpdatesPerMessage bounds the piggybacked delta count.
 	maxUpdatesPerMessage = 8
+	// retransmitFactor scales each delta's retransmit budget:
+	// retransmitFactor × ⌈log₂(members+1)⌉ piggybacks.
+	retransmitFactor = 3
+	// deadReprobeEvery is how many probe ticks pass between two probes of a
+	// dead member, so a healed partition or restarted peer is rediscovered:
+	// the reprobe period is deadReprobeEvery × ProbeInterval.
+	deadReprobeEvery = 8
 )
 
 // Options tunes the failure detector. Zero fields take the documented
 // defaults.
 type Options struct {
-	// ProbeInterval is the protocol period: one direct probe per tick.
-	// Default 250ms.
+	// ProbeInterval is the protocol period: one direct probe per tick. A
+	// direct probe waits ProbeInterval/3 for its ack before indirect
+	// probing. Default 250ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds the wait for a direct ack before indirect probing.
-	// Default ProbeInterval/3.
-	ProbeTimeout time.Duration
 	// SuspicionTimeout is how long a suspect has to refute before being
 	// declared dead. Default 4×ProbeInterval.
 	SuspicionTimeout time.Duration
-	// RetransmitFactor scales each delta's retransmit budget:
-	// RetransmitFactor × ⌈log₂(members+1)⌉ piggybacks. Default 3.
-	RetransmitFactor int
-	// DeadReprobeInterval is how often one dead member is probed anyway, so a
-	// healed partition or restarted peer is rediscovered. Default
-	// 8×ProbeInterval; negative disables.
-	DeadReprobeInterval time.Duration
 	// Seed seeds the deterministic probe-order RNG. Default 1.
 	Seed uint64
 }
@@ -100,22 +98,16 @@ func (o *Options) fill() {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.ProbeInterval / 3
-	}
 	if o.SuspicionTimeout <= 0 {
 		o.SuspicionTimeout = 4 * o.ProbeInterval
-	}
-	if o.RetransmitFactor <= 0 {
-		o.RetransmitFactor = 3
-	}
-	if o.DeadReprobeInterval == 0 {
-		o.DeadReprobeInterval = 8 * o.ProbeInterval
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 }
+
+// probeTimeout bounds the wait for a direct ack before indirect probing.
+func (o *Options) probeTimeout() time.Duration { return o.ProbeInterval / 3 }
 
 // Config wires a Service to its driver.
 type Config struct {
@@ -203,7 +195,6 @@ type Service struct {
 	stopped     bool
 	src         *rng.Source
 	ticks       uint64
-	deadEvery   uint64
 
 	evMu sync.Mutex // serializes OnEvent delivery across goroutines
 
@@ -240,12 +231,6 @@ func New(cfg Config) *Service {
 		s.members[id] = &memberEntry{Member: Member{ID: id, State: Alive, Addr: addr}}
 	}
 	s.joined = cfg.JoinAddr == ""
-	if cfg.DeadReprobeInterval > 0 {
-		s.deadEvery = uint64(cfg.DeadReprobeInterval / cfg.ProbeInterval)
-		if s.deadEvery < 1 {
-			s.deadEvery = 1
-		}
-	}
 	s.registerMetrics()
 	return s
 }
@@ -325,16 +310,16 @@ func (s *Service) tick() {
 		s.probesSent.Inc()
 	}
 	s.cfg.Send(target, msg)
-	time.AfterFunc(s.cfg.ProbeTimeout, func() { s.onDirectTimeout(seq) })
+	time.AfterFunc(s.cfg.probeTimeout(), func() { s.onDirectTimeout(seq) })
 }
 
 // pickProbeTargetLocked implements SWIM's shuffled round-robin: every member
 // is probed exactly once per rotation, in an order reshuffled each round, so
 // detection time is bounded rather than merely probabilistic. Every
-// deadEvery-th tick one dead member is probed instead (partition heal /
-// restart rediscovery).
+// deadReprobeEvery-th tick one dead member is probed instead (partition heal
+// / restart rediscovery).
 func (s *Service) pickProbeTargetLocked() core.ServerID {
-	if s.deadEvery > 0 && s.ticks%s.deadEvery == 0 {
+	if s.ticks%deadReprobeEvery == 0 {
 		var dead []core.ServerID
 		for id, e := range s.members {
 			if e.State == Dead {
@@ -397,7 +382,7 @@ func (s *Service) onDirectTimeout(seq uint64) {
 	for i, h := range helpers {
 		s.cfg.Send(h, msgs[i])
 	}
-	time.AfterFunc(2*s.cfg.ProbeTimeout, func() { s.onIndirectTimeout(seq2) })
+	time.AfterFunc(2*s.cfg.probeTimeout(), func() { s.onIndirectTimeout(seq2) })
 }
 
 func (s *Service) onIndirectTimeout(seq uint64) {
@@ -508,7 +493,7 @@ func (s *Service) Deliver(m *core.MembershipMsg) {
 		s.relays[relaySeq] = relayEntry{origin: m.From, originSeq: m.Seq, target: m.Target}
 		reply = s.buildLocked(core.MembershipPing, relaySeq, s.cfg.Self, m.Target)
 		replyTo = m.Target
-		time.AfterFunc(4*s.cfg.ProbeTimeout, func() {
+		time.AfterFunc(4*s.cfg.probeTimeout(), func() {
 			s.mu.Lock()
 			delete(s.relays, relaySeq)
 			s.mu.Unlock()
@@ -622,9 +607,9 @@ func (s *Service) snapshotLocked() *core.MembershipMsg {
 
 // queueLocked enqueues a delta for piggybacked dissemination, superseding
 // any queued claim about the same server. The retransmit budget is
-// RetransmitFactor × ⌈log₂(members+1)⌉ — SWIM's epidemic bound.
+// retransmitFactor × ⌈log₂(members+1)⌉ — SWIM's epidemic bound.
 func (s *Service) queueLocked(u core.MemberUpdate) {
-	budget := s.cfg.RetransmitFactor * bits.Len(uint(len(s.members)+1))
+	budget := retransmitFactor * bits.Len(uint(len(s.members)+1))
 	for _, qu := range s.updates {
 		if qu.u.Server == u.Server {
 			qu.u = u

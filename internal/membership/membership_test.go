@@ -97,11 +97,9 @@ func staticPeers(n int) map[core.ServerID]string {
 // detector's scheduling overhead.
 func fastOpts(seed uint64) Options {
 	return Options{
-		ProbeInterval:       25 * time.Millisecond,
-		ProbeTimeout:        15 * time.Millisecond,
-		SuspicionTimeout:    150 * time.Millisecond,
-		DeadReprobeInterval: 100 * time.Millisecond,
-		Seed:                seed,
+		ProbeInterval:    25 * time.Millisecond,
+		SuspicionTimeout: 150 * time.Millisecond,
+		Seed:             seed,
 	}
 }
 
@@ -455,7 +453,7 @@ func TestPiggybackBudgetDrains(t *testing.T) {
 		Self:    0,
 		Peers:   map[core.ServerID]string{1: "", 2: "", 3: ""},
 		Send:    func(core.ServerID, *core.MembershipMsg) {},
-		Options: Options{Seed: 5, RetransmitFactor: 1, SuspicionTimeout: time.Hour},
+		Options: Options{Seed: 5, SuspicionTimeout: time.Hour},
 	})
 	// Learn one delta about server 3 (suspect), then repeatedly build outgoing
 	// messages; the delta must appear a bounded number of times and then stop.

@@ -16,11 +16,9 @@ import (
 // suspicion on a loopback network.
 func churnProto(i int) membership.Options {
 	return membership.Options{
-		ProbeInterval:       50 * time.Millisecond,
-		ProbeTimeout:        25 * time.Millisecond,
-		SuspicionTimeout:    250 * time.Millisecond,
-		DeadReprobeInterval: 200 * time.Millisecond,
-		Seed:                uint64(i)*31 + 1,
+		ProbeInterval:    50 * time.Millisecond,
+		SuspicionTimeout: 250 * time.Millisecond,
+		Seed:             uint64(i)*31 + 1,
 	}
 }
 
@@ -271,10 +269,9 @@ func TestRepeatLookupAfterOwnerCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs real-time failure detection")
 	}
-	proto := churnProto(3)
 	c := startLocal(t, 5, func(o *LocalClusterOptions) {
 		o.Fault = &FaultOptions{}
-		o.Membership = &proto
+		o.Node.Membership = inProcessMembership(5, churnProto(3))
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

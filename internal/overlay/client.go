@@ -66,10 +66,10 @@ func (n *Node) fetchData(ctx context.Context, host core.ServerID, dest core.Node
 		return nil, err
 	}
 	// The effective timeout is the caller's ctx deadline when one exists and
-	// is sooner; n.opts.DataTimeout otherwise backstops deadline-free
+	// is sooner; dataTimeout otherwise backstops deadline-free
 	// contexts. A stopped timer (unlike time.After) allocates nothing past
 	// this call's lifetime.
-	timeout := n.opts.DataTimeout
+	timeout := dataTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		if remain := time.Until(dl); remain < timeout {
 			timeout = remain

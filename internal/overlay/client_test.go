@@ -146,11 +146,11 @@ func TestGetSelfHostedRace(t *testing.T) {
 	})
 }
 
+// TestFetchDataTimeoutOnDeadHost: with no deadline on the caller's context,
+// a fetch from a crashed host gives up at dataTimeout.
 func TestFetchDataTimeoutOnDeadHost(t *testing.T) {
-	c := startLocal(t, 4, func(o *LocalClusterOptions) {
-		o.Fault = &FaultOptions{}
-		o.Node.DataTimeout = 150 * time.Millisecond
-	})
+	t.Parallel() // it waits out dataTimeout
+	c := startLocal(t, 4, func(o *LocalClusterOptions) { o.Fault = &FaultOptions{} })
 	target := core.NodeID(10)
 	owner := c.OwnerOf(target)
 	c.Fault().Crash(owner)
@@ -160,16 +160,13 @@ func TestFetchDataTimeoutOnDeadHost(t *testing.T) {
 	if err == nil || errors.Is(err, errNoData) {
 		t.Fatalf("fetchData to crashed host: %v, want timeout error", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("timeout took %v, DataTimeout not honored", elapsed)
+	if elapsed := time.Since(start); elapsed < dataTimeout || elapsed > dataTimeout+2*time.Second {
+		t.Fatalf("timeout took %v, want dataTimeout %v", elapsed, dataTimeout)
 	}
 }
 
 func TestFetchDataContextCancel(t *testing.T) {
-	c := startLocal(t, 4, func(o *LocalClusterOptions) {
-		o.Fault = &FaultOptions{}
-		o.Node.DataTimeout = time.Minute // the context must win
-	})
+	c := startLocal(t, 4, func(o *LocalClusterOptions) { o.Fault = &FaultOptions{} })
 	target := core.NodeID(10)
 	owner := c.OwnerOf(target)
 	c.Fault().Crash(owner)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"terradir/internal/core"
-	"terradir/internal/membership"
 	"terradir/internal/namespace"
 )
 
@@ -76,16 +75,11 @@ type LocalClusterOptions struct {
 	// NetDelay delays every message by this much (default 0).
 	NetDelay time.Duration
 	// Node configures every peer. Its Seed is replaced per peer, and so is
-	// its Membership when the Membership field below is set.
+	// its Membership's protocol seed when it runs membership.
 	Node Options
 	// Fault, when non-nil, wraps the cluster's transport in a FaultTransport
 	// with these options (retrieve it with Fault for runtime fault control).
 	Fault *FaultOptions
-	// Membership, when non-nil, runs the gossip membership subsystem on every
-	// node with these protocol options (all servers statically seeded as the
-	// initial member set). Combine with Fault to exercise failure detection
-	// and ownership handoff in-process.
-	Membership *membership.Options
 }
 
 // NewLocalCluster builds and starts a local overlay over the namespace.
@@ -114,24 +108,13 @@ func NewLocalCluster(tree *namespace.Tree, opts LocalClusterOptions) (*LocalClus
 	for nd, s := range c.owner {
 		ownedBy[s] = append(ownedBy[s], core.NodeID(nd))
 	}
-	var staticPeers map[core.ServerID]string
-	if opts.Membership != nil {
-		staticPeers = make(map[core.ServerID]string, opts.Servers)
-		for i := 0; i < opts.Servers; i++ {
-			staticPeers[core.ServerID(i)] = "" // LocalTransport routes by ID
-		}
-	}
 	for i := 0; i < opts.Servers; i++ {
 		nodeOpts := opts.Node
 		nodeOpts.Seed = opts.Seed + uint64(i)*7919
-		if opts.Membership != nil {
-			proto := *opts.Membership
-			proto.Seed = opts.Seed + uint64(i)*104729 + 1
-			nodeOpts.Membership = &MembershipOptions{
-				Protocol: proto,
-				Servers:  opts.Servers,
-				Peers:    staticPeers,
-			}
+		if m := opts.Node.Membership; m != nil {
+			mo := *m
+			mo.Protocol.Seed = opts.Seed + uint64(i)*104729 + 1
+			nodeOpts.Membership = &mo
 		}
 		n, err := NewNode(core.ServerID(i), tree, ownedBy[i], ownerOf, nodeOpts)
 		if err != nil {

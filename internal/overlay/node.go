@@ -39,9 +39,6 @@ type Options struct {
 	// (DESIGN.md §10). Nothing sleeps; the cost is a count, so load does not
 	// depend on how fast the host runs. Default 20 µs, 50k queries/s.
 	ServiceCost time.Duration
-	// DataTimeout bounds data-retrieval round trips (Get) when the caller's
-	// context carries no earlier deadline. Default 5 s.
-	DataTimeout time.Duration
 	// Seed seeds the node's deterministic RNG stream.
 	Seed uint64
 	// TraceSample is the fraction of lookups initiated at this node that
@@ -70,6 +67,10 @@ const DefaultTraceSample = 1.0 / 64
 // 0.5 s the simulator uses.
 const loadWindow = 500 * time.Millisecond
 
+// dataTimeout bounds data-retrieval round trips (Get) when the caller's
+// context carries no earlier deadline.
+const dataTimeout = 5 * time.Second
+
 // defaultServiceCost is Options.ServiceCost when unset: 50k queries/s, the
 // measured CPU cost of one in-process lookup rounded up (DESIGN.md §10).
 const defaultServiceCost = 20 * time.Microsecond
@@ -83,9 +84,6 @@ func (o *Options) fill(id core.ServerID) {
 	}
 	if o.ServiceCost <= 0 {
 		o.ServiceCost = defaultServiceCost
-	}
-	if o.DataTimeout <= 0 {
-		o.DataTimeout = 5 * time.Second
 	}
 	if o.Seed == 0 {
 		o.Seed = uint64(id) + 1

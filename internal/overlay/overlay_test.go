@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"terradir/internal/core"
+	"terradir/internal/membership"
 	"terradir/internal/namespace"
 	"terradir/internal/rng"
 )
@@ -28,6 +29,17 @@ func startLocal(t *testing.T, servers int, mut func(*LocalClusterOptions)) *Loca
 	}
 	t.Cleanup(c.StopAll)
 	return c
+}
+
+// inProcessMembership runs the gossip membership subsystem on every node of
+// a LocalCluster with the given protocol options, all servers seeded as the
+// initial member set (LocalTransport routes by ID, so addresses are empty).
+func inProcessMembership(servers int, proto membership.Options) *MembershipOptions {
+	peers := make(map[core.ServerID]string, servers)
+	for i := 0; i < servers; i++ {
+		peers[core.ServerID(i)] = ""
+	}
+	return &MembershipOptions{Protocol: proto, Servers: servers, Peers: peers}
 }
 
 func TestLocalLookupResolves(t *testing.T) {

@@ -33,23 +33,25 @@ const maxPooledBuf = 64 << 10
 // to the first message of the next batch.
 const maxReadBatch = 256
 
-// TCPTransportOptions tunes the transport's asynchronous outbound path. The
-// zero value selects the defaults documented per field.
+// The outbound path's fixed settings. queueDepth bounds each peer's
+// outbound buffer: a full queue evicts its oldest message (counted in
+// TransportStats.QueueDrops) so senders never block and the freshest soft
+// state wins. dialTimeout bounds every connection attempt, and writeTimeout
+// is the per-frame write deadline: an expired deadline drops the frame and
+// redials. backoffMin and backoffMax bound the exponential redial backoff
+// after a failed dial (each failure doubles the delay, plus up to 100%
+// jitter).
+const (
+	queueDepth   = 128
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+	backoffMin   = 25 * time.Millisecond
+	backoffMax   = 3 * time.Second
+)
+
+// TCPTransportOptions configures a transport. The zero value is a peer
+// transport with jitter seeded from its server ID.
 type TCPTransportOptions struct {
-	// QueueDepth bounds each peer's outbound buffer. A full queue evicts its
-	// oldest message (counted in TransportStats.QueueDrops) so senders never
-	// block and the freshest soft state wins. Default 128.
-	QueueDepth int
-	// DialTimeout bounds every connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline; an expired deadline drops
-	// the frame and redials. Default 2s.
-	WriteTimeout time.Duration
-	// BackoffMin/BackoffMax bound the exponential redial backoff after a
-	// failed dial (each failure doubles the delay, plus up to 100% jitter).
-	// Defaults 25ms / 3s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Seed seeds the deterministic backoff-jitter stream (default: from self).
 	Seed uint64
 	// ClientRole marks the transport as an edge client (gateway, CLI) rather
@@ -63,24 +65,6 @@ type TCPTransportOptions struct {
 }
 
 func (o *TCPTransportOptions) fill(self core.ServerID) {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 128
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 2 * time.Second
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 25 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 3 * time.Second
-	}
-	if o.BackoffMax < o.BackoffMin {
-		o.BackoffMax = o.BackoffMin
-	}
 	if o.Seed == 0 {
 		o.Seed = uint64(self)*0x9e3779b9 + 1
 	}
@@ -140,8 +124,7 @@ func NewTCPTransport(self core.ServerID, listenAddr string, addrs map[core.Serve
 	return NewTCPTransportOpts(self, listenAddr, addrs, TCPTransportOptions{})
 }
 
-// NewTCPTransportOpts is NewTCPTransport with explicit queue/timeout/backoff
-// options.
+// NewTCPTransportOpts is NewTCPTransport with explicit options.
 func NewTCPTransportOpts(self core.ServerID, listenAddr string, addrs map[core.ServerID]string, opts TCPTransportOptions) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
@@ -422,7 +405,7 @@ func (t *TCPTransport) Send(from, to core.ServerID, m core.Message) error {
 			addr:    addr,
 			notify:  make(chan struct{}, 1),
 			quit:    make(chan struct{}),
-			backoff: t.opts.BackoffMin,
+			backoff: backoffMin,
 			jitter:  rng.New(t.opts.Seed ^ uint64(to)*0xd1b54a32d192ed03),
 		}
 		t.peers[to] = p
@@ -490,7 +473,7 @@ func (t *TCPTransport) SendTo(addr string, m core.Message) error {
 		return fmt.Errorf("overlay: transport closed")
 	}
 	t.mu.Unlock()
-	d := net.Dialer{Timeout: t.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(t.dialCtx, "tcp", addr)
 	if err != nil {
 		t.ctr.dialErrors.Add(1)
@@ -498,7 +481,7 @@ func (t *TCPTransport) SendTo(addr string, m core.Message) error {
 	}
 	defer conn.Close()
 	t.ctr.dials.Add(1)
-	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := wire.WriteFrame(conn, data); err != nil {
 		t.ctr.writeErrors.Add(1)
 		return err
@@ -633,7 +616,7 @@ func (p *peerSender) putBufs(bufs [][]byte) {
 }
 
 func (p *peerSender) recycleLocked(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf || len(p.free) >= p.t.opts.QueueDepth {
+	if cap(b) == 0 || cap(b) > maxPooledBuf || len(p.free) >= queueDepth {
 		return
 	}
 	p.free = append(p.free, b[:0])
@@ -653,8 +636,8 @@ func (p *peerSender) push(data []byte) (dropped int) {
 		p.mu.Unlock()
 		return 1
 	}
-	if len(p.queue) >= p.t.opts.QueueDepth {
-		n := len(p.queue) - p.t.opts.QueueDepth + 1
+	if len(p.queue) >= queueDepth {
+		n := len(p.queue) - queueDepth + 1
 		for _, old := range p.queue[:n] {
 			p.recycleLocked(old)
 		}
@@ -814,7 +797,7 @@ func (p *peerSender) deliver(batch [][]byte) bool {
 			p.wbuf = append(p.wbuf, hdr[:]...)
 			p.wbuf = append(p.wbuf, f...)
 		}
-		conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := conn.Write(p.wbuf)
 		if cap(p.wbuf) > 2*maxBatchBytes {
 			p.wbuf = nil // don't pin an outsized frame's assembly buffer
@@ -839,7 +822,7 @@ func (p *peerSender) deliver(batch [][]byte) bool {
 // In client role the hello frame goes out before the connection is usable
 // and a read loop is attached for replies.
 func (p *peerSender) connect() (net.Conn, bool) {
-	d := net.Dialer{Timeout: p.t.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(p.t.dialCtx, "tcp", p.addr)
 	if err != nil {
 		p.t.ctr.dialErrors.Add(1)
@@ -851,7 +834,7 @@ func (p *peerSender) connect() (net.Conn, bool) {
 		// route. A failed hello is a failed dial (counted as a connection
 		// error, not a write error — hellos are not enqueued frames, and the
 		// Enqueued == Sent + drops conservation ledger must stay exact).
-		nc.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout))
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if werr := wire.WriteFrame(nc, p.t.hello); werr != nil {
 			nc.Close()
 			p.t.ctr.connErrors.Add(1)
@@ -880,7 +863,7 @@ func (p *peerSender) connect() (net.Conn, bool) {
 		p.t.ctr.redials.Add(1)
 	}
 	p.dialed = true
-	p.backoff = p.t.opts.BackoffMin
+	p.backoff = backoffMin
 	p.cmu.Lock()
 	p.nc = nc
 	p.cmu.Unlock()
@@ -899,8 +882,8 @@ func (p *peerSender) sleepBackoff() bool {
 	}
 	delay := p.backoff + time.Duration(p.jitter.Float64()*float64(p.backoff))
 	p.backoff *= 2
-	if p.backoff > p.t.opts.BackoffMax {
-		p.backoff = p.t.opts.BackoffMax
+	if p.backoff > backoffMax {
+		p.backoff = backoffMax
 	}
 	timer := time.NewTimer(delay)
 	defer timer.Stop()

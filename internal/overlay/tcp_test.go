@@ -96,7 +96,6 @@ func TestTCPStartWhileProbed(t *testing.T) {
 	start := func(i int) {
 		proto := membership.Options{
 			ProbeInterval:    2 * time.Millisecond,
-			ProbeTimeout:     time.Millisecond,
 			SuspicionTimeout: time.Minute, // the late starter must not be declared dead
 			Seed:             uint64(i) + 1,
 		}
@@ -132,10 +131,9 @@ func TestTCPStartWhileProbed(t *testing.T) {
 func TestLocalStartWhileProbed(t *testing.T) {
 	proto := membership.Options{
 		ProbeInterval:    100 * time.Microsecond,
-		ProbeTimeout:     50 * time.Microsecond,
 		SuspicionTimeout: time.Minute,
 	}
-	c := startLocal(t, 16, func(o *LocalClusterOptions) { o.Membership = &proto })
+	c := startLocal(t, 16, func(o *LocalClusterOptions) { o.Node.Membership = inProcessMembership(16, proto) })
 	last := c.Node(c.Servers() - 1)
 	waitFor(t, 5*time.Second, func() bool {
 		return snapshotPrefix(last.Registry().Snapshot(), "terradir_membership_acks_total") > 0
@@ -201,15 +199,12 @@ func bigMsg(n int) core.Message {
 }
 
 func TestTCPPeerStallDoesNotBlockSend(t *testing.T) {
+	t.Parallel() // it waits out writeTimeout
 	// One peer accepts but never reads: Sends to it must return immediately
 	// (bounded queue + writer goroutine absorb the stall) and lookups through
 	// the healthy peer must keep completing. The synchronous transport fails
 	// this test: Send blocks inside net.Conn.Write holding the conn lock.
-	nodes, transports, addrs := startTCPPair(t, TCPTransportOptions{
-		QueueDepth:   8,
-		WriteTimeout: 150 * time.Millisecond,
-		DialTimeout:  500 * time.Millisecond,
-	})
+	nodes, transports, addrs := startTCPPair(t, TCPTransportOptions{})
 	stall := newStallListener(t)
 	addrs[2] = stall.ln.Addr().String()
 
@@ -239,7 +234,7 @@ func TestTCPPeerStallDoesNotBlockSend(t *testing.T) {
 
 	// The stall must be visible in the counters: the bounded queue evicted
 	// oldest frames and/or writes died on the deadline.
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(writeTimeout + 3*time.Second)
 	for {
 		s := transports[0].Stats()
 		if s.QueueDrops > 0 || s.WriteErrors > 0 {
@@ -254,14 +249,9 @@ func TestTCPPeerStallDoesNotBlockSend(t *testing.T) {
 
 func TestTCPQueueOverflowDropsOldest(t *testing.T) {
 	// With no listener at the destination the writer can never drain, so a
-	// flood through a depth-4 queue must evict all but the newest few.
+	// flood of eight queues' worth must evict all but the newest.
 	addrs := map[core.ServerID]string{}
-	tr, err := NewTCPTransportOpts(0, "127.0.0.1:0", addrs, TCPTransportOptions{
-		QueueDepth:  4,
-		DialTimeout: 100 * time.Millisecond,
-		BackoffMin:  50 * time.Millisecond,
-		BackoffMax:  200 * time.Millisecond,
-	})
+	tr, err := NewTCPTransportOpts(0, "127.0.0.1:0", addrs, TCPTransportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,21 +265,23 @@ func TestTCPQueueOverflowDropsOldest(t *testing.T) {
 	ln.Close()
 	addrs[1] = dead
 
-	for i := 0; i < 100; i++ {
+	const n = 8 * queueDepth
+	for i := 0; i < n; i++ {
 		if err := tr.Send(0, 1, &core.LoadProbeMsg{Session: uint64(i), From: 0}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	s := tr.Stats()
-	if s.Enqueued != 100 {
-		t.Fatalf("enqueued = %d, want 100", s.Enqueued)
+	if s.Enqueued != n {
+		t.Fatalf("enqueued = %d, want %d", s.Enqueued, n)
 	}
-	// 100 in, depth 4, at most one in flight with the writer.
-	if s.QueueDrops < 90 {
-		t.Fatalf("queue drops = %d, want >= 90 (drop-oldest overflow)", s.QueueDrops)
+	// At most one queue's worth is queued and one more in flight with the
+	// writer; everything else was evicted.
+	if s.QueueDrops < n-2*queueDepth {
+		t.Fatalf("queue drops = %d, want >= %d (drop-oldest overflow)", s.QueueDrops, n-2*queueDepth)
 	}
-	if s.QueueDepth > 4 {
-		t.Fatalf("queue depth = %d exceeds bound 4", s.QueueDepth)
+	if s.QueueDepth > queueDepth {
+		t.Fatalf("queue depth = %d exceeds bound %d", s.QueueDepth, queueDepth)
 	}
 	// The writer must be dialing (and failing) with backoff, not spinning.
 	waitFor(t, 3*time.Second, func() bool { return tr.Stats().DialErrors > 0 })
@@ -328,12 +320,7 @@ func TestTCPListenerRestartMidTraffic(t *testing.T) {
 	// Kill the receiving peer's listener while traffic flows, restart it on
 	// the same port, and verify the sender's writer redials and resumes
 	// without any new Send-side plumbing.
-	nodes, transports, _ := startTCPPair(t, TCPTransportOptions{
-		WriteTimeout: 300 * time.Millisecond,
-		DialTimeout:  300 * time.Millisecond,
-		BackoffMin:   10 * time.Millisecond,
-		BackoffMax:   100 * time.Millisecond,
-	})
+	nodes, transports, _ := startTCPPair(t, TCPTransportOptions{})
 	tree := nodes[0].tree
 	owner := Assign(tree, 2, 7)
 	remote := ownedByServer(t, owner, 1)
@@ -508,11 +495,7 @@ func TestTCPConservationDeadPeerFlood(t *testing.T) {
 	// path and the close-with-batch-in-flight path: the batch a writer holds
 	// while dialing is off the queue, so Close must count it as dropped
 	// rather than letting it vanish between QueueDepth and QueueDrops.
-	_, transports, addrs := startTCPPair(t, TCPTransportOptions{
-		QueueDepth: 4,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
-	})
+	_, transports, addrs := startTCPPair(t, TCPTransportOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +504,7 @@ func TestTCPConservationDeadPeerFlood(t *testing.T) {
 	ln.Close() // connection refused from now on
 	addrs[core.ServerID(9)] = deadAddr
 	tr := transports[0]
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 4*queueDepth; i++ {
 		if err := tr.Send(0, 9, bigMsg(64)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -542,11 +525,7 @@ func TestTCPConservationSetAddrRetire(t *testing.T) {
 	// leave the peers map (and thus QueueDepth) with it, so retirement must
 	// move them into QueueDrops. A Send racing the retirement lands on the
 	// drained sender and must count its own frame.
-	_, transports, addrs := startTCPPair(t, TCPTransportOptions{
-		QueueDepth: 64,
-		BackoffMin: 50 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
-	})
+	_, transports, addrs := startTCPPair(t, TCPTransportOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -115,11 +115,10 @@ func (p SyncPolicy) String() string {
 
 // Options configures a Store. The zero value is usable.
 type Options struct {
-	SyncPolicy   SyncPolicy
-	SegmentBytes int64 // WAL segment roll size, default 64 MiB
-	Registry     *telemetry.Registry
-	Labels       []string // label k/v pairs for registered metrics
-	Logf         func(format string, args ...any)
+	SyncPolicy SyncPolicy
+	Registry   *telemetry.Registry
+	Labels     []string // label k/v pairs for registered metrics
+	Logf       func(format string, args ...any)
 	// NodeIndex maintains an on-disk sorted node index beside each snapshot
 	// (see index.go): WriteSnapshot builds one from the same records, Open
 	// prefers a valid index over materializing the snapshot (ReplayState.
@@ -131,10 +130,10 @@ type Options struct {
 // syncInterval bounds what a machine crash can lose under SyncInterval.
 const syncInterval = 100 * time.Millisecond
 
+// segmentBytes is the WAL segment roll size.
+const segmentBytes = 64 << 20
+
 func (o *Options) fill() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
@@ -310,7 +309,7 @@ func (s *Store) appendLocked(kind byte, enc func([]byte) []byte) error {
 			return err
 		}
 	}
-	if s.segSize >= s.opts.SegmentBytes {
+	if s.segSize >= segmentBytes {
 		return s.rollLocked()
 	}
 	return nil

@@ -369,16 +369,20 @@ func TestScanSegmentHostileLengths(t *testing.T) {
 	}
 }
 
+// TestSegmentRollAtSizeLimit: an append that takes the open segment to
+// segmentBytes rolls the WAL, and replay reads every segment. Rather than
+// write 64 MiB per segment, the test counts the open segment as one byte
+// short of the limit before every tenth append.
 func TestSegmentRollAtSizeLimit(t *testing.T) {
 	dir := t.TempDir()
-	opts := quietOpts()
-	opts.SegmentBytes = 256 // tiny: force rolls
-	st, _, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := mustOpen(t, dir)
 	const n = 40
 	for i := 0; i < n; i++ {
+		if i%10 == 9 {
+			st.mu.Lock()
+			st.segSize = segmentBytes - 1
+			st.mu.Unlock()
+		}
 		if err := st.Append(testMutation(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -386,8 +390,8 @@ func TestSegmentRollAtSizeLimit(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := listSeqFiles(dir, walPrefix, walSuffix); len(segs) < 3 {
-		t.Fatalf("expected multiple segments, have %d", len(segs))
+	if segs := listSeqFiles(dir, walPrefix, walSuffix); len(segs) != 5 {
+		t.Fatalf("%d segments after four rolls, want 5", len(segs))
 	}
 	st2, rs := mustOpen(t, dir)
 	defer st2.Close()

@@ -88,7 +88,7 @@ func BenchmarkWireDecode(b *testing.B) {
 // BenchmarkBloomDigestEncode measures serializing a realistic hosted-set
 // digest (64 names at 1% FP), the dominant payload inside piggyback riders.
 func BenchmarkBloomDigestEncode(b *testing.B) {
-	f := bloom.NewForCapacity(64, 0.01)
+	f := bloom.New(1024, 7)
 	for i := uint64(0); i < 64; i++ {
 		f.Add(bloom.HashString("/bench/node") + i*0x9e3779b9)
 	}

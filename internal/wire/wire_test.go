@@ -11,7 +11,7 @@ import (
 )
 
 func samplePiggy() core.Piggyback {
-	f := bloom.NewForCapacity(8, 0.01)
+	f := bloom.New(128, 7)
 	f.Add(core.NodeKey(3))
 	f.Add(core.NodeKey(9))
 	f.SetVersion(4)

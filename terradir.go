@@ -134,8 +134,10 @@ type (
 	// TCPTransport carries protocol messages between processes over
 	// per-peer asynchronous outbound queues with reconnect/backoff.
 	TCPTransport = overlay.TCPTransport
-	// TCPTransportOptions tunes the TCP transport (per-peer queue depth,
-	// dial/write timeouts, reconnect backoff); zero values mean defaults.
+	// TCPTransportOptions configures the TCP transport: its backoff-jitter
+	// seed and whether it is an edge client (gateway, CLI) rather than a
+	// peer. The queue depth, dial/write timeouts and reconnect backoff are
+	// fixed.
 	TCPTransportOptions = overlay.TCPTransportOptions
 	// TransportStats is a monitoring snapshot of transport counters
 	// (sends, drops, redials, corrupt frames, ...).
@@ -147,11 +149,13 @@ type (
 	// FaultOptions configures a FaultTransport.
 	FaultOptions = overlay.FaultOptions
 	// OverlayOptions configures NewLocalOverlay: server count, seed, per-node
-	// options, and optional fault injection (retrieve it with Overlay.Fault)
-	// and gossip membership.
+	// options (gossip membership among them), and optional fault injection
+	// (retrieve it with Overlay.Fault).
 	OverlayOptions = overlay.LocalClusterOptions
-	// MembershipProtocolOptions tunes the gossip failure detector's
-	// probe/suspicion cycle; zero values mean defaults.
+	// MembershipProtocolOptions tunes the gossip failure detector: its probe
+	// interval, suspicion timeout and seed; zero values mean defaults. The
+	// direct-probe timeout, the retransmit budget and the dead reprobe are
+	// derived from the probe interval.
 	MembershipProtocolOptions = membership.Options
 )
 
