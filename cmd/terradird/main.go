@@ -258,9 +258,7 @@ func serveClients(ln net.Listener, node *overlay.Node, tree *terradir.Tree) {
 					fmt.Fprintf(c, "ERR usage: LOOKUP <name>\n")
 					continue
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				res, err := node.LookupName(ctx, fields[1])
-				cancel()
+				res, err := node.LookupName(context.Background(), fields[1]) // bounded by the attempt schedule
 				switch {
 				case err != nil:
 					fmt.Fprintf(c, "ERR %v\n", err)

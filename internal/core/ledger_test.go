@@ -23,6 +23,7 @@ var ledgerFamilies = map[string]func(Stats) int64{
 	"terradir_trace_span_reports_total":  func(s Stats) int64 { return s.SpanReports },
 	"terradir_ownership_adoptions_total": func(s Stats) int64 { return s.OwnershipAdopts },
 	"terradir_ownership_releases_total":  func(s Stats) int64 { return s.OwnershipReleases },
+	"terradir_lookup_reattempts_total":   func(s Stats) int64 { return s.LookupReattempts },
 }
 
 // checkLedgerFamilies fails unless every ledger-backed family p registered in
@@ -103,7 +104,8 @@ func TestLedgerFamiliesMatchStatsView(t *testing.T) {
 		}
 
 		// The loop-only events: replica install and eviction, a dead-server
-		// purge, and an adoption handed back.
+		// purge, and an adoption handed back; and the initiator's lookup
+		// re-attempt.
 		tree, ids := paperTree()
 		p := newTestPeer(t, tree, 0, []NodeID{ids["/u/pub"]}, 1, DefaultConfig(), &fakeEnv{})
 		reg := telemetry.NewRegistry()
@@ -131,8 +133,10 @@ func TestLedgerFamiliesMatchStatsView(t *testing.T) {
 			t.Fatal("release did not happen")
 		}
 		checkLedgerFamilies(t, "release", p, reg)
+		p.CountLookupReattempt()
+		checkLedgerFamilies(t, "reattempt", p, reg)
 		if s := p.StatsView(); s.ReplicaInstalls != 1 || s.ReplicaEvictions != 1 || s.ServerPurges != 1 ||
-			s.OwnershipAdopts != 1 || s.OwnershipReleases != 1 {
+			s.OwnershipAdopts != 1 || s.OwnershipReleases != 1 || s.LookupReattempts != 1 {
 			t.Fatalf("loop-only events not all counted once: %+v", s)
 		}
 	})

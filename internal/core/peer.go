@@ -67,6 +67,7 @@ type Stats struct {
 	PurgedEntries     int64 // soft-state references removed by PurgeServer
 	OwnershipAdopts   int64 // nodes provisionally adopted from dead owners
 	OwnershipReleases int64 // adopted nodes handed back to returned owners
+	LookupReattempts  int64 // unanswered lookups initiated here, sent again
 }
 
 type hostedNode struct {

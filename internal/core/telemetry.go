@@ -33,6 +33,7 @@ const (
 	ctrPurgedEntries
 	ctrOwnershipAdopts
 	ctrOwnershipReleases
+	ctrLookupReattempts // lookups this peer initiated, sent again unanswered
 	numCounters
 )
 
@@ -66,6 +67,7 @@ func (p *Peer) StatsView() Stats {
 		PurgedEntries:     l[ctrPurgedEntries].Load(),
 		OwnershipAdopts:   l[ctrOwnershipAdopts].Load(),
 		OwnershipReleases: l[ctrOwnershipReleases].Load(),
+		LookupReattempts:  l[ctrLookupReattempts].Load(),
 	}
 	s.Forwarded = s.CacheHits + s.DigestShortcuts + s.ContextHops
 	s.ResultsSent = s.Resolved + s.FailedTTL + s.FailedNoRoute
@@ -73,6 +75,9 @@ func (p *Peer) StatsView() Stats {
 	s.ControlSent = l[ctrSendControl].Load() + s.SpanReports
 	return s
 }
+
+// CountLookupReattempt counts one unanswered lookup sent again; any goroutine.
+func (p *Peer) CountLookupReattempt() { p.led.inc(ctrLookupReattempts) }
 
 // peerTelemetry holds the registry metrics that have no ledger cell: snapshot
 // publication, which only a live driver does. nil until AttachTelemetry, so
@@ -113,6 +118,7 @@ func (p *Peer) AttachTelemetry(reg *telemetry.Registry, labels ...string) {
 	family("terradir_trace_span_reports_total", "Trace span reports sent to query initiators.", ctrSpanReports)
 	family("terradir_ownership_adoptions_total", "Namespace nodes provisionally adopted from dead owners.", ctrOwnershipAdopts)
 	family("terradir_ownership_releases_total", "Adopted namespace nodes handed back to returned owners.", ctrOwnershipReleases)
+	family("terradir_lookup_reattempts_total", "Lookups initiated here that went unanswered and were sent again.", ctrLookupReattempts)
 	p.tel = &peerTelemetry{
 		publishes: reg.Counter("terradir_snapshot_publishes_total",
 			"Routing snapshots published for the lock-free fast path (publishes that found nothing changed are not counted).", labels...),

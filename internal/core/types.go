@@ -137,6 +137,9 @@ const (
 	// (per-tenant quota exhausted or the gateway draining). Never produced by
 	// overlay peers — only gateways synthesize it.
 	FailShed
+	// FailLost: no attempt of the lookup was answered within the initiator's
+	// attempt schedule (overlay.LookupAttempts); never on the wire.
+	FailLost
 )
 
 func (r FailReason) String() string {
@@ -149,6 +152,8 @@ func (r FailReason) String() string {
 		return "no-route"
 	case FailShed:
 		return "shed"
+	case FailLost:
+		return "lost"
 	}
 	return "unknown"
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // maxTenants bounds the bucket table. Reaching it sweeps full (idle)
-// buckets; if none is idle, requests from tenants not already in the table
-// are shed, so an unbounded tenant-ID stream can neither grow memory nor
-// mint itself fresh tokens.
+// buckets, at most once per token interval (1/rate), since no bucket refills
+// sooner; until a sweep frees a slot, requests from tenants not already in
+// the table are shed, so an unbounded tenant-ID stream can neither grow
+// memory nor mint itself fresh tokens.
 const maxTenants = 16384
 
 // admission is per-tenant token-bucket admission control. Each tenant (an
@@ -23,6 +24,7 @@ type admission struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	swept   time.Time // the full table's last sweep
 }
 
 type bucket struct {
@@ -50,11 +52,12 @@ func (a *admission) allow(tenant string) (bool, time.Duration) {
 	defer a.mu.Unlock()
 	b, ok := a.buckets[tenant]
 	if !ok {
-		if len(a.buckets) >= maxTenants {
+		interval := time.Duration(float64(time.Second) / a.rate)
+		if len(a.buckets) >= maxTenants && now.Sub(a.swept) >= interval {
 			a.sweepLocked(now)
-			if len(a.buckets) >= maxTenants {
-				return false, time.Duration(float64(time.Second) / a.rate)
-			}
+		}
+		if len(a.buckets) >= maxTenants {
+			return false, interval
 		}
 		b = &bucket{tokens: a.burst, last: now}
 		a.buckets[tenant] = b
@@ -76,6 +79,7 @@ func (a *admission) allow(tenant string) (bool, time.Duration) {
 // sweepLocked drops buckets that have refilled to burst (idle tenants: they
 // shed nothing by being forgotten — a fresh bucket starts full anyway).
 func (a *admission) sweepLocked(now time.Time) {
+	a.swept = now
 	for t, b := range a.buckets {
 		if b.tokens+a.rate*now.Sub(b.last).Seconds() >= a.burst {
 			delete(a.buckets, t)

@@ -93,9 +93,10 @@ func startScripted(t *testing.T, answer func() bool) (*Gateway, *scriptedUpstrea
 // TestFlightPacing: one timer paces a flight's hedge, its retries and its
 // deadline. Against an upstream that answers nothing but probes, a flight
 // sends its primary, a hedge after hedgeMin (nothing observed yet) and then
-// a retry every retryInterval — maxAttempts in all, every paced one counted
-// as a fired hedge — then times out at upstreamTimeout. The production
-// schedule puts every retry inside the budget.
+// a retry every overlay.LookupInterval — overlay.LookupAttempts in all, every
+// paced one counted as a fired hedge — then times out at
+// overlay.LookupTimeout. The production schedule puts every retry inside the
+// budget.
 func TestFlightPacing(t *testing.T) {
 	t.Run("retry inside the budget", func(t *testing.T) {
 		g, up := startScripted(t, nil)
@@ -105,17 +106,17 @@ func TestFlightPacing(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "timed out") {
 			t.Fatalf("lookup against a silent upstream returned %v, want a timeout", err)
 		}
-		if took < upstreamTimeout || took > upstreamTimeout+time.Second {
-			t.Fatalf("flight timed out after %s, want upstreamTimeout %s", took, upstreamTimeout)
+		if took < overlay.LookupTimeout || took > overlay.LookupTimeout+time.Second {
+			t.Fatalf("flight timed out after %s, want overlay.LookupTimeout %s", took, overlay.LookupTimeout)
 		}
 		qs := up.queries()
-		if len(qs) != maxAttempts {
-			t.Fatalf("flight sent %d attempts, want %d", len(qs), maxAttempts)
+		if len(qs) != overlay.LookupAttempts {
+			t.Fatalf("flight sent %d attempts, want %d", len(qs), overlay.LookupAttempts)
 		}
 		snap := g.Registry().Snapshot()
-		if snap["terradir_gw_hedge_fired_total"] != maxAttempts-1 || snap["terradir_gw_lookup_timeouts_total"] != 1 {
+		if snap["terradir_gw_hedge_fired_total"] != overlay.LookupAttempts-1 || snap["terradir_gw_lookup_timeouts_total"] != 1 {
 			t.Fatalf("hedge_fired %g timeouts %g, want %d and 1",
-				snap["terradir_gw_hedge_fired_total"], snap["terradir_gw_lookup_timeouts_total"], maxAttempts-1)
+				snap["terradir_gw_hedge_fired_total"], snap["terradir_gw_lookup_timeouts_total"], overlay.LookupAttempts-1)
 		}
 	})
 }

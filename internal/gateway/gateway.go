@@ -69,23 +69,15 @@ type Options struct {
 // routeCacheSize bounds the routing cache.
 const routeCacheSize = 4096
 
-// The flight schedule (DESIGN.md §12). A flight sends its primary attempt,
-// a hedge after the p99 of observed upstream latency clamped to
-// [hedgeMin, hedgeMax] (hedgeMin while nothing is observed yet), then
-// retries every retryInterval until maxAttempts have gone out: the last is
-// due by hedgeMax + (maxAttempts-2)·retryInterval = 2.5 s, inside
-// upstreamTimeout, which bounds the flight end to end. A query lost inside
-// the overlay (e.g. routed into a just-dead peer before the cluster noticed)
-// is re-tried against a different upstream instead of failing the whole
-// coalesced crowd. The retries must span the time a crashed peer takes to be
-// ejected by the prober and handed off by SWIM: until then the route cache
-// steers attempts back at it.
+// The flight schedule (DESIGN.md §12) is the overlay's lookup attempt
+// schedule with a hedge in front: the primary attempt, a hedge after the p99
+// of observed upstream latency clamped to [hedgeMin, hedgeMax], then an
+// attempt every overlay.LookupInterval up to overlay.LookupAttempts, the last
+// due by 2.5 s, inside overlay.LookupTimeout. The attempts carry a flight
+// across the time a crashed peer takes to be ejected and handed off.
 const (
-	upstreamTimeout = 3 * time.Second
-	hedgeMin        = 2 * time.Millisecond
-	hedgeMax        = 500 * time.Millisecond
-	maxAttempts     = 6
-	retryInterval   = 500 * time.Millisecond
+	hedgeMin = 2 * time.Millisecond
+	hedgeMax = 500 * time.Millisecond
 )
 
 // The liveness prober: every probeInterval each upstream gets one probe,
@@ -159,7 +151,7 @@ type flight struct {
 	done chan struct{}
 	res  Result
 	err  error
-	qids [maxAttempts]uint64
+	qids [overlay.LookupAttempts]uint64
 }
 
 // Gateway is the edge-tier front door. Create with New, then attach the
@@ -429,7 +421,7 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 
 	// Capacity for every attempt: replies land without blocking the read
 	// goroutine even if this flight has already returned.
-	ch := make(chan attemptReply, maxAttempts)
+	ch := make(chan attemptReply, overlay.LookupAttempts)
 	qid1, peer1, ok := g.launchAttempt(node, ch, core.NoServer, cached)
 	if !ok {
 		return Result{}, fmt.Errorf("gateway: no usable upstream")
@@ -438,10 +430,10 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 	defer func() { g.removePending(attempts...) }()
 
 	// One timer paces the flight. It fires at next: the hedge, after the
-	// hedge delay, then a retry every retryInterval, maxAttempts-1 times in
-	// all, and then the deadline. A single-peer pool leaves no attempt to
+	// hedge delay, then a retry every LookupInterval, LookupAttempts-1 times
+	// in all, and then the deadline. A single-peer pool leaves no attempt to
 	// pace.
-	deadline := start.Add(upstreamTimeout)
+	deadline := start.Add(overlay.LookupTimeout)
 	next := deadline
 	if len(g.pool.ids) > 1 {
 		next = start.Add(g.hedgeDelay())
@@ -462,7 +454,7 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 				// survivor has adopted its partition yet) is not final: retry
 				// immediately on a different peer while the attempt budget
 				// lasts, or keep waiting for an outstanding attempt.
-				if len(attempts) < maxAttempts {
+				if len(attempts) < overlay.LookupAttempts {
 					if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
 						lastPeer = peer
 						attempts = append(attempts, qid)
@@ -494,9 +486,9 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 			if next == deadline {
 				g.m.timeouts.Inc()
 				g.m.latency.Observe(time.Since(start).Seconds())
-				return Result{}, fmt.Errorf("gateway: lookup %d timed out after %s", node, upstreamTimeout)
+				return Result{}, fmt.Errorf("gateway: lookup %d timed out after %s", node, overlay.LookupTimeout)
 			}
-			if len(attempts) < maxAttempts {
+			if len(attempts) < overlay.LookupAttempts {
 				if qid, peer, ok2 := g.launchAttempt(node, ch, lastPeer, cached); ok2 {
 					hedged = true
 					lastPeer = peer
@@ -505,8 +497,8 @@ func (g *Gateway) doLookup(node core.NodeID, f *flight) (Result, error) {
 				}
 			}
 			next = deadline
-			if paced++; paced < maxAttempts && len(attempts) < maxAttempts {
-				next = time.Now().Add(retryInterval)
+			if paced++; paced < overlay.LookupAttempts && len(attempts) < overlay.LookupAttempts {
+				next = time.Now().Add(overlay.LookupInterval)
 			}
 			timer.Reset(time.Until(next)) // its channel was just drained
 		case <-g.stop:
@@ -534,9 +526,7 @@ func (g *Gateway) serveWire(q *core.QueryMsg) {
 	}
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(context.Background(), upstreamTimeout+time.Second)
-	res, err := g.Lookup(ctx, q.Dest)
-	cancel()
+	res, err := g.Lookup(context.Background(), q.Dest) // the flight is bounded
 	if err != nil {
 		reply.Reason = core.FailNoRoute
 	} else {

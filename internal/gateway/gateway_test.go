@@ -100,6 +100,11 @@ func TestAdmissionTableBounded(t *testing.T) {
 	if ok, _ := a.allow("t0"); !ok {
 		t.Fatal("known tenant shed after its bucket refilled")
 	}
+	// A token interval after the last sweep, the next unknown tenant sweeps
+	// the refilled buckets away and is admitted.
+	if ok, _ := a.allow("fresh"); !ok {
+		t.Fatal("unknown tenant shed a token interval after the last sweep, with every other bucket idle")
+	}
 }
 
 func TestRouteCache(t *testing.T) {
@@ -345,7 +350,7 @@ func TestHTTPAdmissionAndDrain(t *testing.T) {
 func TestCoalesceFlashCrowd(t *testing.T) {
 	// 20ms of latency on the peers' outbound path keeps the leader's flight
 	// open long enough that a barrier-released crowd piles onto it. Each
-	// flight may hedge (at most maxAttempts upstream queries), so the
+	// flight may hedge (at most overlay.LookupAttempts upstream queries), so the
 	// upstream query count still isolates coalescing.
 	c := startCluster(t, 3, false, peerSetup{latency: 20 * time.Millisecond})
 	g := c.startGateway(nil)

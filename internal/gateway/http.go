@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"terradir/internal/overlay"
 )
 
 // httpServer is the gateway's HTTP/JSON surface:
@@ -138,7 +140,7 @@ func (g *Gateway) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(r.Context(), upstreamTimeout+time.Second)
+	ctx, cancel := context.WithTimeout(r.Context(), overlay.LookupTimeout+time.Second)
 	res, err := g.Lookup(ctx, node)
 	cancel()
 	if err != nil {

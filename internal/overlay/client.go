@@ -105,8 +105,9 @@ type SearchResult struct {
 // maxDepth levels below it and at most limit results (0 = no limit),
 // decomposing the search into individual lookups as §2.1 describes and
 // aggregating the results. Lookups for sibling branches are issued
-// breadth-first; failures of individual entries are reported in the result
-// (OK=false) rather than aborting the search.
+// breadth-first; failures of individual entries, lost ones (core.FailLost)
+// included, are reported in the result (OK=false) rather than aborting the
+// search, which only an error of Lookup — ctx ending, say — cuts short.
 func (n *Node) Search(ctx context.Context, prefix string, maxDepth, limit int) ([]SearchResult, error) {
 	root := n.tree.Lookup(prefix)
 	if root == namespace.Invalid {

@@ -672,14 +672,9 @@ func (n *Node) deliverWarmup(entries []core.PathEntry) {
 }
 
 func (n *Node) completeLookup(r *core.ResultMsg) {
-	n.mu.Lock()
-	ch, ok := n.pending[r.QueryID]
-	if ok {
-		delete(n.pending, r.QueryID)
-	}
-	n.mu.Unlock()
-	if !ok {
-		return
+	ch := n.takePending(r.QueryID & (1<<attemptShift - 1))
+	if ch == nil {
+		return // a later answer to a completed lookup, or not ours
 	}
 	res := LookupResult{
 		OK:      r.OK,
@@ -698,63 +693,120 @@ func (n *Node) completeLookup(r *core.ResultMsg) {
 	ch <- res
 }
 
+// takePending removes lookup seq's pending entry: nil if it was taken first.
+func (n *Node) takePending(seq uint64) chan LookupResult {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	ch := n.pending[seq]
+	delete(n.pending, seq)
+	return ch
+}
+
+// The lookup attempt schedule every initiator follows (DESIGN.md §12): up to
+// LookupAttempts queries, LookupInterval apart; none answered is core.FailLost.
+const (
+	LookupAttempts = 6
+	LookupInterval = 500 * time.Millisecond
+	LookupTimeout  = LookupAttempts * LookupInterval // 3 s
+)
+
+// The attempts of a lookup share its one pending entry: attempt a's query ID
+// is the lookup's sequence number with a in the top byte.
+const attemptShift = 56
+
 // lookupChPool recycles the one-shot result channels Lookup blocks on. A
 // channel goes back only on paths where it provably has no pending sender
 // (received-from, or the query never left this function); the cancel paths
 // abandon theirs to the GC.
 var lookupChPool = sync.Pool{New: func() any { return make(chan LookupResult, 1) }}
 
-// Lookup resolves a node through the overlay, initiating the query at this
-// server, and blocks until the result arrives or ctx expires.
+// lookupTimerPool recycles the timers that pace lookups, stopped and drained.
+var lookupTimerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// Lookup resolves a node through the overlay from this server on the attempt
+// schedule: the first answer is final, a typed failure included, none is
+// core.FailLost, and the error is ctx's when ctx ends first.
 func (n *Node) Lookup(ctx context.Context, dest core.NodeID) (LookupResult, error) {
 	if dest < 0 || int(dest) >= n.tree.Len() {
 		return LookupResult{}, fmt.Errorf("overlay: no such node %d", dest)
 	}
 	if err := ctx.Err(); err != nil {
-		// The fast path can resolve synchronously, which would make the
-		// result and a pre-cancelled context race in the select below.
+		// A synchronous fast-path answer would race a cancelled ctx below.
 		return LookupResult{}, err
 	}
-	qid := n.nextQID.Add(1)
+	seq := n.nextQID.Add(1)
 	ch := lookupChPool.Get().(chan LookupResult)
 	n.mu.Lock()
-	n.pending[qid] = ch
+	n.pending[seq] = ch
 	n.mu.Unlock()
-	q := &core.QueryMsg{
-		QueryID:  qid,
-		Dest:     dest,
-		Source:   n.id,
-		OnBehalf: namespace.Invalid,
-		Started:  time.Since(n.epoch).Seconds(),
-		Piggy:    core.Piggyback{From: core.NoServer}, // From 0 would gossip an idle server 0
-		// Reserve a typical route's path entries up front (routes are
-		// tree-depth-bounded, far under the MaxHops TTL): each hop appends
-		// one, and with spare capacity the extensions rarely reallocate.
-		Path: make([]core.PathEntry, 0, 8),
-	}
-	q.Enqueued = q.Started
-	q.TraceID = n.traceID(qid)
-	if !n.fastServe(q) && !n.enqueue(q) {
-		n.mu.Lock()
-		delete(n.pending, qid)
-		n.mu.Unlock()
+	started := time.Since(n.epoch).Seconds()
+	traceID := n.traceID(seq) // one sampling decision per lookup
+	if !n.attempt(seq, 0, dest, started, traceID) {
+		n.takePending(seq)
 		lookupChPool.Put(ch)
 		return LookupResult{}, fmt.Errorf("overlay: server %d queue full", n.id)
 	}
+	// completeLookup takes the entry before its one send: ch is reusable.
 	select {
 	case res := <-ch:
-		// completeLookup removes the pending entry before its single send, so
-		// a received-from channel has no other sender and is safely reusable.
-		lookupChPool.Put(ch)
+		lookupChPool.Put(ch) // answered in the call: no timer armed
 		return res, nil
-	case <-ctx.Done():
-		n.mu.Lock()
-		delete(n.pending, qid)
-		n.mu.Unlock()
-		return LookupResult{}, ctx.Err()
-	case <-n.stop:
-		return LookupResult{}, fmt.Errorf("overlay: node stopped")
+	default:
 	}
+	timer := lookupTimerPool.Get().(*time.Timer)
+	timer.Reset(LookupInterval)
+	defer func() {
+		if !timer.Stop() {
+			<-timer.C
+		}
+		lookupTimerPool.Put(timer)
+	}()
+	for a := 1; ; a++ {
+		select {
+		case res := <-ch:
+			lookupChPool.Put(ch)
+			return res, nil
+		case <-timer.C:
+			if a < LookupAttempts {
+				if traceID != 0 {
+					traceID = max(splitmix64(traceID), 1) // each attempt is its own trace
+				}
+				n.peer.CountLookupReattempt()
+				n.attempt(seq, a, dest, started, traceID) // a full queue loses this attempt
+			} else if n.takePending(seq) != nil { // else an answer is on its way
+				ch <- LookupResult{Reason: core.FailLost, Node: dest, Name: n.tree.Name(dest), TraceID: traceID}
+			}
+			timer.Reset(LookupInterval) // its channel was just drained
+		case <-ctx.Done():
+			n.takePending(seq)
+			return LookupResult{}, ctx.Err()
+		case <-n.stop:
+			return LookupResult{}, fmt.Errorf("overlay: node stopped")
+		}
+	}
+}
+
+// attempt sends attempt a of lookup seq, serving it on the fast path when it
+// can, and reports false when the request queue was full.
+func (n *Node) attempt(seq uint64, a int, dest core.NodeID, started float64, traceID uint64) bool {
+	q := &core.QueryMsg{
+		QueryID:  seq | uint64(a)<<attemptShift,
+		Dest:     dest,
+		Source:   n.id,
+		OnBehalf: namespace.Invalid,
+		Started:  started,
+		Enqueued: time.Since(n.epoch).Seconds(),
+		TraceID:  traceID,
+		Piggy:    core.Piggyback{From: core.NoServer}, // From 0 would gossip an idle server 0
+		// A typical route's path entries, reserved up front: routes are
+		// tree-depth-bounded, so each hop's append rarely reallocates.
+		Path: make([]core.PathEntry, 0, 8),
+	}
+	return n.fastServe(q) || n.enqueue(q)
 }
 
 // traceID decides whether lookup qid is traced and derives its trace ID
